@@ -11,21 +11,28 @@ resulting feedback-equivalent service process, and derive from it
   decay rate, whose theta -> 0 limit is the mean rate), and
 * Chernoff backlog bounds against an arrival MGF.
 
-Every bound family here depends on (s, t) only through the interval length,
-so curves are indexed by t alone.  All optimizations over theta use a fixed
-logarithmic grid followed by golden-section refinement; the reported
-optimum is never worse than the best raw grid point.
+Every bound family here depends on (s, t) only through the interval length
+ell, and its log is linear in ell over a period p:
+log bound(theta, ell) = floor(ell / p) * log_rate(theta) + log_offset(theta)
+(``LogMgfCurve``).  Curves are therefore indexed by t alone, and the
+steady-state backlog bound sums a geometric series in closed form; it is
+finite at theta exactly when p log M_A(theta) + log_rate(theta) < 0.
+
+All optimizations over theta use a fixed logarithmic grid followed by
+golden-section refinement; the reported optimum is never worse than the
+best raw grid point.  Service curves refine every t at once, with one
+golden-section search per t run in lockstep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .models import MarkovModulated2Service, MmooService
+from .models import MarkovModulated2Service, MmooService, _decay_rate, _positive_theta
 
 INF = float("inf")
 
@@ -144,6 +151,43 @@ def golden_section_max(
     return x2, f2
 
 
+def _golden_section_max_lockstep(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rel_tol: float = 1e-4,
+) -> tuple[np.ndarray, np.ndarray]:
+    """golden_section_max on many brackets [lo[i], hi[i]] at once.
+
+    fn(x, which) evaluates problem which[i] at x[i].  Every problem takes
+    exactly the iterates and the stopping rule of its own scalar search; a
+    finished problem is no longer evaluated.  Returns (argmax, max) arrays.
+    """
+    a, b = lo.astype(float), hi.astype(float)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    everyone = np.arange(len(a))
+    f1, f2 = fn(x1, everyone), fn(x2, everyone)
+
+    def still_open(which):
+        a_, b_ = a[which], b[which]
+        return which[(b_ - a_) > rel_tol * np.maximum(np.maximum(np.abs(a_), np.abs(b_)), 1e-300)]
+
+    live = still_open(everyone)
+    while live.size:
+        right = f1[live] < f2[live]
+        up, down = live[right], live[~right]
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = a[up] + _GOLDEN * (b[up] - a[up])
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = b[down] - _GOLDEN * (b[down] - a[down])
+        fresh = fn(np.where(right, x2[live], x1[live]), live)
+        f2[up], f1[down] = fresh[right], fresh[~right]
+        live = still_open(live)
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
 # ===========================================================================
 # MGF bounds for the feedback-equivalent service
 # ===========================================================================
@@ -161,16 +205,7 @@ def feedback_mgf_series(model, params: FeedbackParams, theta: float, t: int) -> 
     Valid only under the convergence condition M^{-d} e^{-theta w} < 1;
     returns +inf where that fails (infeasibility is a value, not an error).
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    m = model.mgf_increment(-theta)
-    log_x = -params.d * math.log(m) - theta * params.w
-    if log_x >= 0.0:
-        return INF
-    log_val = t * math.log(m) - (t + 2) * math.log(-math.expm1(log_x))
-    return _exp_or_inf(log_val)
+    return _mgf_value(series_curve(model, params), theta, t)
 
 
 def feedback_mgf_blocks_iid(model, params: FeedbackParams, theta: float, t: int) -> float:
@@ -180,16 +215,7 @@ def feedback_mgf_blocks_iid(model, params: FeedbackParams, theta: float, t: int)
     contributes its service MGF or one window cost, giving
     (M^d + d e^{-theta w})^{floor(t/d)}.  Always finite.
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    blocks = t // params.d
-    if blocks == 0:
-        return 1.0
-    m = model.mgf_increment(-theta)
-    base = m**params.d + params.d * math.exp(-theta * params.w)
-    return base**blocks
+    return _mgf_value(block_curve(model, params), theta, t)
 
 
 def feedback_mgf_blocks_markov(model, params: FeedbackParams, theta: float, t: int) -> float:
@@ -199,23 +225,16 @@ def feedback_mgf_blocks_markov(model, params: FeedbackParams, theta: float, t: i
     replaced by the dominant eigenvalue of the slot operator L(-theta).
     Requires slow switching (p01 + p10 < 1), which is a hard error.
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
     if not _is_markov(model):
         raise TypeError("markov block bound needs a two-state Markov-modulated model")
-    blocks = t // params.d
-    m_plus = model.eigen_m_plus(-theta)  # raises unless p01 + p10 < 1
-    if blocks == 0:
-        return 1.0
-    base = m_plus**params.d + params.d * math.exp(-theta * params.w)
-    return base**blocks
+    return _mgf_value(block_curve(model, params), theta, t)
 
 
-def _exp_or_inf(log_value: float) -> float:
-    if log_value == INF:
-        return INF
+def _mgf_value(curve: LogMgfCurve, theta: float, t: int) -> float:
+    """exp of one log_value, with +inf from the float overflow range on."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    log_value = float(curve.log_value(theta, t))
     return math.exp(log_value) if log_value < 709.0 else INF
 
 
@@ -226,58 +245,73 @@ def _exp_or_inf(log_value: float) -> float:
 
 @dataclass(frozen=True)
 class LogMgfCurve:
-    """theta-indexed family of log MGF bounds, vectorized over interval length.
+    """theta-indexed family of log MGF bounds, linear in the length over a period.
 
-    ``log_value(theta, lengths)`` returns log E-bound values for an array of
-    interval lengths; +inf encodes infeasibility at that theta.
+    log bound(theta, ell) = floor(ell / period) * log_rate(theta) + log_offset(theta)
+
+    with the convention 0 * (+-inf) = 0.  ``coefficients(theta)`` returns
+    (log_rate, log_offset) for a scalar or an array of theta; +inf encodes
+    infeasibility (an offset of +inf rules out every length).  ``nonnegative``
+    states that the service never decreases, so that zero is a valid floor
+    for its envelopes.
     """
 
     family: str
-    _log_fn: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
+    period: int
+    coefficients: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    nonnegative: bool
 
-    def log_value(self, theta: float, lengths) -> np.ndarray:
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
-        ell = np.asarray(lengths, dtype=float)
-        return self._log_fn(theta, ell)
-
-    def feasible(self, theta: float) -> bool:
-        return bool(np.isfinite(self.log_value(theta, np.asarray([1.0]))[0]))
+    def log_value(self, theta, lengths) -> np.ndarray:
+        """log bound values; theta and lengths broadcast against each other."""
+        log_rate, log_offset = self.coefficients(_positive_theta(theta))
+        blocks = np.floor(np.asarray(lengths, dtype=float) / self.period)
+        return _times_log(blocks, log_rate) + log_offset
 
 
-def _times_log(n: np.ndarray, log_base: float) -> np.ndarray:
+def _times_log(n: np.ndarray, log_base) -> np.ndarray:
     """n * log_base with the convention 0 * (+-inf) = 0."""
-    if math.isfinite(log_base):
-        return n * log_base
-    return np.where(n == 0, 0.0, log_base)
+    with np.errstate(invalid="ignore"):
+        return np.where(n == 0, 0.0, n * log_base)
+
+
+def _log(x):
+    """Natural log with log 0 = -inf and log inf = inf, without warnings."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
 
 
 def series_curve(model, params: FeedbackParams) -> LogMgfCurve:
-    """Geometric-series bound as a curve family (i.i.d. models only)."""
+    """Geometric-series bound as a curve family (i.i.d. models only).
 
-    def log_fn(theta: float, ell: np.ndarray) -> np.ndarray:
-        m = model.mgf_increment(-theta)
-        log_m = math.log(m) if m > 0 else -INF
-        log_x = -params.d * log_m - theta * params.w
-        if log_x >= 0.0:
-            return np.full_like(ell, INF)
-        return _times_log(ell, log_m) - (ell + 2.0) * math.log(-math.expm1(log_x))
+    ell log M - (ell + 2) log(1 - x) with x = M^{-d} e^{-theta w}: period
+    one, log_rate = log M - log(1 - x), log_offset = -2 log(1 - x).
+    """
+    d, w = params.d, params.w
 
-    return LogMgfCurve("series", log_fn)
+    def coefficients(theta):
+        log_m = _log(model.mgf_increment(-theta))
+        log_x = -d * log_m - theta * w
+        ok = log_x < 0.0
+        log_1mx = np.log(-np.expm1(np.where(ok, log_x, -1.0)))
+        return np.where(ok, log_m - log_1mx, INF), np.where(ok, -2.0 * log_1mx, INF)
+
+    return LogMgfCurve("series", 1, coefficients, model.nonnegative)
 
 
 def block_curve(model, params: FeedbackParams) -> LogMgfCurve:
-    """Block-counting bound as a curve family; dispatches on the model kind."""
-    d = params.d
+    """Block-counting bound as a curve family; dispatches on the model kind.
+
+    floor(ell / d) log(M^d + d e^{-theta w}): period d, no offset.
+    """
+    d, w = params.d, params.w
     markov = _is_markov(model)
+    slot_mgf = model.eigen_m_plus if markov else model.mgf_increment
 
-    def log_fn(theta: float, ell: np.ndarray) -> np.ndarray:
-        m = model.eigen_m_plus(-theta) if markov else model.mgf_increment(-theta)
-        base = m**d + d * math.exp(-theta * params.w)
-        log_base = math.log(base) if math.isfinite(base) else INF
-        return _times_log(np.floor(ell / d), log_base)
+    def coefficients(theta):
+        return _log(slot_mgf(-theta) ** d + d * np.exp(-theta * w)), 0.0
 
-    return LogMgfCurve("block-markov" if markov else "block-iid", log_fn)
+    family = "block-markov" if markov else "block-iid"
+    return LogMgfCurve(family, d, coefficients, model.nonnegative)
 
 
 def per_slot_curve(model, params: FeedbackParams) -> LogMgfCurve:
@@ -290,18 +324,16 @@ def per_slot_curve(model, params: FeedbackParams) -> LogMgfCurve:
     """
     cap = params.rate_cap
     if _is_markov(model):
-        capped = _peak_capped(model, cap)
-
-        def log_fn(theta: float, ell: np.ndarray) -> np.ndarray:
-            return _times_log(ell, math.log(capped.eigen_m_plus(-theta)))
-
+        slot_mgf = _peak_capped(model, cap).eigen_m_plus
     else:
 
-        def log_fn(theta: float, ell: np.ndarray) -> np.ndarray:
-            m = model.censored_mgf(-theta, cap)
-            return _times_log(ell, math.log(m) if math.isfinite(m) else INF)
+        def slot_mgf(theta):
+            return model.censored_mgf(theta, cap)
 
-    return LogMgfCurve("per-slot", log_fn)
+    def coefficients(theta):
+        return _log(slot_mgf(-theta)), 0.0
+
+    return LogMgfCurve("per-slot", 1, coefficients, model.nonnegative)
 
 
 def _peak_capped(model, cap: float):
@@ -324,46 +356,36 @@ def statistical_service_curve(
     """Envelope S_eps with P(service(0, t) <= S_eps(t)) <= eps for each t.
 
     Chernoff inversion of the MGF bound: the best (largest) envelope over
-    theta of (log eps - log bound(theta, t)) / theta, floored at zero.  A t
-    where every grid theta is infeasible yields value 0 with the feasibility
-    flag cleared.
+    theta of (log eps - log bound(theta, t)) / theta.  Envelopes of
+    non-negative service are floored at zero; signed service keeps negative
+    values.  A t where every grid theta is infeasible gets the trivial
+    envelope (0, or -inf for signed service) with the feasibility flag
+    cleared.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     log_eps = math.log(eps)
     thetas = grid.values
     ts = np.arange(horizon + 1)
-    cand = np.empty((len(thetas), horizon + 1))
-    for i, theta in enumerate(thetas):
-        log_m = curve.log_value(theta, ts)
+
+    def objective(theta, t):
         with np.errstate(invalid="ignore"):
-            cand[i] = (log_eps - log_m) / theta
-    cand[~np.isfinite(cand)] = -INF
+            value = (log_eps - curve.log_value(theta, t)) / theta
+        return np.where(np.isfinite(value), value, -INF)
 
-    values = np.zeros(horizon + 1)
+    cand = objective(thetas[:, None], ts)
+    k = np.argmax(cand, axis=0)
+    best = cand[k, ts]
+    feasible = best > -INF
     theta_opt = np.full(horizon + 1, np.nan)
-    feasible = np.zeros(horizon + 1, dtype=bool)
-    for t in range(horizon + 1):
-        col = cand[:, t]
-        k = int(np.argmax(col))
-        best = col[k]
-        if best == -INF:
-            continue
-        feasible[t] = True
-        lo = thetas[max(k - 1, 0)]
-        hi = thetas[min(k + 1, len(thetas) - 1)]
-
-        def objective(theta: float, _t=t) -> float:
-            lm = float(curve.log_value(theta, np.asarray([float(_t)]))[0])
-            return (log_eps - lm) / theta if math.isfinite(lm) else -INF
-
-        x, fx = golden_section_max(objective, lo, hi)
-        if fx >= best:
-            best_theta, best = x, fx
-        else:
-            best_theta = thetas[k]
-        values[t] = max(best, 0.0)
-        theta_opt[t] = best_theta
+    ft, fk = ts[feasible], k[feasible]
+    lo = thetas[np.maximum(fk - 1, 0)]
+    hi = thetas[np.minimum(fk + 1, len(thetas) - 1)]
+    x, fx = _golden_section_max_lockstep(lambda th, which: objective(th, ft[which]), lo, hi)
+    improved = fx >= best[feasible]
+    best[feasible] = np.where(improved, fx, best[feasible])
+    theta_opt[feasible] = np.where(improved, x, thetas[fk])
+    values = np.maximum(best, 0.0) if curve.nonnegative else best
     return BoundResult(curve.family, ts, values, theta_opt, feasible)
 
 
@@ -372,54 +394,51 @@ def statistical_service_curve(
 # ===========================================================================
 
 
-def effcap_lower_series(model, params: FeedbackParams, theta: float) -> float:
+def effcap_lower_series(model, params: FeedbackParams, theta):
     """Effective-capacity lower bound from the geometric-series MGF bound.
 
     gamma(-theta) + log(1 - e^{theta (d gamma(-theta) - w)}) / theta, valid
     only where gamma(-theta) < w / d; returns -inf where infeasible so that
-    pointwise maxima remain correct.
+    pointwise maxima remain correct.  Scalar or array theta.
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
+    theta = _positive_theta(theta)
     gamma = model.effective_capacity(theta)
     arg = theta * (params.d * gamma - params.w)
-    if arg >= 0.0:
-        return -INF
-    return gamma + math.log(-math.expm1(arg)) / theta
+    ok = arg < 0.0
+    return np.where(ok, gamma + np.log(-np.expm1(np.where(ok, arg, -1.0))) / theta, -INF)[()]
 
 
-def effcap_lower_blocks(model, params: FeedbackParams, theta: float) -> float:
+def effcap_lower_blocks(model, params: FeedbackParams, theta):
     """Effective-capacity lower bound from the block-counting MGF bound.
 
     gamma(-theta) - log(1 + d e^{theta (d gamma(-theta) - w)}) / (d theta),
     finite for every theta > 0.  Applies to i.i.d. models and to two-state
     Markov-modulated models through their spectral effective capacity.
+    Scalar or array theta.
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
+    theta = _positive_theta(theta)
     gamma = model.effective_capacity(theta)
-    if gamma == -INF:
-        return -INF
-    arg = theta * (params.d * gamma - params.w)
-    return gamma - math.log1p(params.d * math.exp(arg)) / (params.d * theta)
+    ok = gamma > -INF
+    arg = theta * (params.d * np.where(ok, gamma, 0.0) - params.w)
+    with np.errstate(over="ignore"):
+        penalty = np.log1p(params.d * np.exp(arg)) / (params.d * theta)
+    return np.where(ok, gamma - penalty, -INF)[()]
 
 
-def effcap_apriori(model, params: FeedbackParams, theta: float) -> tuple[float, float]:
+def effcap_apriori(model, params: FeedbackParams, theta) -> tuple:
     """A-priori envelope (lower, upper) on the feedback effective capacity.
 
     lower: effective capacity of the rate-capped service (cap w/d per slot),
     exact for d = 1.  upper: min(gamma(-theta), w / d).  For a deterministic
-    server both collapse to min(rate, w / d).
+    server both collapse to min(rate, w / d).  Scalar or array theta.
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
+    theta = _positive_theta(theta)
     cap = params.rate_cap
-    upper = min(model.effective_capacity(theta), cap)
+    upper = np.minimum(model.effective_capacity(theta), cap)[()]
     if _is_markov(model):
         lower = _peak_capped(model, cap).effective_capacity(theta)
     else:
-        m = model.censored_mgf(-theta, cap)
-        lower = -math.log(m) / theta if math.isfinite(m) else -INF
+        lower = _decay_rate(model.censored_mgf(-theta, cap), theta)
     return lower, upper
 
 
@@ -428,26 +447,22 @@ def best_effcap_lower(model, params: FeedbackParams, grid: ThetaGrid) -> BoundRe
 
     Families without a defined value for the model (the series route needs
     i.i.d. increments, the a-priori route a known rate-capped composition)
-    simply do not compete.
+    simply do not compete; ties go to the family listed first.
     """
     thetas = grid.values
-    n = len(thetas)
-    values = np.empty(n)
-    feasible = np.zeros(n, dtype=bool)
-    provenance: List[str] = []
-    iid = not _is_markov(model)
-    for i, theta in enumerate(thetas):
-        candidates = {"blocks": effcap_lower_blocks(model, params, theta)}
-        if iid:
-            candidates["series"] = effcap_lower_series(model, params, theta)
-        try:
-            candidates["apriori"] = effcap_apriori(model, params, theta)[0]
-        except NotImplementedError:
-            pass
-        name = max(candidates, key=lambda k: candidates[k])
-        values[i] = candidates[name]
-        feasible[i] = math.isfinite(values[i])
-        provenance.append(name if feasible[i] else "none")
+    candidates = {"blocks": effcap_lower_blocks(model, params, thetas)}
+    if not _is_markov(model):
+        candidates["series"] = effcap_lower_series(model, params, thetas)
+    try:
+        candidates["apriori"] = effcap_apriori(model, params, thetas)[0]
+    except NotImplementedError:
+        pass
+    names = list(candidates)
+    stacked = np.vstack(list(candidates.values()))
+    pick = np.argmax(stacked, axis=0)
+    values = stacked[pick, np.arange(len(thetas))]
+    feasible = np.isfinite(values)
+    provenance = [names[i] if ok else "none" for i, ok in zip(pick, feasible)]
     return BoundResult("best-lower", thetas, values, thetas.copy(), feasible, provenance)
 
 
@@ -456,11 +471,10 @@ def best_effcap_lower(model, params: FeedbackParams, grid: ThetaGrid) -> BoundRe
 # ===========================================================================
 
 
-def _log_arrival_mgf(arrivals, theta: float) -> float:
+def _log_arrival_mgf(arrivals, theta):
     if hasattr(arrivals, "log_mgf_increment"):
         return arrivals.log_mgf_increment(theta)
-    m = arrivals.mgf_increment(theta)
-    return math.log(m) if math.isfinite(m) else INF
+    return _log(arrivals.mgf_increment(theta))
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -482,15 +496,47 @@ def _log_backlog_sum(arrivals, curve: LogMgfCurve, theta: float, t: int) -> floa
     return _logsumexp(log_terms)
 
 
+def _log_steady_state_sum(arrivals, curve: LogMgfCurve, theta):
+    """log sum over all lengths ell >= 0 of M_A(theta)^ell * bound(theta, ell).
+
+    Writing ell = k p + j with j < p, the sum is e^{log_offset} times the
+    phase sum over j of M_A^j times a geometric series in k with ratio e^r,
+    r = p log M_A + log_rate.  It converges exactly when r < 0 and is +inf
+    otherwise.  Scalar or array theta.
+    """
+    log_ma = _log_arrival_mgf(arrivals, theta)
+    log_rate, log_offset = curve.coefficients(theta)
+    with np.errstate(invalid="ignore"):
+        r = curve.period * log_ma + log_rate
+    converges = (r < 0.0) & np.isfinite(log_ma) & np.isfinite(log_offset)
+    phase = np.multiply.outer(np.where(converges, log_ma, 0.0), np.arange(curve.period))
+    top = phase.max(axis=-1)
+    head = top + np.log(np.exp(phase - top[..., None]).sum(axis=-1))
+    tail = np.log(-np.expm1(np.where(converges, r, -1.0)))
+    return np.where(converges, head + log_offset - tail, INF)
+
+
+def _minimize_over_theta(objective, thetas: np.ndarray, grid_values: np.ndarray) -> float:
+    """Grid argmin, then golden-section refinement on the neighbouring
+    bracket; never worse than the best grid point, +inf if all are."""
+    k = int(np.argmin(grid_values))
+    if grid_values[k] == INF:
+        return INF
+    lo = thetas[max(k - 1, 0)]
+    hi = thetas[min(k + 1, len(thetas) - 1)]
+    _, fx = golden_section_max(lambda th: -objective(th), lo, hi)
+    return float(min(grid_values[k], -fx))
+
+
 def backlog_bound(
     arrivals, curve: LogMgfCurve, eps: float, grid: ThetaGrid, t: int
 ) -> float:
     """Chernoff backlog bound b with P(B(t) > b) <= eps.
 
     Minimizes over theta the deconvolution sum of the arrival MGF against the
-    service MGF bound, both taken over interval lengths up to t.  Returns
-    +inf when no grid theta is feasible (the system is unstable at this
-    arrival rate for every usable theta).
+    service MGF bound, both taken over interval lengths up to t, term by
+    term.  Returns +inf when no grid theta is feasible (the system is
+    unstable at this arrival rate for every usable theta).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -503,59 +549,25 @@ def backlog_bound(
         return (s - log_eps) / theta if math.isfinite(s) else INF
 
     thetas = grid.values
-    vals = np.array([objective(th) for th in thetas])
-    k = int(np.argmin(vals))
-    if vals[k] == INF:
-        return INF
-    lo = thetas[max(k - 1, 0)]
-    hi = thetas[min(k + 1, len(thetas) - 1)]
-    x, fx = golden_section_max(lambda th: -objective(th), lo, hi)
-    return float(min(vals[k], -fx))
+    return _minimize_over_theta(objective, thetas, np.array([objective(th) for th in thetas]))
 
 
 def steady_state_backlog_bound(
-    arrivals,
-    curve: LogMgfCurve,
-    eps: float,
-    grid: ThetaGrid,
-    rel_tol: float = 1e-6,
-    t_start: int = 256,
-    t_cap: int = 1 << 22,
+    arrivals, curve: LogMgfCurve, eps: float, grid: ThetaGrid
 ) -> float:
-    """Backlog bound in the large-t limit, by doubling t until it settles.
+    """Backlog bound in the large-t limit, from the closed-form geometric sum.
 
-    Declares the system unbounded (+inf) when, for every feasible theta, the
-    per-slot growth of the summand M_A(theta)^ell * bound(theta, ell) is at
-    least one, so the deconvolution sum diverges.
+    The objective at theta is (log S(theta) - log eps) / theta with
+    log S = log sum_{j<p} e^{j log M_A + log_offset} - log(1 - e^r) and
+    r = p log M_A(theta) + log_rate(theta).  A theta with r >= 0 is
+    infeasible; the bound is +inf exactly when every grid theta is.
     """
-    if _diverges_everywhere(arrivals, curve, grid):
-        return INF
-    t = t_start
-    prev = backlog_bound(arrivals, curve, eps, grid, t)
-    while t <= t_cap:
-        t *= 2
-        cur = backlog_bound(arrivals, curve, eps, grid, t)
-        if prev == INF and cur == INF:
-            return INF
-        if math.isfinite(cur) and math.isfinite(prev):
-            if abs(cur - prev) <= rel_tol * max(abs(prev), 1e-12):
-                return cur
-        prev = cur
-    raise RuntimeError(f"steady-state backlog bound did not settle by t={t_cap}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie strictly between 0 and 1")
+    log_eps = math.log(eps)
 
+    def objective(theta):
+        return (_log_steady_state_sum(arrivals, curve, theta) - log_eps) / theta
 
-def _diverges_everywhere(arrivals, curve: LogMgfCurve, grid: ThetaGrid) -> bool:
-    """True when every grid theta has non-decaying summands at the tail."""
-    span = 256
-    probe = np.asarray([1024.0, 1024.0 + span])
-    for theta in grid.values:
-        log_ma = _log_arrival_mgf(arrivals, theta)
-        if log_ma == INF:
-            continue
-        pair = curve.log_value(theta, probe)
-        if not np.all(np.isfinite(pair)):
-            continue
-        slope = (pair[1] - pair[0]) / span
-        if log_ma + slope < 0.0:
-            return False
-    return True
+    thetas = grid.values
+    return _minimize_over_theta(objective, thetas, objective(thetas))

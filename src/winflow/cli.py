@@ -23,6 +23,7 @@ from . import units
 from .bounds import (
     FeedbackParams,
     ThetaGrid,
+    _is_markov,
     best_effcap_lower,
     block_curve,
     effcap_apriori,
@@ -36,8 +37,6 @@ from .models import (
     DeterministicService,
     ExponentialArrivals,
     ExponentialVbrService,
-    MarkovModulated2Service,
-    MmooService,
     erlang_quantile,
 )
 from .scenarios import Scenario, canned_scenarios, load_scenarios
@@ -89,10 +88,6 @@ def write_bound_result_csv(path: str, result) -> str:
         for i in range(len(result.x))
     ]
     return write_csv(path, ["t_or_theta", "value", "theta_opt", "family", "feasible"], rows)
-
-
-def _is_markov(model) -> bool:
-    return isinstance(model, (MmooService, MarkovModulated2Service))
 
 
 def _grid(sc: Scenario) -> ThetaGrid:
@@ -169,25 +164,25 @@ def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
     def to_mbps(value: float) -> float:
         return units.mb_per_slot_to_mbps(value, sc.slot_ms) if math.isfinite(value) else math.nan
 
+    thetas = grid.values
     for w, d in zip(sc.w_mb, sc.d_slots):
         fb = FeedbackParams(w=w, d=d)
         best = best_effcap_lower(model, fb, grid)
-        rows = []
-        for i, theta in enumerate(grid.values):
-            series = effcap_lower_series(model, fb, theta) if iid else math.nan
-            blocks = effcap_lower_blocks(model, fb, theta)
-            apriori_lo, apriori_up = effcap_apriori(model, fb, theta)
-            rows.append(
-                [
-                    units.theta_per_mb_to_per_bit(theta),
-                    to_mbps(series),
-                    to_mbps(blocks),
-                    to_mbps(apriori_lo),
-                    to_mbps(apriori_up),
-                    to_mbps(best.value[i]),
-                    best.provenance[i],
-                ]
-            )
+        series = effcap_lower_series(model, fb, thetas) if iid else np.full(len(thetas), math.nan)
+        blocks = effcap_lower_blocks(model, fb, thetas)
+        apriori_lo, apriori_up = effcap_apriori(model, fb, thetas)
+        rows = [
+            [
+                units.theta_per_mb_to_per_bit(theta),
+                to_mbps(series[i]),
+                to_mbps(blocks[i]),
+                to_mbps(apriori_lo[i]),
+                to_mbps(apriori_up[i]),
+                to_mbps(best.value[i]),
+                best.provenance[i],
+            ]
+            for i, theta in enumerate(thetas)
+        ]
         header = [
             "theta_per_bit",
             "lower_series_mbps",

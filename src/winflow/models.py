@@ -10,7 +10,11 @@ Each model is an immutable dataclass exposing, where meaningful:
   deterministic sample path generators.
 
 Internally rates are megabits per slot and theta is per megabit.  MGFs that
-diverge return +inf rather than raising: divergence is a value.
+diverge return +inf rather than raising: divergence is a value.  The
+per-slot transforms (``mgf_increment``, ``censored_mgf``, ``eigen_m_plus``)
+and ``effective_capacity`` accept a scalar or an array of theta and return
+a value of the same shape, so the bound engine can evaluate a whole theta
+grid in one call.  ``nonnegative`` tells whether every increment is >= 0.
 
 Two-state Markov-modulated models additionally expose the spectral
 quantities of the 2x2 slot operator L(theta) = P_transition * diag(M0, M1):
@@ -45,8 +49,31 @@ __all__ = [
 _EXP_OVERFLOW = 709.0
 
 
-def _safe_exp(x: float) -> float:
-    return math.exp(x) if x < _EXP_OVERFLOW else INF
+def _safe_exp(x):
+    """exp(x), with +inf from the overflow threshold on; scalar or array."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < _EXP_OVERFLOW, np.exp(np.minimum(x, _EXP_OVERFLOW)), INF)[()]
+
+
+def _positive_theta(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta <= 0):
+        raise ValueError("theta must be > 0")
+    return theta
+
+
+def _decay_rate(m, theta):
+    """-log(m) / theta where 0 < m < inf, and -inf elsewhere."""
+    ok = np.isfinite(m) & (m > 0)
+    return np.where(ok, -np.log(np.where(ok, m, 1.0)) / theta, -INF)[()]
+
+
+def _exponential_mgf(mean: float, theta):
+    """E[exp(theta X)] for X exponential with the given mean; +inf from
+    theta = 1 / mean on."""
+    theta = np.asarray(theta, dtype=float)
+    below = theta < 1.0 / mean
+    return np.where(below, 1.0 / (1.0 - mean * np.where(below, theta, 0.0)), INF)[()]
 
 
 def _rng_from_seed(seed: int) -> np.random.Generator:
@@ -180,6 +207,7 @@ class DeterministicService:
     """
 
     rate: float
+    nonnegative = True
 
     def __post_init__(self):
         if self.rate < 0:
@@ -189,22 +217,20 @@ class DeterministicService:
     def mean_rate(self) -> float:
         return self.rate
 
-    def mgf_increment(self, theta: float) -> float:
-        return _safe_exp(theta * self.rate)
+    def mgf_increment(self, theta):
+        return _safe_exp(np.multiply(theta, self.rate))
 
     def mgf_path(self, theta: float, t: int) -> float:
         if t < 0:
             raise ValueError("t must be >= 0")
         return _safe_exp(theta * self.rate * t) if t else 1.0
 
-    def censored_mgf(self, theta: float, cap: float) -> float:
+    def censored_mgf(self, theta, cap: float):
         """E[exp(theta min(c, cap))]."""
-        return _safe_exp(theta * min(self.rate, cap))
+        return _safe_exp(np.multiply(theta, min(self.rate, cap)))
 
-    def effective_capacity(self, theta: float) -> float:
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
-        return self.rate
+    def effective_capacity(self, theta):
+        return np.full(_positive_theta(theta).shape, float(self.rate))[()]
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         return np.full((n, T), float(self.rate))
@@ -218,14 +244,14 @@ class ExponentialVbrService:
     """Work-conserving server with i.i.d. exponential per-slot capacity."""
 
     mean_rate: float
+    nonnegative = True
 
     def __post_init__(self):
         if self.mean_rate <= 0:
             raise ValueError("mean rate must be > 0")
 
-    def mgf_increment(self, theta: float) -> float:
-        c = self.mean_rate
-        return 1.0 / (1.0 - c * theta) if theta < 1.0 / c else INF
+    def mgf_increment(self, theta):
+        return _exponential_mgf(self.mean_rate, theta)
 
     def mgf_path(self, theta: float, t: int) -> float:
         if t < 0:
@@ -235,7 +261,7 @@ class ExponentialVbrService:
         m = self.mgf_increment(theta)
         return m**t if math.isfinite(m) else INF
 
-    def censored_mgf(self, theta: float, cap: float) -> float:
+    def censored_mgf(self, theta, cap: float):
         """E[exp(theta min(c, cap))], finite for every real theta.
 
         Closed form (1 - C theta e^((theta - 1/C) cap)) / (1 - C theta),
@@ -244,15 +270,15 @@ class ExponentialVbrService:
         if cap <= 0:
             raise ValueError("cap must be > 0")
         c = self.mean_rate
+        theta = np.asarray(theta, dtype=float)
         denom = 1.0 - c * theta
-        if abs(denom) < 1e-12:
-            return 1.0 + cap / c
-        return (1.0 - c * theta * _safe_exp((theta - 1.0 / c) * cap)) / denom
+        singular = np.abs(denom) < 1e-12
+        numer = 1.0 - c * theta * _safe_exp((theta - 1.0 / c) * cap)
+        return np.where(singular, 1.0 + cap / c, numer / np.where(singular, 1.0, denom))[()]
 
-    def effective_capacity(self, theta: float) -> float:
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
-        return math.log1p(self.mean_rate * theta) / theta
+    def effective_capacity(self, theta):
+        theta = _positive_theta(theta)
+        return (np.log1p(self.mean_rate * theta) / theta)[()]
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         # inverse CDF keeps the draw count per path exactly T
@@ -268,18 +294,20 @@ class ExponentialArrivals:
     """i.i.d. exponential arrivals with mean ``mean_rate`` megabits per slot."""
 
     mean_rate: float
+    nonnegative = True
 
     def __post_init__(self):
         if self.mean_rate <= 0:
             raise ValueError("mean rate must be > 0")
 
-    def mgf_increment(self, theta: float) -> float:
-        lam = self.mean_rate
-        return 1.0 / (1.0 - lam * theta) if theta < 1.0 / lam else INF
+    def mgf_increment(self, theta):
+        return _exponential_mgf(self.mean_rate, theta)
 
-    def log_mgf_increment(self, theta: float) -> float:
+    def log_mgf_increment(self, theta):
         lam = self.mean_rate
-        return -math.log1p(-lam * theta) if theta < 1.0 / lam else INF
+        theta = np.asarray(theta, dtype=float)
+        below = theta < 1.0 / lam
+        return np.where(below, -np.log1p(-lam * np.where(below, theta, 0.0)), INF)[()]
 
     def mgf_path(self, theta: float, t: int) -> float:
         if t < 0:
@@ -308,6 +336,7 @@ class LeftoverService:
 
     base: object
     cross: object
+    nonnegative = False
 
     @property
     def mean_rate(self) -> float:
@@ -317,10 +346,11 @@ class LeftoverService:
     def is_stable(self) -> bool:
         return self.cross.mean_rate < self.base.mean_rate
 
-    def mgf_increment(self, theta: float) -> float:
+    def mgf_increment(self, theta):
         mb = self.base.mgf_increment(theta)
-        mc = self.cross.mgf_increment(-theta)
-        return mb * mc if math.isfinite(mb) and math.isfinite(mc) else INF
+        mc = self.cross.mgf_increment(np.negative(theta))
+        finite = np.isfinite(mb) & np.isfinite(mc)
+        return np.where(finite, np.where(finite, mb, 1.0) * np.where(finite, mc, 1.0), INF)[()]
 
     def mgf_path(self, theta: float, t: int) -> float:
         if t < 0:
@@ -330,7 +360,7 @@ class LeftoverService:
         m = self.mgf_increment(theta)
         return m**t if math.isfinite(m) else INF
 
-    def censored_mgf(self, theta: float, cap: float) -> float:
+    def censored_mgf(self, theta, cap: float):
         """E[exp(theta min(c, cap))] for deterministic base and exponential cross.
 
         With base rate C and exponential cross of mean L the increment is
@@ -351,16 +381,15 @@ class LeftoverService:
             return self.mgf_increment(theta)
         x = C - cap  # cap binds exactly when a < x
         p_below = -math.expm1(-x / lam)
-        if -theta >= 1.0 / lam:
-            return INF
-        tail = _safe_exp(theta * C) * math.exp(-x * (1.0 / lam + theta)) / (1.0 + lam * theta)
-        return _safe_exp(theta * cap) * p_below + tail
+        theta = np.asarray(theta, dtype=float)
+        converges = -theta < 1.0 / lam
+        th = np.where(converges, theta, 0.0)
+        tail = _safe_exp(th * C) * np.exp(-x * (1.0 / lam + th)) / (1.0 + lam * th)
+        return np.where(converges, _safe_exp(th * cap) * p_below + tail, INF)[()]
 
-    def effective_capacity(self, theta: float) -> float:
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
-        m = self.mgf_increment(-theta)
-        return -math.log(m) / theta if math.isfinite(m) else -INF
+    def effective_capacity(self, theta):
+        theta = _positive_theta(theta)
+        return _decay_rate(self.mgf_increment(-theta), theta)
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         base = self.base.sample_increments(rng, T, n)
@@ -376,22 +405,24 @@ class LeftoverService:
 # ===========================================================================
 
 
-def _two_state_eigs(p00: float, p11: float, m0: float, m1: float) -> Tuple[float, float]:
+def _two_state_eigs(p00: float, p11: float, m0, m1) -> Tuple:
     """Eigenvalues (minus, plus) of [[p00 m0, p01 m1], [p10 m0, p11 m1]].
 
     The closed-form quadratic is evaluated with the product form for the
     small root to avoid cancellation.  The discriminant is non-negative for
-    non-negative m0, m1; tiny negative float residue is clamped.
+    non-negative m0, m1; tiny negative float residue is clamped.  Scalar or
+    array state MGFs; both eigenvalues are +inf where either MGF diverges.
     """
-    if not (math.isfinite(m0) and math.isfinite(m1)):
-        return (INF, INF)
+    finite = np.isfinite(m0) & np.isfinite(m1)
+    m0 = np.where(finite, m0, 0.0)
+    m1 = np.where(finite, m1, 0.0)
     tr = p00 * m0 + p11 * m1
     det = (p00 + p11 - 1.0) * m0 * m1
     disc = tr * tr - 4.0 * det
-    root = math.sqrt(max(disc, 0.0))
+    root = np.sqrt(np.maximum(disc, 0.0))
     plus = 0.5 * (tr + root)
-    minus = det / plus if plus > 0.0 else 0.5 * (tr - root)
-    return (minus, plus)
+    minus = np.where(plus > 0.0, det / np.where(plus > 0.0, plus, 1.0), 0.5 * (tr - root))
+    return (np.where(finite, minus, INF)[()], np.where(finite, plus, INF)[()])
 
 
 def _two_state_mgf_path(
@@ -472,6 +503,7 @@ class MmooService:
     p00: float
     p11: float
     peak: float
+    nonnegative = True
 
     def __post_init__(self):
         for name in ("p00", "p11"):
@@ -508,10 +540,10 @@ class MmooService:
         if total == 0.0:
             raise ValueError("chain has no unique steady state (p01 = p10 = 0)")
 
-    def _state_mgfs(self, theta: float) -> Tuple[float, float]:
-        return (1.0, _safe_exp(theta * self.peak))
+    def _state_mgfs(self, theta) -> Tuple:
+        return (1.0, _safe_exp(np.multiply(theta, self.peak)))
 
-    def mgf_increment(self, theta: float) -> float:
+    def mgf_increment(self, theta):
         m0, m1 = self._state_mgfs(theta)
         p = self.on_probability
         return (1.0 - p) * m0 + p * m1
@@ -522,7 +554,7 @@ class MmooService:
         m0, m1 = self._state_mgfs(theta)
         return _two_state_mgf_path(self.p00, self.p11, self.on_probability, m0, m1, t)
 
-    def eigen_m_plus(self, theta: float) -> float:
+    def eigen_m_plus(self, theta):
         self._require_slow_switching()
         return _two_state_eigs(self.p00, self.p11, *self._state_mgfs(theta))[1]
 
@@ -534,10 +566,9 @@ class MmooService:
             raise ValueError("eigenvalues coincide; spectral weight undefined")
         return (self.mgf_increment(theta) - minus) / (plus - minus)
 
-    def effective_capacity(self, theta: float) -> float:
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
-        return -math.log(self.eigen_m_plus(-theta)) / theta
+    def effective_capacity(self, theta):
+        theta = _positive_theta(theta)
+        return _decay_rate(self.eigen_m_plus(-theta), theta)
 
     def on_sequence_probability(self, times) -> float:
         return _on_times_probability(self.p01, self.p10, times)
@@ -599,10 +630,14 @@ class MarkovModulated2Service:
         if total == 0.0:
             raise ValueError("chain has no unique steady state (p01 = p10 = 0)")
 
-    def _state_mgfs(self, theta: float) -> Tuple[float, float]:
+    @property
+    def nonnegative(self) -> bool:
+        return self.law0.nonnegative and self.law1.nonnegative
+
+    def _state_mgfs(self, theta) -> Tuple:
         return (self.law0.mgf_increment(theta), self.law1.mgf_increment(theta))
 
-    def mgf_increment(self, theta: float) -> float:
+    def mgf_increment(self, theta):
         m0, m1 = self._state_mgfs(theta)
         p = self.on_probability
         return (1.0 - p) * m0 + p * m1
@@ -613,7 +648,7 @@ class MarkovModulated2Service:
         m0, m1 = self._state_mgfs(theta)
         return _two_state_mgf_path(self.p00, self.p11, self.on_probability, m0, m1, t)
 
-    def eigen_m_plus(self, theta: float) -> float:
+    def eigen_m_plus(self, theta):
         self._require_slow_switching()
         return _two_state_eigs(self.p00, self.p11, *self._state_mgfs(theta))[1]
 
@@ -624,11 +659,9 @@ class MarkovModulated2Service:
             raise ValueError("eigenvalues coincide; spectral weight undefined")
         return (self.mgf_increment(theta) - minus) / (plus - minus)
 
-    def effective_capacity(self, theta: float) -> float:
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
-        m = self.eigen_m_plus(-theta)
-        return -math.log(m) / theta if math.isfinite(m) and m > 0 else -INF
+    def effective_capacity(self, theta):
+        theta = _positive_theta(theta)
+        return _decay_rate(self.eigen_m_plus(-theta), theta)
 
     def on_sequence_probability(self, times) -> float:
         return _on_times_probability(self.p01, self.p10, times)

@@ -160,9 +160,22 @@ def _build_service(sec: _Section, slot_ms: float):
             units.mbps_to_mb_per_slot(sec.real("service_rate_mbps", positive=True), slot_ms)
         )
     if kind == "mmoo":
+        p00, p11 = sec.real("mmoo_p00"), sec.real("mmoo_p11")
+        for key, value in (("mmoo_p00", p00), ("mmoo_p11", p11)):
+            if not 0.0 <= value <= 1.0:
+                raise ScenarioError(sec.name, key, "must lie in [0, 1]")
+        # the spectral bounds need slow switching, p01 + p10 in (0, 1)
+        if p00 + p11 <= 1.0:
+            raise ScenarioError(
+                sec.name, "mmoo_p11", "mmoo_p00 + mmoo_p11 must exceed 1 (p01 + p10 < 1)"
+            )
+        if p00 == 1.0 and p11 == 1.0:
+            raise ScenarioError(
+                sec.name, "mmoo_p11", "mmoo_p00 = mmoo_p11 = 1 leaves no unique steady state"
+            )
         return MmooService(
-            p00=sec.real("mmoo_p00"),
-            p11=sec.real("mmoo_p11"),
+            p00=p00,
+            p11=p11,
             peak=units.mbps_to_mb_per_slot(sec.real("mmoo_peak_mbps", positive=True), slot_ms),
         )
     base = DeterministicService(
@@ -171,7 +184,10 @@ def _build_service(sec: _Section, slot_ms: float):
     cross = ExponentialArrivals(
         units.mbps_to_mb_per_slot(sec.real("cross_rate_mbps", positive=True), slot_ms)
     )
-    return LeftoverService(base, cross)
+    service = LeftoverService(base, cross)
+    if not service.is_stable:
+        raise ScenarioError(sec.name, "cross_rate_mbps", "must be below service_rate_mbps")
+    return service
 
 
 def _build_arrivals(sec: _Section, slot_ms: float):

@@ -32,13 +32,42 @@ from winflow.models import (
     DeterministicService,
     ExponentialArrivals,
     ExponentialVbrService,
+    LeftoverService,
     MmooService,
 )
 from winflow.oracle import equivalent_service_batch
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
+LEFTOVER = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4))
 GRID = ThetaGrid.logspace()
+
+
+def scalar_service_curve(curve, eps, grid, horizon):
+    """Reference inversion: one grid scan and one golden-section search per t."""
+    log_eps = math.log(eps)
+    thetas = grid.values
+    values = np.empty(horizon + 1)
+    theta_opt = np.full(horizon + 1, np.nan)
+    feasible = np.zeros(horizon + 1, dtype=bool)
+    for t in range(horizon + 1):
+
+        def objective(theta):
+            lm = float(curve.log_value(theta, t))
+            return (log_eps - lm) / theta if math.isfinite(lm) else -math.inf
+
+        col = [objective(theta) for theta in thetas]
+        k = int(np.argmax(col))
+        best = col[k]
+        if best == -math.inf:
+            values[t] = 0.0 if curve.nonnegative else -math.inf
+            continue
+        feasible[t] = True
+        lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
+        x, fx = golden_section_max(objective, lo, hi)
+        theta_opt[t], best = (x, fx) if fx >= best else (thetas[k], best)
+        values[t] = max(best, 0.0) if curve.nonnegative else best
+    return values, theta_opt, feasible
 
 
 class TestParams:
@@ -219,6 +248,50 @@ class TestStatisticalServiceCurve:
         assert np.all(res.value >= 0.0)
         assert res.value[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)),
+            block_curve(VBR, FeedbackParams(w=0.5, d=5)),
+            block_curve(MMOO, FeedbackParams(w=1.0, d=10)),
+            per_slot_curve(MMOO, FeedbackParams(w=0.1, d=1)),
+            series_curve(VBR, FeedbackParams(w=4.0, d=2)),
+            per_slot_curve(LEFTOVER, FeedbackParams(w=0.2, d=1)),
+            block_curve(LEFTOVER, FeedbackParams(w=1.0, d=5)),
+            series_curve(VBR, FeedbackParams(w=1e-6, d=5)),
+        ],
+        ids=lambda c: f"{c.family}-p{c.period}-{'nonneg' if c.nonnegative else 'signed'}",
+    )
+    def test_lockstep_inversion_matches_per_t_search(self, curve):
+        res = statistical_service_curve(curve, 1e-6, GRID, 60)
+        values, theta_opt, feasible = scalar_service_curve(curve, 1e-6, GRID, 60)
+        np.testing.assert_array_equal(res.feasible, feasible)
+        np.testing.assert_allclose(res.value, values, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.theta_opt, theta_opt, rtol=1e-12, atol=0.0)
+
+    def test_signed_service_envelope_is_not_floored(self):
+        # leftover increments are signed: P(S_eq(0, t) <= 0) > 0 for every
+        # t, so zero is no envelope; at t = 0 the best one is log(eps) / theta_max
+        fb = FeedbackParams(w=0.2, d=1)
+        res = statistical_service_curve(per_slot_curve(LEFTOVER, fb), 1e-2, GRID, 10)
+        assert res.value[0] == pytest.approx(math.log(1e-2) / GRID.values[-1], rel=1e-9)
+        assert np.all(res.value[:5] < 0.0)
+
+    def test_signed_service_envelope_violation_frequency(self):
+        # leftover server at d = 1: 1000 Mbps minus exponential 400 Mbps
+        # cross traffic, w/d = 200 Mbps; the floored envelope of earlier
+        # versions was violated with frequency 0.037 at t = 10
+        eps, n, horizon = 1e-2, 40_000, 30
+        fb = FeedbackParams(w=0.2, d=1)
+        res = statistical_service_curve(per_slot_curve(LEFTOVER, fb), eps, GRID, horizon)
+        assert np.any(res.value < 0.0)
+        paths = LEFTOVER.sample_increments(np.random.default_rng(41), horizon, n)
+        budget = eps + 3.0 * math.sqrt(eps / n)
+        for t in range(horizon + 1):
+            values = equivalent_service_batch(paths, fb, t)
+            violation = float(np.mean(values <= res.value[t]))
+            assert violation <= budget, (t, res.value[t], violation)
+
 
 class TestEffectiveCapacityBounds:
     def test_series_huge_window_approaches_gamma(self):
@@ -355,6 +428,34 @@ class TestBacklogBound:
                 steady_state_backlog_bound(ExponentialArrivals(lam), curve, 1e-3, GRID)
                 == math.inf
             )
+
+    @pytest.mark.parametrize(
+        "curve, light, heavy",
+        [
+            # heavy loads sit at 90 % of each family's saturation rate
+            (per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)), 0.0095, 0.0857),
+            (block_curve(VBR, FeedbackParams(w=0.5, d=5)), 0.0049, 0.0443),
+            (block_curve(MMOO, FeedbackParams(w=0.5, d=5)), 0.0049, 0.0442),
+            (series_curve(VBR, FeedbackParams(w=2.0, d=1)), 0.0366, 0.3291),
+        ],
+        ids=["per-slot-d1", "block-iid-d5", "block-markov-d5", "series-d1"],
+    )
+    def test_closed_form_matches_finite_sum_at_large_t(self, curve, light, heavy):
+        for lam in (light, heavy):
+            arrivals = ExponentialArrivals(lam)
+            closed = steady_state_backlog_bound(arrivals, curve, 1e-3, GRID)
+            finite = backlog_bound(arrivals, curve, 1e-3, GRID, 1 << 16)
+            assert math.isfinite(closed)
+            assert closed == pytest.approx(finite, rel=1e-9, abs=0.0)
+
+    def test_divergence_condition_is_exact(self):
+        fb = FeedbackParams(w=0.1, d=1)
+        curve = per_slot_curve(VBR, fb)
+        capped_mean = -math.expm1(-0.1)  # E[min(c, 0.1)] for unit-mean service
+        below = ExponentialArrivals(0.999 * capped_mean)
+        assert math.isfinite(steady_state_backlog_bound(below, curve, 1e-3, GRID))
+        at = ExponentialArrivals(capped_mean)
+        assert steady_state_backlog_bound(at, curve, 1e-3, GRID) == math.inf
 
     def test_epsilon_sensitivity_is_mild(self):
         fb = FeedbackParams(w=0.1, d=1)

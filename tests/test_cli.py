@@ -126,6 +126,33 @@ class TestScenarioParsing:
         for figure in ("fig4", "fig5", "fig6", "fig7", "fig8"):
             assert canned_scenarios(figure)
 
+    @pytest.mark.parametrize(
+        "p00, p11, key",
+        [
+            ("0.2", "0.5", "mmoo_p11"),
+            ("0.5", "0.5", "mmoo_p11"),
+            ("1.0", "1.0", "mmoo_p11"),
+            ("1.5", "0.9", "mmoo_p00"),
+        ],
+        ids=["fast-switching", "switching-sum-one", "no-steady-state", "not-a-probability"],
+    )
+    def test_mmoo_without_slow_switching_names_the_key(self, p00, p11, key):
+        text = MMOO_CURVE_INI.replace("mmoo_p00 = 0.2", f"mmoo_p00 = {p00}").replace(
+            "mmoo_p11 = 0.9", f"mmoo_p11 = {p11}"
+        )
+        with pytest.raises(ScenarioError, match=rf"\[mmoo-curves\] {key}") as info:
+            parse_scenario_text(text)
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("cross", ["1000", "1200"])
+    def test_unstable_leftover_names_the_key(self, cross):
+        text = VBR_CURVE_INI.replace(
+            "service = exponential", f"service = leftover\ncross_rate_mbps = {cross}"
+        )
+        with pytest.raises(ScenarioError, match=r"\[curves\] cross_rate_mbps") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "cross_rate_mbps"
+
 
 class TestUnitConversions:
     def test_rate_round_trip_is_exact_for_study_rates(self):
