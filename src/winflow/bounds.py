@@ -121,10 +121,12 @@ class BoundResult:
 # ===========================================================================
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# relative bracket width at which every golden-section search stops
+_GOLDEN_REL_TOL = 1e-4
 
 
 def golden_section_max(
-    fn: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-4
+    fn: Callable[[float], float], lo: float, hi: float, rel_tol: float = _GOLDEN_REL_TOL
 ) -> tuple[float, float]:
     """Golden-section search for a maximum of fn on [lo, hi].
 
@@ -155,7 +157,6 @@ def _golden_section_max_lockstep(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    rel_tol: float = 1e-4,
 ) -> tuple[np.ndarray, np.ndarray]:
     """golden_section_max on many brackets [lo[i], hi[i]] at once.
 
@@ -171,7 +172,8 @@ def _golden_section_max_lockstep(
 
     def still_open(which):
         a_, b_ = a[which], b[which]
-        return which[(b_ - a_) > rel_tol * np.maximum(np.maximum(np.abs(a_), np.abs(b_)), 1e-300)]
+        width = _GOLDEN_REL_TOL * np.maximum(np.maximum(np.abs(a_), np.abs(b_)), 1e-300)
+        return which[(b_ - a_) > width]
 
     live = still_open(everyone)
     while live.size:

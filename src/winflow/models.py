@@ -490,28 +490,17 @@ def _sample_two_state_chain(
     return states
 
 
-@dataclass(frozen=True)
-class MmooService:
-    """Two-state Markov-modulated On-Off service.
+class _TwoStateChain:
+    """Transition structure shared by the two-state Markov-modulated models.
 
-    State 1 serves ``peak`` megabits per slot, state 0 serves nothing.  The
-    chain starts in steady state.  The spectral operations require slow
-    switching, p01 + p10 < 1, which keeps the correlation eigenvalue
-    mu = 1 - p01 - p10 inside (0, 1).
+    Subclasses are dataclasses with fields ``p00`` and ``p11``, the
+    probabilities of staying in state 0 and in state 1.
     """
 
-    p00: float
-    p11: float
-    peak: float
-    nonnegative = True
-
-    def __post_init__(self):
+    def _check_probabilities(self):
         for name in ("p00", "p11"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.peak <= 0:
-            raise ValueError("peak rate must be > 0")
 
     @property
     def p01(self) -> float:
@@ -530,15 +519,47 @@ class MmooService:
         return 1.0 - self.p01 - self.p10
 
     @property
-    def mean_rate(self) -> float:
-        return self.on_probability * self.peak
+    def has_steady_state(self) -> bool:
+        """False only for the frozen chain p00 = p11 = 1."""
+        return self.p01 + self.p10 > 0.0
+
+    @property
+    def is_slow_switching(self) -> bool:
+        """p01 + p10 in (0, 1), the condition of the spectral bounds."""
+        return 0.0 < self.p01 + self.p10 < 1.0
 
     def _require_slow_switching(self):
-        total = self.p01 + self.p10
-        if total >= 1.0:
-            raise ValueError(f"spectral analysis requires p01 + p10 < 1, got {total}")
-        if total == 0.0:
+        if not self.has_steady_state:
             raise ValueError("chain has no unique steady state (p01 = p10 = 0)")
+        if not self.is_slow_switching:
+            raise ValueError(
+                f"spectral analysis requires p01 + p10 < 1, got {self.p01 + self.p10}"
+            )
+
+
+@dataclass(frozen=True)
+class MmooService(_TwoStateChain):
+    """Two-state Markov-modulated On-Off service.
+
+    State 1 serves ``peak`` megabits per slot, state 0 serves nothing.  The
+    chain starts in steady state.  The spectral operations require slow
+    switching, p01 + p10 < 1, which keeps the correlation eigenvalue
+    mu = 1 - p01 - p10 inside (0, 1).
+    """
+
+    p00: float
+    p11: float
+    peak: float
+    nonnegative = True
+
+    def __post_init__(self):
+        self._check_probabilities()
+        if self.peak <= 0:
+            raise ValueError("peak rate must be > 0")
+
+    @property
+    def mean_rate(self) -> float:
+        return self.on_probability * self.peak
 
     def _state_mgfs(self, theta) -> Tuple:
         return (1.0, _safe_exp(np.multiply(theta, self.peak)))
@@ -582,7 +603,7 @@ class MmooService:
 
 
 @dataclass(frozen=True)
-class MarkovModulated2Service:
+class MarkovModulated2Service(_TwoStateChain):
     """General two-state Markov-modulated service.
 
     The chain selects the slot law: increments are drawn i.i.d. from ``law0``
@@ -597,38 +618,12 @@ class MarkovModulated2Service:
     law1: object
 
     def __post_init__(self):
-        for name in ("p00", "p11"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-    @property
-    def p01(self) -> float:
-        return 1.0 - self.p00
-
-    @property
-    def p10(self) -> float:
-        return 1.0 - self.p11
-
-    @property
-    def on_probability(self) -> float:
-        return self.p01 / (self.p01 + self.p10)
-
-    @property
-    def correlation_eigenvalue(self) -> float:
-        return 1.0 - self.p01 - self.p10
+        self._check_probabilities()
 
     @property
     def mean_rate(self) -> float:
         p = self.on_probability
         return (1.0 - p) * self.law0.mean_rate + p * self.law1.mean_rate
-
-    def _require_slow_switching(self):
-        total = self.p01 + self.p10
-        if total >= 1.0:
-            raise ValueError(f"spectral analysis requires p01 + p10 < 1, got {total}")
-        if total == 0.0:
-            raise ValueError("chain has no unique steady state (p01 = p10 = 0)")
 
     @property
     def nonnegative(self) -> bool:

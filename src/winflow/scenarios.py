@@ -149,6 +149,9 @@ class _Section:
             raise ScenarioError(self.name, sorted(unknown)[0], "unknown key")
 
 
+_MMOO_KEYS = {"p00": "mmoo_p00", "p11": "mmoo_p11", "peak": "mmoo_peak_mbps"}
+
+
 def _build_service(sec: _Section, slot_ms: float):
     kind = sec.text("service", choices={"deterministic", "exponential", "mmoo", "leftover"})
     if kind == "deterministic":
@@ -160,24 +163,20 @@ def _build_service(sec: _Section, slot_ms: float):
             units.mbps_to_mb_per_slot(sec.real("service_rate_mbps", positive=True), slot_ms)
         )
     if kind == "mmoo":
-        p00, p11 = sec.real("mmoo_p00"), sec.real("mmoo_p11")
-        for key, value in (("mmoo_p00", p00), ("mmoo_p11", p11)):
-            if not 0.0 <= value <= 1.0:
-                raise ScenarioError(sec.name, key, "must lie in [0, 1]")
-        # the spectral bounds need slow switching, p01 + p10 in (0, 1)
-        if p00 + p11 <= 1.0:
-            raise ScenarioError(
-                sec.name, "mmoo_p11", "mmoo_p00 + mmoo_p11 must exceed 1 (p01 + p10 < 1)"
+        try:
+            service = MmooService(
+                p00=sec.real("mmoo_p00"),
+                p11=sec.real("mmoo_p11"),
+                peak=units.mbps_to_mb_per_slot(sec.real("mmoo_peak_mbps", positive=True), slot_ms),
             )
-        if p00 == 1.0 and p11 == 1.0:
+        except ValueError as exc:
+            # the model's message starts with the field it rejects
+            raise ScenarioError(sec.name, _MMOO_KEYS[str(exc).split()[0]], str(exc)) from exc
+        if not service.has_steady_state:
             raise ScenarioError(
                 sec.name, "mmoo_p11", "mmoo_p00 = mmoo_p11 = 1 leaves no unique steady state"
             )
-        return MmooService(
-            p00=p00,
-            p11=p11,
-            peak=units.mbps_to_mb_per_slot(sec.real("mmoo_peak_mbps", positive=True), slot_ms),
-        )
+        return service
     base = DeterministicService(
         units.mbps_to_mb_per_slot(sec.real("service_rate_mbps", positive=True), slot_ms)
     )
@@ -230,6 +229,11 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
     slot_ms = sec.real("slot_ms", default=1.0, positive=True)
     service = _build_service(sec, slot_ms)
     out = Scenario(name=name, kind=kind, seed=seed, slot_ms=slot_ms, service=service)
+    # the analytic bounds of an On-Off chain are spectral; simulation is not
+    if kind != "simulate" and isinstance(service, MmooService) and not service.is_slow_switching:
+        raise ScenarioError(
+            name, "mmoo_p11", "mmoo_p00 + mmoo_p11 must exceed 1 (p01 + p10 < 1)"
+        )
 
     if kind in ("service-curve", "effective-capacity"):
         out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)

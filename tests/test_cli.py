@@ -144,6 +144,27 @@ class TestScenarioParsing:
             parse_scenario_text(text)
         assert info.value.key == key
 
+    @pytest.mark.parametrize("p00, p11", [("0.2", "0.5"), ("0.5", "0.5")])
+    def test_simulate_accepts_fast_switching_mmoo(self, p00, p11, tmp_path):
+        # only the spectral bounds need slow switching; the simulator does not
+        text = SIM_INI.replace(
+            "service = deterministic",
+            f"service = mmoo\nmmoo_p00 = {p00}\nmmoo_p11 = {p11}\nmmoo_peak_mbps = 1125",
+        ).replace("service_rate_mbps = 1000\n", "")
+        (sc,) = parse_scenario_text(text)
+        assert not sc.service.is_slow_switching
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(text.replace("total_slots = 5000", "total_slots = 500"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_simulate_rejects_frozen_mmoo(self):
+        text = SIM_INI.replace(
+            "service = deterministic",
+            "service = mmoo\nmmoo_p00 = 1.0\nmmoo_p11 = 1.0\nmmoo_peak_mbps = 1125",
+        ).replace("service_rate_mbps = 1000\n", "")
+        with pytest.raises(ScenarioError, match=r"\[sat\] mmoo_p11"):
+            parse_scenario_text(text)
+
     @pytest.mark.parametrize("cross", ["1000", "1200"])
     def test_unstable_leftover_names_the_key(self, cross):
         text = VBR_CURVE_INI.replace(
