@@ -454,6 +454,49 @@ def _on_times_probability(p01: float, p10: float, times) -> float:
     return prob
 
 
+def _sample_sojourns(rng: np.random.Generator, p00: float, p11: float, p_on: float, T: int) -> np.ndarray:
+    """One path of T states from geometric sojourn runs.
+
+    Runs are drawn in bulk with alternating leave probabilities.  A batch
+    that overshoots T is redrawn from the saved generator state with exactly
+    the runs needed, so the states and the generator state afterwards equal
+    those of one scalar draw per sojourn.
+    """
+    state = 1 if rng.random() < p_on else 0
+    out = np.empty(T, dtype=np.int8)
+    pos = 0
+    if p00 >= 1.0 or p11 >= 1.0:
+        # an absorbing state ends the walk
+        while pos < T:
+            stay = p11 if state else p00
+            if stay >= 1.0:
+                out[pos:] = state
+                break
+            run = int(rng.geometric(1.0 - stay))
+            out[pos : pos + run] = state
+            pos += run
+            state = 1 - state
+        return out
+    leave = np.array([1.0 - p00, 1.0 - p11])
+    mean_cycle = 1.0 / leave[0] + 1.0 / leave[1]
+    while pos < T:
+        count = math.ceil(2.1 * (T - pos) / mean_cycle) + 64
+        probs = leave[(state + np.arange(count)) % 2]
+        saved = rng.bit_generator.state
+        runs = rng.geometric(probs)
+        ends = pos + np.cumsum(runs)
+        if ends[-1] >= T:
+            count = int(np.searchsorted(ends, T)) + 1
+            rng.bit_generator.state = saved
+            runs = rng.geometric(probs[:count])
+            ends = ends[:count]
+        states = (state + np.arange(count)) % 2
+        out[pos : min(ends[-1], T)] = np.repeat(states.astype(np.int8), runs)[: T - pos]
+        pos = int(ends[-1])
+        state = int(states[-1]) ^ 1
+    return out
+
+
 def _sample_two_state_chain(
     rng: np.random.Generator, p00: float, p11: float, p_on: float, T: int, n: int
 ) -> np.ndarray:
@@ -464,20 +507,7 @@ def _sample_two_state_chain(
     distribution because sojourn times are memoryless given the state.
     """
     if n == 1 and T > 4096:
-        state = 1 if rng.random() < p_on else 0
-        out = np.empty(T, dtype=np.int8)
-        pos = 0
-        while pos < T:
-            stay = p11 if state else p00
-            if stay >= 1.0:
-                out[pos:] = state
-                break
-            run = int(rng.geometric(1.0 - stay))
-            end = min(pos + run, T)
-            out[pos:end] = state
-            pos = end
-            state = 1 - state
-        return out[None, :]
+        return _sample_sojourns(rng, p00, p11, p_on, T)[None, :]
     states = np.empty((n, T), dtype=np.int8)
     x = (rng.random(n) < p_on).astype(np.int8)
     for k in range(T):

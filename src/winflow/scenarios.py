@@ -109,7 +109,13 @@ class _Section:
             raise ScenarioError(self.name, key, "must be > 0")
         return value
 
-    def integer(self, key: str, default: Optional[int] = None, minimum: Optional[int] = None) -> int:
+    def integer(
+        self,
+        key: str,
+        default: Optional[int] = None,
+        minimum: Optional[int] = None,
+        maximum: Optional[int] = None,
+    ) -> int:
         if key not in self.raw and default is not None:
             return default
         raw = self._fetch(key)
@@ -119,6 +125,8 @@ class _Section:
             raise ScenarioError(self.name, key, f"not an integer: {raw!r}") from exc
         if minimum is not None and value < minimum:
             raise ScenarioError(self.name, key, f"must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ScenarioError(self.name, key, f"must be <= {maximum}")
         return value
 
     def reals(self, key: str, positive: bool = False) -> List[float]:
@@ -255,7 +263,8 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
         out.simulate = sec.flag("simulate", default=False)
         if out.simulate:
             out.total_slots = sec.integer("sim_slots", minimum=2)
-            out.warmup_slots = sec.integer("sim_warmup", minimum=0)
+            # the drift ratio compares two halves of at least one slot each
+            out.warmup_slots = sec.integer("sim_warmup", minimum=0, maximum=out.total_slots - 2)
             out.replications = sec.integer("sim_replications", default=1, minimum=1)
     else:  # simulate
         out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)
@@ -263,7 +272,7 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
             raise ScenarioError(name, "d_ms", "simulate scenarios take one (w, d) pair")
         out.arrivals = _build_arrivals(sec, slot_ms)
         out.total_slots = sec.integer("total_slots", minimum=2)
-        out.warmup_slots = sec.integer("warmup_slots", minimum=0)
+        out.warmup_slots = sec.integer("warmup_slots", minimum=0, maximum=out.total_slots - 2)
         out.replications = sec.integer("replications", default=1, minimum=1)
     sec.reject_unknown()
     return out

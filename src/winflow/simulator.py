@@ -12,10 +12,21 @@ by d slots.  Within slot k the order of events is pinned as follows:
 4. departures: D(0, k+1) = A'(0, k+1) - q(k+1).
 
 Admission before service inside the slot makes the exact-server relation
-D = A' o S hold with the per-slot queue recursion, and d >= 1 means the
-feedback reference is always a previously computed value, so no fixed
-point is needed.  Negative capacity increments (leftover service) drain
-nothing physically; bound comparisons use the signed sums separately.
+D = A' o S hold with the per-slot queue recursion.  Substituting
+q = A' - D turns the four steps into one recursion on departures,
+
+    D(0, k+1) = min(D(0, k) + max(c_k, 0), A(0, k+1), D(0, k+1-d) + w),
+
+with D(0, j) = 0 for j <= 0, after which A' = min(A, D shifted by d plus w),
+the network queue A' - D and the total backlog A - D are array
+expressions.  The recursion is min-plus linear, and d >= 1 makes it
+causal, so it has exactly one solution.  It is solved exactly in chunks
+of about _CHUNK_SLOTS slots (a multiple of d) by alternating two closed
+forms until nothing changes: a prefix minimum along time and, along each
+residue class mod d, a cumulative-sum scan of the feedback jumps; at
+d = 1 one scan is Lindley's recursion.  Negative capacity increments
+(leftover service) drain nothing physically; bound comparisons use the
+signed sums separately.
 
 All runs are deterministic functions of the configured seed.  Replications
 use disjoint child seed streams and may execute concurrently.
@@ -43,6 +54,9 @@ INF = float("inf")
 
 _CHECKPOINTS = 257
 
+# slots per chunk of the departure solver, rounded to a multiple of d
+_CHUNK_SLOTS = 4096
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -57,10 +71,9 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        if self.total_slots < 1:
-            raise ValueError("total_slots must be >= 1")
-        if not 0 <= self.warmup_slots < self.total_slots:
-            raise ValueError("warmup_slots must satisfy 0 <= warmup < total")
+        # at least two post-warmup slots, one for each half of backlog_drift
+        if not 0 <= self.warmup_slots <= self.total_slots - 2:
+            raise ValueError("warmup_slots must satisfy 0 <= warmup <= total - 2")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -118,6 +131,54 @@ def _replication_rngs(seed: int, replication: int) -> tuple[np.random.Generator,
     return np.random.default_rng(arrival_seq), np.random.default_rng(service_seq)
 
 
+def _departures(arrivals_cum: np.ndarray, drain: np.ndarray, w: float, d: int) -> np.ndarray:
+    """Cumulative departures D(0, n), n = 0..T, of the closed loop.
+
+    Solves D_n = min(D_{n-1} + drain_{n-1}, A_n, D_{n-d} + w) with D_j = 0
+    for j <= 0 chunk by chunk.  Inside a chunk starting after slot n0, with
+    C the cumulative drain restarted at n0 and E = D - C, a unit step is
+    free (E never increases) and the feedback jump from n-d to n costs
+    g_n = w - (C_n - C_{n-d}); jumps that reference slots before the chunk
+    are folded into the source term beta.  A prefix minimum along time and
+    the closed-form scan along each residue class mod d are both exact
+    partial solutions, so alternating them only lowers E until it reaches
+    the unique solution of the recursion.
+    """
+    T = len(drain)
+    departed = np.zeros(T + 1)
+    size = d * max(1, round(_CHUNK_SLOTS / d))
+    for n0 in range(0, T, size):
+        length = min(size, T - n0)
+        rows = -(-length // d)
+        cum = np.zeros(rows * d + 1)
+        np.cumsum(drain[n0 : n0 + length], out=cum[1 : length + 1])
+        cum[length + 1 :] = cum[length]
+        beta = np.full(rows * d, INF)
+        beta[:length] = arrivals_cum[n0 + 1 : n0 + length + 1] - cum[1 : length + 1]
+        # feedback references before the chunk, with D_j = 0 for j <= 0
+        head = min(d, length)
+        ref = departed[np.maximum(np.arange(n0 + 1, n0 + head + 1) - d, 0)]
+        beta[:head] = np.minimum(beta[:head], ref + w - cum[1 : head + 1])
+        beta[0] = min(beta[0], departed[n0])
+        # only jumps of negative cost can lower E; row j of the (rows, d)
+        # grid is reached from row j - 1 of the same residue class
+        jump = np.minimum(w - (cum[d + 1 :] - cum[1:-d]), 0.0)
+        cost = np.zeros((rows, d))
+        np.cumsum(jump.reshape(rows - 1, d), axis=0, out=cost[1:])
+        x = np.minimum.accumulate(beta)
+        while True:
+            grid = x.reshape(rows, d)
+            best = np.minimum.accumulate(grid - cost, axis=0)
+            y = grid.copy()
+            np.minimum(grid[1:], cost[1:] + best[:-1], out=y[1:])
+            y = np.minimum.accumulate(y.ravel())
+            if np.array_equal(y, x):
+                break
+            x = y
+        departed[n0 + 1 : n0 + length + 1] = x[:length] + cum[1 : length + 1]
+    return departed
+
+
 def run_flow_control(config: SimConfig, replication: int = 0) -> SimRun:
     """Simulate one replication of the closed loop; deterministic per seed."""
     if not 0 <= replication < config.replications:
@@ -129,27 +190,12 @@ def run_flow_control(config: SimConfig, replication: int = 0) -> SimRun:
     a = config.arrivals.sample_increments(arrival_rng, T, 1)[0]
     c = config.service.sample_increments(service_rng, T, 1)[0]
     arrivals_cum = np.concatenate(([0.0], np.cumsum(a)))
-    drain = np.maximum(c, 0.0)
-
-    admitted = np.empty(T + 1)
-    departed = np.empty(T + 1)
-    admitted[0] = 0.0
-    departed[0] = 0.0
-    ap = 0.0
-    q = 0.0
-    for k in range(T):
-        j = k + 1 - d
-        ref = departed[j] if j > 0 else 0.0
-        ap_new = arrivals_cum[k + 1]
-        cap = ref + w
-        if cap < ap_new:
-            ap_new = cap
-        q += ap_new - ap - drain[k]
-        if q < 0.0:
-            q = 0.0
-        ap = ap_new
-        admitted[k + 1] = ap
-        departed[k + 1] = ap - q
+    departed = _departures(arrivals_cum, np.maximum(c, 0.0), w, d)
+    # admission cap D(0, n-d) + w, then A' = min(A, cap) in place
+    admitted = np.full(T + 1, w)
+    if d <= T:
+        admitted[d:] += departed[: T + 1 - d]
+    np.minimum(arrivals_cum, admitted, out=admitted)
 
     backlog = arrivals_cum - departed
     queue = admitted - departed

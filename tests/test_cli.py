@@ -175,6 +175,28 @@ class TestScenarioParsing:
         assert info.value.key == "cross_rate_mbps"
 
 
+    @pytest.mark.parametrize("warmup", ["5000", "4999"])
+    def test_simulate_warmup_must_leave_two_slots(self, warmup):
+        text = SIM_INI.replace("warmup_slots = 100", f"warmup_slots = {warmup}")
+        with pytest.raises(ScenarioError, match=r"\[sat\] warmup_slots") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "warmup_slots"
+
+    @pytest.mark.parametrize("warmup", ["60000", "59999"])
+    def test_backlog_sim_warmup_must_leave_two_slots(self, warmup):
+        text = BACKLOG_INI + f"simulate = true\nsim_slots = 60000\nsim_warmup = {warmup}\n"
+        with pytest.raises(ScenarioError, match=r"\[backlog\] sim_warmup") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "sim_warmup"
+
+    def test_shortest_warmup_tail_gives_a_drift_ratio(self, tmp_path):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_INI.replace("warmup_slots = 100", "warmup_slots = 4998"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "sat_summary.csv")
+        assert np.all(np.isfinite(column(header, rows, "drift_ratio")))
+
+
 class TestUnitConversions:
     def test_rate_round_trip_is_exact_for_study_rates(self):
         for mbps in (50.0, 70.0, 90.0, 100.0, 500.0, 1000.0, 1125.0):

@@ -293,6 +293,70 @@ class TestMarkovModulated2:
         assert math.isfinite(left.eigen_m_plus(-0.5))
 
 
+def geometric_run_walk(rng, p00, p11, p_on, T):
+    """Single long path, one scalar geometric draw per sojourn run."""
+    state = 1 if rng.random() < p_on else 0
+    out = np.empty(T, dtype=np.int8)
+    pos = 0
+    while pos < T:
+        stay = p11 if state else p00
+        if stay >= 1.0:
+            out[pos:] = state
+            break
+        run = int(rng.geometric(1.0 - stay))
+        end = min(pos + run, T)
+        out[pos:end] = state
+        pos = end
+        state = 1 - state
+    return out
+
+
+class TestSojournSampler:
+    """The bulk sojourn draw equals the scalar walk, generator state included."""
+
+    @pytest.mark.parametrize(
+        "p00, p11", [(0.2, 0.9), (0.5, 0.5), (0.0, 0.95), (0.999, 0.998)]
+    )
+    @pytest.mark.parametrize("T", [4097, 60_000])
+    def test_on_off_matches_scalar_walk(self, p00, p11, T):
+        model = MmooService(p00=p00, p11=p11, peak=1.125)
+        for seed in range(5):
+            rng_ref = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            states = geometric_run_walk(rng_ref, p00, p11, model.on_probability, T)
+            sample = model.sample_increments(rng, T, 1)[0]
+            assert np.array_equal(sample, states * 1.125)
+            assert rng.random() == rng_ref.random()
+
+    def test_two_state_law_draws_follow_on_the_same_generator(self):
+        model = MarkovModulated2Service(
+            p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
+        )
+        T = 20_000
+        for seed in range(5):
+            rng_ref = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            states = geometric_run_walk(rng_ref, 0.3, 0.8, model.on_probability, T)
+            inc0 = model.law0.sample_increments(rng_ref, T, 1)[0]
+            inc1 = model.law1.sample_increments(rng_ref, T, 1)[0]
+            expected = (1 - states) * inc0 + states * inc1
+            assert np.array_equal(model.sample_increments(rng, T, 1)[0], expected)
+            assert rng.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("p00, p11", [(1.0, 0.3), (0.4, 1.0)])
+    def test_absorbing_state(self, p00, p11):
+        # started off the steady state, so the walk leaves the transient
+        # state before it is absorbed
+        from winflow.models import _sample_two_state_chain
+
+        for seed in range(5):
+            rng_ref = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            states = geometric_run_walk(rng_ref, p00, p11, 0.5, 10_000)
+            assert np.array_equal(_sample_two_state_chain(rng, p00, p11, 0.5, 10_000, 1)[0], states)
+            assert rng.random() == rng_ref.random()
+
+
 class TestErlangQuantile:
     def test_exponential_closed_forms(self):
         assert erlang_quantile(1.0 - math.exp(-1.0), 1, 1.0) == pytest.approx(1.0, abs=1e-9)

@@ -213,6 +213,83 @@ class TestAgainstReferences:
             assert departed[t] == pytest.approx(exact.value(0, t), abs=1e-9)
 
 
+def reference_loop(config, replication=0):
+    """The closed loop stepped one slot at a time, event by event."""
+    a, c = replay_increments(config, replication)
+    T = config.total_slots
+    w = config.feedback.w
+    d = config.feedback.d
+    arrivals_cum = np.concatenate(([0.0], np.cumsum(a)))
+    drain = np.maximum(c, 0.0)
+    admitted = np.empty(T + 1)
+    departed = np.empty(T + 1)
+    admitted[0] = 0.0
+    departed[0] = 0.0
+    ap = 0.0
+    q = 0.0
+    for k in range(T):
+        j = k + 1 - d
+        ref = departed[j] if j > 0 else 0.0
+        ap_new = arrivals_cum[k + 1]
+        cap = ref + w
+        if cap < ap_new:
+            ap_new = cap
+        q += ap_new - ap - drain[k]
+        if q < 0.0:
+            q = 0.0
+        ap = ap_new
+        admitted[k + 1] = ap
+        departed[k + 1] = ap - q
+    return arrivals_cum, departed, admitted - departed, arrivals_cum - departed
+
+
+LEFTOVER = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4))
+
+
+class TestReferenceLoop:
+    """The chunked departure solver against the per-slot loop it replaces."""
+
+    @pytest.mark.parametrize(
+        "T, d, w, service",
+        [(9000, d, 0.5 * d, ExponentialVbrService(1.0)) for d in (1, 2, 3, 7, 10, 64)]
+        + [(T, d, 0.5 * d, ExponentialVbrService(1.0)) for T in (4095, 4096, 4097) for d in (1, 7)]
+        + [
+            (30, 50, 2.0, ExponentialVbrService(1.0)),
+            (9000, 3, 1e-4, ExponentialVbrService(1.0)),
+            (9000, 3, 1e6, ExponentialVbrService(1.0)),
+            (9000, 1, 0.5, LEFTOVER),
+            (9000, 5, 2.5, LEFTOVER),
+            (9000, 10, 5.0, MmooService(p00=0.2, p11=0.9, peak=1.125)),
+        ],
+    )
+    def test_matches_per_slot_loop(self, T, d, w, service):
+        config = small_config(
+            arrivals=ExponentialArrivals(0.3),
+            service=service,
+            feedback=FeedbackParams(w=w, d=d),
+            total_slots=T,
+            warmup_slots=1,
+        )
+        run = run_flow_control(config)
+        arrivals_cum, departed, queue, backlog = reference_loop(config)
+        tol = 1e-11 * max(1.0, arrivals_cum[-1])
+        assert np.max(np.abs(arrivals_cum - run.backlog - departed)) <= tol
+        assert np.max(np.abs(run.queue - queue)) <= tol
+        assert np.max(np.abs(run.backlog - backlog)) <= tol
+
+    def test_lindley_identity_at_delay_one(self):
+        # at d = 1 the loop is a queue served by min(max(c, 0), w) per slot,
+        # so the total backlog follows Lindley's recursion in closed form
+        config = small_config(
+            feedback=FeedbackParams(w=0.1, d=1), total_slots=1_000_000, warmup_slots=1
+        )
+        run = run_flow_control(config)
+        a, c = replay_increments(config)
+        S = np.concatenate(([0.0], np.cumsum(a - np.minimum(np.maximum(c, 0.0), 0.1))))
+        lindley = S - np.minimum.accumulate(np.minimum(S, 0.0))
+        assert np.max(np.abs(run.backlog - lindley)) <= 1e-11 * max(1.0, float(np.sum(a)))
+
+
 class TestDeterminism:
     def test_identical_configs_identical_runs(self):
         a = run_flow_control(small_config())
@@ -310,3 +387,10 @@ class TestConfigValidation:
             small_config(replications=0)
         with pytest.raises(ValueError):
             small_config(total_slots=0, warmup_slots=0)
+
+    def test_warmup_leaves_two_slots(self):
+        # backlog_drift compares two halves of the post-warmup slots
+        with pytest.raises(ValueError, match="warmup"):
+            small_config(total_slots=100, warmup_slots=99)
+        run = run_flow_control(small_config(total_slots=100, warmup_slots=98))
+        assert not np.isnan(run.backlog_drift())
