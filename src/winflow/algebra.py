@@ -21,6 +21,9 @@ import numpy as np
 
 INF = float("inf")
 
+# entries of the temporary in one step of the min-plus product (2 MiB)
+_PRODUCT_BLOCK = 1 << 18
+
 __all__ = [
     "INF",
     "BivariateFunction",
@@ -37,7 +40,8 @@ __all__ = [
 
 
 class ClosureNonConvergence(RuntimeError):
-    """Raised when the truncated subadditive closure fails to stabilize."""
+    """Raised when the subadditive closure does not exist: a negative
+    diagonal entry makes the self convolutions decrease without bound."""
 
 
 class BivariateFunction:
@@ -174,10 +178,13 @@ def _require_same_horizon(f: BivariateFunction, g: BivariateFunction) -> None:
 def _min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # h[s, t] = min_tau a[s, tau] + b[tau, t]; the +inf lower triangles of the
     # operands restrict tau to [s, t] and keep the sentinel in the result.
+    # One broadcast per block of rows; the block keeps the (rows, n, n)
+    # temporary near _PRODUCT_BLOCK entries.
     n = a.shape[0]
     out = np.empty_like(a)
-    for s in range(n):
-        np.min(a[s][:, None] + b, axis=0, out=out[s])
+    rows = max(1, _PRODUCT_BLOCK // (n * n))
+    for s in range(0, n, rows):
+        np.min(a[s : s + rows, :, None] + b[None], axis=1, out=out[s : s + rows])
     return out
 
 
@@ -229,24 +236,19 @@ def self_convolve(f: BivariateFunction, n: int) -> BivariateFunction:
 def subadditive_closure(f: BivariateFunction) -> BivariateFunction:
     """Pointwise minimum of all n-fold self convolutions of f.
 
-    Iterates until the running minimum stops changing, capped at T + 2
-    steps.  Stabilization at step n is conclusive: the running minimum R
-    satisfies f^(n+1) >= R and, by monotonicity of the convolution, so does
-    every later power.  Feedback operands of the form
-    S o delta_d o delta_plus_w with w > 0 provably stabilize within the cap
-    (an optimal placement uses at most T windows, each of positive cost);
-    for other inputs exhausting the cap reports non-convergence.
+    Floyd-Warshall on R = min(delta, f), relaxing through each k in
+    increasing order.  The table is upper triangular, so at step k R(s, k)
+    is final and R(k, t) is still f(k, t): every chain is summed left to
+    right, as the powers of f sum it, and the result is bit-identical to
+    iterating the powers.  The only cycles are diagonal entries; a negative
+    one drives the powers to minus infinity and raises ClosureNonConvergence.
     """
     horizon = f.horizon
-    cap = horizon + 2
-    running = make_delta(horizon).table
-    term = running
-    for _ in range(1, cap + 1):
-        term = _min_plus_product(term, f.table)
-        updated = np.minimum(running, term)
-        if np.array_equal(updated, running):
-            return BivariateFunction(running, check=False)
-        running = updated
-    raise ClosureNonConvergence(
-        f"closure did not stabilize within {cap} iterations on horizon {horizon}"
-    )
+    closure = np.minimum(f.table, make_delta(horizon).table)
+    negative = np.flatnonzero(np.diag(closure) < 0.0)
+    if negative.size:
+        raise ClosureNonConvergence(f"closure diverges: f(k, k) < 0 at k = {negative.tolist()}")
+    for k in range(1, horizon):
+        upper = closure[:k, k + 1 :]
+        np.minimum(upper, closure[:k, k, None] + closure[k, k + 1 :], out=upper)
+    return BivariateFunction(closure, check=False)

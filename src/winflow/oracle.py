@@ -22,6 +22,10 @@ Two independent routes compute the minimum exactly: a sliding-window
 dynamic program over positions, and the dioid closure.  They serve as
 ground truth for every analytic bound and for the simulator.  A batch
 evaluator vectorizes the dynamic program across many paths.
+
+Costs: the scalar program is O(span * d) Python float operations; the
+closure table is O(T^3) array work in three min-plus products and a
+Floyd-Warshall closure; the batch evaluator is t time-major row steps.
 """
 
 from __future__ import annotations
@@ -88,24 +92,20 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
     G(j) is the cheapest total window cost on [s, s + j); a step either
     leaves the next slot uncovered or ends a window of length <= d at it.
     The predecessor scan is a sliding-window minimum of G(k) + cum(k).
+    Runs on Python floats, one path and one interval at a time.
     """
     if not 0 <= s <= t <= path.horizon:
         raise ValueError(f"need 0 <= s <= t <= {path.horizon}, got ({s}, {t})")
-    span = t - s
-    if span == 0:
+    if t == s:
         return 0.0
     d, w = params.d, params.w
-    cum = path.cumulative
-    G = np.empty(span + 1)
-    H = np.empty(span + 1)  # H(j) = G(j) + cum(s + j)
-    G[0] = 0.0
-    H[0] = cum[s]
-    for j in range(1, span + 1):
-        lo = max(0, j - d)
-        g = min(G[j - 1], w - cum[s + j] + H[lo:j].min())
-        G[j] = g
-        H[j] = g + cum[s + j]
-    return float(cum[t] - cum[s] + G[span])
+    cum = path.cumulative[s : t + 1].tolist()
+    g = 0.0
+    H = [cum[0]]  # H(j) = G(j) + cum(s + j)
+    for j in range(1, len(cum)):
+        g = min(g, w - cum[j] + min(H[max(0, j - d) : j]))
+        H.append(g + cum[j])
+    return cum[-1] - cum[0] + g
 
 
 def equivalent_service_batch(
@@ -114,7 +114,10 @@ def equivalent_service_batch(
     """Equivalent service over [0, t) for a batch of paths, shape (n_paths, T >= t).
 
     Vectorization of the scalar dynamic program across paths; used by the
-    Monte Carlo harness.
+    Monte Carlo harness.  The state is stored time-major, one row of n_paths
+    per slot, so every step reads and writes contiguous rows.  Raises
+    ValueError when a path carries a non-finite increment before t, which
+    would otherwise come out as NaN.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 2:
@@ -125,16 +128,19 @@ def equivalent_service_batch(
     if t == 0:
         return np.zeros(n)
     d, w = params.d, params.w
-    cum = np.concatenate((np.zeros((n, 1)), np.cumsum(inc[:, :t], axis=1)), axis=1)
+    cum = np.zeros((t + 1, n))
+    np.cumsum(inc[:, :t].T, axis=0, out=cum[1:])
+    h = np.zeros((t + 1, n))  # h[j] = g(j) + cum[j]
     g = np.zeros(n)
-    h = np.empty((n, t + 1))
-    h[:, 0] = 0.0
-    for j in range(1, t + 1):
-        lo = max(0, j - d)
-        best = np.min(h[:, lo:j], axis=1)
-        g = np.minimum(g, w - cum[:, j] + best)
-        h[:, j] = g + cum[:, j]
-    return cum[:, t] + g
+    # a NaN or an infinity anywhere in the first t slots reaches cum[t] + g
+    with np.errstate(invalid="ignore"):
+        for j in range(1, t + 1):
+            np.minimum(g, w - cum[j] + h[max(0, j - d) : j].min(axis=0), out=g)
+            np.add(g, cum[j], out=h[j])
+        out = cum[t] + g
+    if not np.isfinite(out).all():
+        raise ValueError("increments must be finite")
+    return out
 
 
 def equivalent_service_closure(
@@ -145,7 +151,7 @@ def equivalent_service_closure(
     Builds the additive service table, forms the feedback operand
     S o delta_d o delta_plus_w, closes it, and convolves with S again.
     Independent of the dynamic-programming route.  Guarded to small
-    horizons; each convolution costs O(T^3).
+    horizons; each convolution and the closure cost O(T^3).
     """
     T = path.horizon if horizon is None else horizon
     if T > _CLOSURE_HORIZON_GUARD:

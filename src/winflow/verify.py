@@ -42,7 +42,7 @@ from .oracle import (
 )
 from . import units
 
-__all__ = ["SuiteResult", "run_all", "run_report"]
+__all__ = ["SuiteResult", "random_feedback_instance", "run_all", "run_report"]
 
 MMOO_REFERENCE = MmooService(p00=0.2, p11=0.9, peak=1.125)
 
@@ -150,21 +150,23 @@ def suite_dioid_laws(seed: int = 0, instances: int = 200) -> SuiteResult:
     return out
 
 
-def _random_instance(rng: np.random.Generator, max_horizon: int = 24):
+def random_feedback_instance(rng: np.random.Generator, max_horizon: int = 24, w_high: float = 3.0):
+    """Random (path, params) pair over the three path families.
+
+    Exponential and On-Off paths are non-negative; leftover paths mix signs.
+    All families are normalized to a unit mean rate.  The tests draw their
+    random instances from here too.
+    """
     kind = int(rng.integers(0, 3))
     T = int(rng.integers(2, max_horizon + 1))
-    d = int(rng.choice([1, 2, 3, 5]))
     if kind == 0:
         inc = rng.exponential(1.0, T)
-        mean = 1.0
     elif kind == 1:
-        states = rng.random(T) < (8.0 / 9.0)
-        inc = states * 1.125
-        mean = 1.0
+        inc = (rng.random(T) < 8.0 / 9.0) * 1.125
     else:
         inc = 1.0 - rng.exponential(0.6, T)
-        mean = 1.0
-    w = float(rng.uniform(1e-3, 3.0 * mean))
+    d = int(rng.choice([1, 2, 3, 5]))
+    w = float(rng.uniform(1e-3, w_high))
     return SamplePath(inc), FeedbackParams(w=w, d=d)
 
 
@@ -182,7 +184,7 @@ def suite_dual_oracle(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     for _ in range(instances):
-        path, fb = _random_instance(rng)
+        path, fb = random_feedback_instance(rng)
         T = path.horizon
         table = equivalent_service_closure(path, fb)
         batch = equivalent_service_batch(path.increments[None, :], fb, T)[0]

@@ -3,27 +3,7 @@
 import numpy as np
 import pytest
 
-from winflow.bounds import FeedbackParams
-from winflow.oracle import SamplePath
-
-
-def random_feedback_instance(rng, max_horizon=24, d_choices=(1, 2, 3, 5), w_high=3.0):
-    """Random (path, params) pair over the three path families.
-
-    Exponential and On-Off paths are non-negative; leftover paths mix signs.
-    All families are normalized to a unit mean rate.
-    """
-    kind = int(rng.integers(0, 3))
-    T = int(rng.integers(2, max_horizon + 1))
-    if kind == 0:
-        inc = rng.exponential(1.0, T)
-    elif kind == 1:
-        inc = (rng.random(T) < 8.0 / 9.0) * 1.125
-    else:
-        inc = 1.0 - rng.exponential(0.6, T)
-    d = int(rng.choice(d_choices))
-    w = float(rng.uniform(1e-3, w_high))
-    return SamplePath(inc), FeedbackParams(w=w, d=d)
+from winflow.verify import random_feedback_instance  # noqa: F401  (shared by the test modules)
 
 
 @pytest.fixture

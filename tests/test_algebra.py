@@ -16,6 +16,7 @@ from winflow.algebra import (
     self_convolve,
     subadditive_closure,
 )
+from winflow.verify import random_feedback_instance
 
 # ---------------------------------------------------------------------------
 # naive reference implementations, written for clarity not speed
@@ -47,6 +48,42 @@ def naive_closure(f, max_power=40):
         power = BivariateFunction(naive_convolve(power, f), check=False)
         running = np.minimum(running, power.table)
     return running
+
+
+def row_loop_product(a, b):
+    """The min-plus product as one broadcast per row, a literal copy of the
+    product the algebra used before its blocked broadcast."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    for s in range(n):
+        np.min(a[s][:, None] + b, axis=0, out=out[s])
+    return out
+
+
+def power_iteration_closure(f):
+    """Running minimum of the powers until it stops changing, a literal copy
+    of the closure the algebra used before Floyd-Warshall."""
+    horizon = f.horizon
+    cap = horizon + 2
+    running = make_delta(horizon).table
+    term = running
+    for _ in range(1, cap + 1):
+        term = row_loop_product(term, f.table)
+        updated = np.minimum(running, term)
+        if np.array_equal(updated, running):
+            return running
+        running = updated
+    raise ClosureNonConvergence(f"no fixed point within {cap} iterations")
+
+
+def feedback_operand(path, params):
+    """S o delta_d o delta_plus_w on the path's horizon, as the closure
+    oracle builds it."""
+    T = path.horizon
+    service = BivariateFunction.from_increments(path.increments, check=False)
+    return convolve(
+        convolve(service, make_delta_shift(T, params.d)), make_delta_plus_w(T, params.w)
+    )
 
 
 def random_table(rng, horizon, dyadic=True, inf_prob=0.15):
@@ -219,6 +256,14 @@ class TestConvolve:
         with pytest.raises(ValueError, match="horizon"):
             convolve(random_table(rng, 3), random_table(rng, 4))
 
+    def test_bit_identical_to_row_loop_product(self, rng):
+        # horizons past 64 split the broadcast into several row blocks
+        for horizon in (0, 1, 2, 7, 24, 48, 64, 65, 130):
+            for dyadic in (True, False):
+                f = random_table(rng, horizon, dyadic=dyadic)
+                g = random_table(rng, horizon, dyadic=dyadic)
+                assert np.array_equal(convolve(f, g).table, row_loop_product(f.table, g.table))
+
 
 class TestDeconvolve:
     def test_matches_naive_reference(self, rng):
@@ -331,6 +376,29 @@ class TestSubadditiveClosure:
         f = BivariateFunction(table, check=False)
         with pytest.raises(ClosureNonConvergence):
             subadditive_closure(f)
+
+    def test_negative_diagonal_anywhere_is_refused(self, rng):
+        table = np.array(random_table(rng, 9).table)
+        table[6, 6] = -1e-9
+        with pytest.raises(ClosureNonConvergence, match=r"k = \[6\]"):
+            subadditive_closure(BivariateFunction(table, check=False))
+
+    def test_bit_identical_to_power_iteration_on_feedback_operands(self):
+        rng = np.random.default_rng(2024)
+        horizons = []
+        for _ in range(500):
+            path, fb = random_feedback_instance(rng, max_horizon=48)
+            operand = feedback_operand(path, fb)
+            assert np.array_equal(
+                subadditive_closure(operand).table, power_iteration_closure(operand)
+            )
+            horizons.append(path.horizon)
+        assert max(horizons) == 48
+
+    def test_bit_identical_to_power_iteration_on_non_dyadic_tables(self, rng):
+        for _ in range(200):
+            f = random_table(rng, int(rng.integers(0, 13)), dyadic=False)
+            assert np.array_equal(subadditive_closure(f).table, power_iteration_closure(f))
 
 
 class TestFamilyPreservation:

@@ -13,6 +13,13 @@ import numpy as np
 import pytest
 
 from winflow.bounds import FeedbackParams
+from winflow.models import (
+    DeterministicService,
+    ExponentialArrivals,
+    ExponentialVbrService,
+    LeftoverService,
+    MmooService,
+)
 from winflow.oracle import (
     SamplePath,
     apriori_envelope,
@@ -22,6 +29,53 @@ from winflow.oracle import (
 )
 
 from conftest import random_feedback_instance
+
+
+def row_major_batch(increments, params, t):
+    """The batch dynamic program with one row per path, a literal copy of
+    the evaluator before it went time-major."""
+    inc = np.asarray(increments, dtype=float)
+    n = inc.shape[0]
+    if t == 0:
+        return np.zeros(n)
+    d, w = params.d, params.w
+    cum = np.concatenate((np.zeros((n, 1)), np.cumsum(inc[:, :t], axis=1)), axis=1)
+    g = np.zeros(n)
+    h = np.empty((n, t + 1))
+    h[:, 0] = 0.0
+    for j in range(1, t + 1):
+        lo = max(0, j - d)
+        best = np.min(h[:, lo:j], axis=1)
+        g = np.minimum(g, w - cum[:, j] + best)
+        h[:, j] = g + cum[:, j]
+    return cum[:, t] + g
+
+
+def numpy_scalar_dp(path, params, s, t):
+    """The scalar dynamic program on numpy arrays, a literal copy of the
+    oracle before it moved to Python floats."""
+    span = t - s
+    if span == 0:
+        return 0.0
+    d, w = params.d, params.w
+    cum = path.cumulative
+    G = np.empty(span + 1)
+    H = np.empty(span + 1)
+    G[0] = 0.0
+    H[0] = cum[s]
+    for j in range(1, span + 1):
+        lo = max(0, j - d)
+        g = min(G[j - 1], w - cum[s + j] + H[lo:j].min())
+        G[j] = g
+        H[j] = g + cum[s + j]
+    return float(cum[t] - cum[s] + G[span])
+
+
+PATH_FAMILIES = {
+    "exponential": ExponentialVbrService(1.0),
+    "on-off": MmooService(p00=0.2, p11=0.9, peak=1.125),
+    "leftover": LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.6)),
+}
 
 
 def brute_force_equivalent_service(path, params, s, t):
@@ -129,6 +183,43 @@ class TestDualOracle:
                 for i in range(paths.shape[0]):
                     scalar = equivalent_service_dp(SamplePath(paths[i]), fb, 0, t)
                     assert batch[i] == pytest.approx(scalar, abs=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 60])
+    def test_batch_bit_identical_to_row_major_loop(self, family, d):
+        T = 64
+        rng = np.random.default_rng([d, len(family)])
+        paths = PATH_FAMILIES[family].sample_increments(rng, T, 400)
+        if family == "leftover":
+            assert paths.min() < 0.0
+        for w in (0.05 * d, 0.9 * d):
+            fb = FeedbackParams(w=w, d=d)
+            for t in (0, 1, d, T):
+                assert np.array_equal(
+                    equivalent_service_batch(paths, fb, t), row_major_batch(paths, fb, t)
+                )
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    def test_dp_bit_identical_to_numpy_loop(self, family):
+        rng = np.random.default_rng(len(family))
+        inc = PATH_FAMILIES[family].sample_increments(rng, 20, 1)[0]
+        path = SamplePath(inc)
+        for d in (1, 2, 3, 5, 7, 60):
+            fb = FeedbackParams(w=float(rng.uniform(0.05, 1.5)) * d, d=d)
+            for s in range(path.horizon + 1):
+                for t in range(s, path.horizon + 1):
+                    assert equivalent_service_dp(path, fb, s, t) == numpy_scalar_dp(path, fb, s, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_batch_rejects_non_finite_increments(self, bad):
+        fb = FeedbackParams(w=0.5, d=3)
+        for slot in (0, 4, 9):
+            paths = np.ones((3, 10))
+            paths[1, slot] = bad
+            with pytest.raises(ValueError, match="finite"):
+                equivalent_service_batch(paths, fb, 10)
+            # slots at or after t are never read
+            assert np.all(np.isfinite(equivalent_service_batch(paths, fb, slot)))
 
     def test_closure_horizon_guard(self):
         path = SamplePath(np.ones(80))
