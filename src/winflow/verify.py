@@ -150,7 +150,7 @@ def suite_dioid_laws(seed: int = 0, instances: int = 200) -> SuiteResult:
     return out
 
 
-def random_feedback_instance(rng: np.random.Generator, max_horizon: int = 24, w_high: float = 3.0):
+def random_feedback_instance(rng: np.random.Generator, max_horizon: int = 24):
     """Random (path, params) pair over the three path families.
 
     Exponential and On-Off paths are non-negative; leftover paths mix signs.
@@ -166,7 +166,7 @@ def random_feedback_instance(rng: np.random.Generator, max_horizon: int = 24, w_
     else:
         inc = 1.0 - rng.exponential(0.6, T)
     d = int(rng.choice([1, 2, 3, 5]))
-    w = float(rng.uniform(1e-3, w_high))
+    w = float(rng.uniform(1e-3, 3.0))
     return SamplePath(inc), FeedbackParams(w=w, d=d)
 
 

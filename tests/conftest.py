@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from winflow.verify import random_feedback_instance  # noqa: F401  (shared by the test modules)
-
 
 @pytest.fixture
 def rng():

@@ -48,8 +48,7 @@ from winflow.oracle import (
 )
 from winflow.simulator import SimConfig, backlog_quantile, run_flow_control
 from winflow import units
-
-from conftest import random_feedback_instance
+from winflow.verify import random_feedback_instance
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -84,7 +83,7 @@ def oracle_instances():
     rng = np.random.default_rng(20240801)
     instances = []
     for _ in range(500):
-        path, fb = random_feedback_instance(rng, max_horizon=24, w_high=3.0)
+        path, fb = random_feedback_instance(rng, max_horizon=24)
         table = equivalent_service_closure(path, fb)
         instances.append((path, fb, table))
     return instances

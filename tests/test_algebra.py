@@ -257,7 +257,7 @@ class TestConvolve:
             convolve(random_table(rng, 3), random_table(rng, 4))
 
     def test_bit_identical_to_row_loop_product(self, rng):
-        # horizons past 64 split the broadcast into several row blocks
+        # horizons past 63 split the broadcast into several row blocks
         for horizon in (0, 1, 2, 7, 24, 48, 64, 65, 130):
             for dyadic in (True, False):
                 f = random_table(rng, horizon, dyadic=dyadic)

@@ -27,8 +27,7 @@ from winflow.oracle import (
     equivalent_service_closure,
     equivalent_service_dp,
 )
-
-from conftest import random_feedback_instance
+from winflow.verify import random_feedback_instance
 
 
 def row_major_batch(increments, params, t):
