@@ -196,7 +196,7 @@ def _golden_section_max_lockstep(
 
 
 def _is_markov(model) -> bool:
-    return isinstance(model, (MmooService, MarkovModulated2Service))
+    return isinstance(model, MarkovModulated2Service)
 
 
 def feedback_mgf_series(model, params: FeedbackParams, theta: float, t: int) -> float:

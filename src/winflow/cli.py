@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -297,17 +296,12 @@ _COMMANDS = {
 }
 
 
-def _run_scenarios(scenarios: List[Scenario], kind: str, out_dir: str, jobs: int) -> List[str]:
+def _run_scenarios(scenarios: List[Scenario], kind: str, out_dir: str) -> List[str]:
     selected = [sc for sc in scenarios if sc.kind == kind]
     if not selected:
         raise SystemExit(f"no scenarios of kind {kind!r} in the config")
     runner = _COMMANDS[kind]
-    if jobs <= 1 or len(selected) == 1:
-        produced = [runner(sc, out_dir) for sc in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            produced = list(pool.map(lambda sc: runner(sc, out_dir), selected))
-    return [p for group in produced for p in group]
+    return [path for sc in selected for path in runner(sc, out_dir)]
 
 
 def _apply_seed_override(scenarios: List[Scenario], seed) -> None:
@@ -329,7 +323,6 @@ def main(argv=None) -> int:
             p.add_argument("--config", required=True, help="scenario INI file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seeds")
-        p.add_argument("--jobs", type=int, default=1, help="parallel scenario items")
 
     for verb in _COMMANDS:
         add_common(sub.add_parser(verb, help=f"run {verb} scenarios"))
@@ -341,6 +334,8 @@ def main(argv=None) -> int:
     ver.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     if args.verb == "verify":
         from .verify import run_report
@@ -359,7 +354,7 @@ def main(argv=None) -> int:
 
     scenarios = load_scenarios(args.config)
     _apply_seed_override(scenarios, args.seed)
-    produced = _run_scenarios(scenarios, args.verb, args.out, args.jobs)
+    produced = _run_scenarios(scenarios, args.verb, args.out)
     for path in produced:
         print(path)
     return 0

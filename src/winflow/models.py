@@ -16,6 +16,12 @@ and ``effective_capacity`` accept a scalar or an array of theta and return
 a value of the same shape, so the bound engine can evaluate a whole theta
 grid in one call.  ``nonnegative`` tells whether every increment is >= 0.
 
+There is one class per distribution family.  ``ExponentialVbrService``
+is the i.i.d. exponential law; ``ExponentialArrivals`` is an alias of it
+for arrival processes.  ``MarkovModulated2Service`` is the two-state
+Markov-modulated model; ``MmooService(p00, p11, peak)`` is that model with
+the constant laws 0 and ``peak`` (On-Off service).
+
 Two-state Markov-modulated models additionally expose the spectral
 quantities of the 2x2 slot operator L(theta) = P_transition * diag(M0, M1):
 its dominant eigenvalue drives the effective capacity, and the mixing
@@ -66,18 +72,6 @@ def _decay_rate(m, theta):
     """-log(m) / theta where 0 < m < inf, and -inf elsewhere."""
     ok = np.isfinite(m) & (m > 0)
     return np.where(ok, -np.log(np.where(ok, m, 1.0)) / theta, -INF)[()]
-
-
-def _exponential_mgf(mean: float, theta):
-    """E[exp(theta X)] for X exponential with the given mean; +inf from
-    theta = 1 / mean on."""
-    theta = np.asarray(theta, dtype=float)
-    below = theta < 1.0 / mean
-    return np.where(below, 1.0 / (1.0 - mean * np.where(below, theta, 0.0)), INF)[()]
-
-
-def _rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 # ===========================================================================
@@ -199,8 +193,28 @@ def erlang_quantile(eps: float, n: int, mean_per_slot: float) -> float:
 # ===========================================================================
 
 
+class _Model:
+    """Seeded single-path sampling on top of ``sample_increments``."""
+
+    def sample_path(self, seed: int, T: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        return self.sample_increments(rng, T, 1)[0]
+
+
+class _IidModel(_Model):
+    """Models with i.i.d. slot increments: the path MGF is M(theta)^t."""
+
+    def mgf_path(self, theta: float, t: int) -> float:
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        if t == 0:
+            return 1.0
+        m = self.mgf_increment(theta)
+        return m**t if math.isfinite(m) else INF
+
+
 @dataclass(frozen=True)
-class DeterministicService:
+class DeterministicService(_IidModel):
     """Constant-rate service of ``rate`` megabits in every slot.
 
     A zero rate is allowed; it doubles as the empty arrival process.
@@ -220,11 +234,6 @@ class DeterministicService:
     def mgf_increment(self, theta):
         return _safe_exp(np.multiply(theta, self.rate))
 
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        return _safe_exp(theta * self.rate * t) if t else 1.0
-
     def censored_mgf(self, theta, cap: float):
         """E[exp(theta min(c, cap))]."""
         return _safe_exp(np.multiply(theta, min(self.rate, cap)))
@@ -235,13 +244,14 @@ class DeterministicService:
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         return np.full((n, T), float(self.rate))
 
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        return self.sample_increments(_rng_from_seed(seed), T, 1)[0]
-
 
 @dataclass(frozen=True)
-class ExponentialVbrService:
-    """Work-conserving server with i.i.d. exponential per-slot capacity."""
+class ExponentialVbrService(_IidModel):
+    """i.i.d. exponential per-slot increments with mean ``mean_rate`` Mb.
+
+    As a service it is a work-conserving server with exponential per-slot
+    capacity; as ``ExponentialArrivals`` it is an exponential arrival process.
+    """
 
     mean_rate: float
     nonnegative = True
@@ -251,15 +261,17 @@ class ExponentialVbrService:
             raise ValueError("mean rate must be > 0")
 
     def mgf_increment(self, theta):
-        return _exponential_mgf(self.mean_rate, theta)
+        """1 / (1 - C theta), +inf from theta = 1/C on."""
+        lam = self.mean_rate
+        theta = np.asarray(theta, dtype=float)
+        below = theta < 1.0 / lam
+        return np.where(below, 1.0 / (1.0 - lam * np.where(below, theta, 0.0)), INF)[()]
 
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 1.0
-        m = self.mgf_increment(theta)
-        return m**t if math.isfinite(m) else INF
+    def log_mgf_increment(self, theta):
+        lam = self.mean_rate
+        theta = np.asarray(theta, dtype=float)
+        below = theta < 1.0 / lam
+        return np.where(below, -np.log1p(-lam * np.where(below, theta, 0.0)), INF)[()]
 
     def censored_mgf(self, theta, cap: float):
         """E[exp(theta min(c, cap))], finite for every real theta.
@@ -285,48 +297,12 @@ class ExponentialVbrService:
         u = rng.random((n, T))
         return -self.mean_rate * np.log1p(-u)
 
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        return self.sample_increments(_rng_from_seed(seed), T, 1)[0]
+
+ExponentialArrivals = ExponentialVbrService
 
 
 @dataclass(frozen=True)
-class ExponentialArrivals:
-    """i.i.d. exponential arrivals with mean ``mean_rate`` megabits per slot."""
-
-    mean_rate: float
-    nonnegative = True
-
-    def __post_init__(self):
-        if self.mean_rate <= 0:
-            raise ValueError("mean rate must be > 0")
-
-    def mgf_increment(self, theta):
-        return _exponential_mgf(self.mean_rate, theta)
-
-    def log_mgf_increment(self, theta):
-        lam = self.mean_rate
-        theta = np.asarray(theta, dtype=float)
-        below = theta < 1.0 / lam
-        return np.where(below, -np.log1p(-lam * np.where(below, theta, 0.0)), INF)[()]
-
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 1.0
-        m = self.mgf_increment(theta)
-        return m**t if math.isfinite(m) else INF
-
-    def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        u = rng.random((n, T))
-        return -self.mean_rate * np.log1p(-u)
-
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        return self.sample_increments(_rng_from_seed(seed), T, 1)[0]
-
-
-@dataclass(frozen=True)
-class LeftoverService:
+class LeftoverService(_IidModel):
     """Capacity left by cross traffic: increment = base increment - cross increment.
 
     Increments may be negative.  Downstream consumers use leftover paths only
@@ -351,14 +327,6 @@ class LeftoverService:
         mc = self.cross.mgf_increment(np.negative(theta))
         finite = np.isfinite(mb) & np.isfinite(mc)
         return np.where(finite, np.where(finite, mb, 1.0) * np.where(finite, mc, 1.0), INF)[()]
-
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 1.0
-        m = self.mgf_increment(theta)
-        return m**t if math.isfinite(m) else INF
 
     def censored_mgf(self, theta, cap: float):
         """E[exp(theta min(c, cap))] for deterministic base and exponential cross.
@@ -395,9 +363,6 @@ class LeftoverService:
         base = self.base.sample_increments(rng, T, n)
         cross = self.cross.sample_increments(rng, T, n)
         return base - cross
-
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        return self.sample_increments(_rng_from_seed(seed), T, 1)[0]
 
 
 # ===========================================================================
@@ -520,14 +485,23 @@ def _sample_two_state_chain(
     return states
 
 
-class _TwoStateChain:
-    """Transition structure shared by the two-state Markov-modulated models.
+@dataclass(frozen=True)
+class MarkovModulated2Service(_Model):
+    """General two-state Markov-modulated service.
 
-    Subclasses are dataclasses with fields ``p00`` and ``p11``, the
-    probabilities of staying in state 0 and in state 1.
+    The chain selects the slot law: increments are drawn i.i.d. from ``law0``
+    in state 0 and from ``law1`` in state 1, independently of the chain.
+    The chain starts in steady state.  The spectral operations require slow
+    switching, p01 + p10 < 1, which keeps the correlation eigenvalue
+    mu = 1 - p01 - p10 inside (0, 1).
     """
 
-    def _check_probabilities(self):
+    p00: float
+    p11: float
+    law0: object
+    law1: object
+
+    def __post_init__(self):
         for name in ("p00", "p11"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -566,33 +540,17 @@ class _TwoStateChain:
                 f"spectral analysis requires p01 + p10 < 1, got {self.p01 + self.p10}"
             )
 
-
-@dataclass(frozen=True)
-class MmooService(_TwoStateChain):
-    """Two-state Markov-modulated On-Off service.
-
-    State 1 serves ``peak`` megabits per slot, state 0 serves nothing.  The
-    chain starts in steady state.  The spectral operations require slow
-    switching, p01 + p10 < 1, which keeps the correlation eigenvalue
-    mu = 1 - p01 - p10 inside (0, 1).
-    """
-
-    p00: float
-    p11: float
-    peak: float
-    nonnegative = True
-
-    def __post_init__(self):
-        self._check_probabilities()
-        if self.peak <= 0:
-            raise ValueError("peak rate must be > 0")
-
     @property
     def mean_rate(self) -> float:
-        return self.on_probability * self.peak
+        p = self.on_probability
+        return (1.0 - p) * self.law0.mean_rate + p * self.law1.mean_rate
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.law0.nonnegative and self.law1.nonnegative
 
     def _state_mgfs(self, theta) -> Tuple:
-        return (1.0, _safe_exp(np.multiply(theta, self.peak)))
+        return (self.law0.mgf_increment(theta), self.law1.mgf_increment(theta))
 
     def mgf_increment(self, theta):
         m0, m1 = self._state_mgfs(theta)
@@ -626,79 +584,26 @@ class MmooService(_TwoStateChain):
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         states = _sample_two_state_chain(rng, self.p00, self.p11, self.on_probability, T, n)
-        return states * float(self.peak)
-
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        return self.sample_increments(_rng_from_seed(seed), T, 1)[0]
-
-
-@dataclass(frozen=True)
-class MarkovModulated2Service(_TwoStateChain):
-    """General two-state Markov-modulated service.
-
-    The chain selects the slot law: increments are drawn i.i.d. from ``law0``
-    in state 0 and from ``law1`` in state 1, independently of the chain.
-    With degenerate laws (constant 0 and constant P) this reproduces
-    MmooService output bit for bit.
-    """
-
-    p00: float
-    p11: float
-    law0: object
-    law1: object
-
-    def __post_init__(self):
-        self._check_probabilities()
-
-    @property
-    def mean_rate(self) -> float:
-        p = self.on_probability
-        return (1.0 - p) * self.law0.mean_rate + p * self.law1.mean_rate
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.law0.nonnegative and self.law1.nonnegative
-
-    def _state_mgfs(self, theta) -> Tuple:
-        return (self.law0.mgf_increment(theta), self.law1.mgf_increment(theta))
-
-    def mgf_increment(self, theta):
-        m0, m1 = self._state_mgfs(theta)
-        p = self.on_probability
-        return (1.0 - p) * m0 + p * m1
-
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        m0, m1 = self._state_mgfs(theta)
-        return _two_state_mgf_path(self.p00, self.p11, self.on_probability, m0, m1, t)
-
-    def eigen_m_plus(self, theta):
-        self._require_slow_switching()
-        return _two_state_eigs(self.p00, self.p11, *self._state_mgfs(theta))[1]
-
-    def k_theta(self, theta: float) -> float:
-        self._require_slow_switching()
-        minus, plus = _two_state_eigs(self.p00, self.p11, *self._state_mgfs(theta))
-        if not math.isfinite(plus) or plus - minus <= 1e-7 * max(plus, 1.0):
-            raise ValueError("eigenvalues coincide; spectral weight undefined")
-        return (self.mgf_increment(theta) - minus) / (plus - minus)
-
-    def effective_capacity(self, theta):
-        theta = _positive_theta(theta)
-        return _decay_rate(self.eigen_m_plus(-theta), theta)
-
-    def on_sequence_probability(self, times) -> float:
-        return _on_times_probability(self.p01, self.p10, times)
-
-    def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        states = _sample_two_state_chain(rng, self.p00, self.p11, self.on_probability, T, n)
         inc0 = self.law0.sample_increments(rng, T, n)
         inc1 = self.law1.sample_increments(rng, T, n)
-        return (1 - states) * inc0 + states * inc1
+        return np.where(states == 1, inc1, inc0)
 
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        return self.sample_increments(_rng_from_seed(seed), T, 1)[0]
+
+class MmooService(MarkovModulated2Service):
+    """Two-state On-Off service: state 1 serves ``peak`` megabits per slot,
+    state 0 serves nothing."""
+
+    def __init__(self, p00: float, p11: float, peak: float):
+        if not peak > 0:
+            raise ValueError("peak rate must be > 0")
+        super().__init__(p00, p11, DeterministicService(0.0), DeterministicService(peak))
+
+    @property
+    def peak(self) -> float:
+        return self.law1.rate
+
+    # its own class attribute: perfbench/tracer.py wraps each class's sampler
+    sample_increments = MarkovModulated2Service.sample_increments
 
 
 def leftover_two_state(base_rate: float, cross: MarkovModulated2Service) -> MarkovModulated2Service:
@@ -718,10 +623,5 @@ def leftover_two_state(base_rate: float, cross: MarkovModulated2Service) -> Mark
 
 
 def mmoo_as_two_state(m: MmooService) -> MarkovModulated2Service:
-    """On-Off model expressed through the general two-state interface."""
-    return MarkovModulated2Service(
-        p00=m.p00,
-        p11=m.p11,
-        law0=DeterministicService(0.0),
-        law1=DeterministicService(m.peak),
-    )
+    """On-Off model as a plain ``MarkovModulated2Service`` with the same fields."""
+    return MarkovModulated2Service(m.p00, m.p11, m.law0, m.law1)

@@ -34,6 +34,7 @@ from .models import (
     ExponentialArrivals,
     ExponentialVbrService,
     LeftoverService,
+    MarkovModulated2Service,
     MmooService,
 )
 
@@ -205,6 +206,11 @@ def _build_arrivals(sec: _Section, slot_ms: float):
     return ExponentialArrivals(rate)
 
 
+def _check_epsilons(sec: _Section, key: str, values: List[float]) -> None:
+    if not all(0.0 < eps < 1.0 for eps in values):
+        raise ScenarioError(sec.name, key, "must lie strictly between 0 and 1")
+
+
 def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[float]]:
     d_slots = [units.ms_to_slots(d, slot_ms) for d in sec.reals("d_ms", positive=True)]
     if any(d < 1 for d in d_slots):
@@ -233,12 +239,13 @@ def _theta_spec(sec: _Section) -> tuple[float, float, int]:
 def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
     sec = _Section(name, raw)
     kind = sec.text("kind", choices=set(KINDS))
-    seed = sec.integer("seed")
+    seed = sec.integer("seed", minimum=0)
     slot_ms = sec.real("slot_ms", default=1.0, positive=True)
     service = _build_service(sec, slot_ms)
     out = Scenario(name=name, kind=kind, seed=seed, slot_ms=slot_ms, service=service)
     # the analytic bounds of an On-Off chain are spectral; simulation is not
-    if kind != "simulate" and isinstance(service, MmooService) and not service.is_slow_switching:
+    markov = isinstance(service, MarkovModulated2Service)
+    if kind != "simulate" and markov and not service.is_slow_switching:
         raise ScenarioError(
             name, "mmoo_p11", "mmoo_p00 + mmoo_p11 must exceed 1 (p01 + p10 < 1)"
         )
@@ -247,14 +254,16 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
         out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)
         out.theta_min, out.theta_max, out.theta_points = _theta_spec(sec)
         if kind == "service-curve":
-            out.epsilon = sec.real("epsilon", positive=True)
+            out.epsilon = sec.real("epsilon")
+            _check_epsilons(sec, "epsilon", [out.epsilon])
             out.horizon_slots = units.ms_to_slots(sec.real("horizon_ms", positive=True), slot_ms)
     elif kind == "backlog":
         d_slots, w_mb = _feedback_lists(sec, slot_ms)
         if len(d_slots) != 1:
             raise ScenarioError(name, "d_ms", "backlog scenarios take one (w, d) pair")
         out.d_slots, out.w_mb = d_slots, w_mb
-        out.epsilons = sec.reals("epsilons", positive=True)
+        out.epsilons = sec.reals("epsilons")
+        _check_epsilons(sec, "epsilons", out.epsilons)
         out.lambdas_mb = [
             units.mbps_to_mb_per_slot(lam, slot_ms)
             for lam in sec.reals("lambda_mbps", positive=True)
@@ -285,10 +294,8 @@ def parse_scenario_text(text: str) -> List[Scenario]:
 
 
 def load_scenarios(path: str) -> List[Scenario]:
-    parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
-    return [_parse_section(name, dict(parser[name])) for name in parser.sections()]
+        return parse_scenario_text(handle.read())
 
 
 # ---------------------------------------------------------------------------

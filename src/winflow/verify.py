@@ -32,7 +32,7 @@ from .bounds import (
     per_slot_curve,
     statistical_service_curve,
 )
-from .models import ExponentialVbrService, MmooService, erlang_quantile
+from .models import ExponentialVbrService, MarkovModulated2Service, MmooService, erlang_quantile
 from .oracle import (
     SamplePath,
     apriori_envelope,
@@ -42,7 +42,13 @@ from .oracle import (
 )
 from . import units
 
-__all__ = ["SuiteResult", "random_feedback_instance", "run_all", "run_report"]
+__all__ = [
+    "SuiteResult",
+    "enumerate_grouped_mgf",
+    "random_feedback_instance",
+    "run_all",
+    "run_report",
+]
 
 MMOO_REFERENCE = MmooService(p00=0.2, p11=0.9, peak=1.125)
 
@@ -265,7 +271,7 @@ def suite_markov_structure(seed: int = 3) -> SuiteResult:
     for theta in (0.8, -0.8):
         for size in (2, 3):
             for taus in itertools.combinations(range(7), size):
-                exact = _enumerate_grouped_mgf(m, theta, taus)
+                exact = enumerate_grouped_mgf(m, theta, taus)
                 out.record(
                     exact <= m.mgf_path(theta, size) + 1e-12,
                     f"grouped times {taus} theta={theta}",
@@ -296,24 +302,19 @@ def suite_markov_structure(seed: int = 3) -> SuiteResult:
     return out
 
 
-def _enumerate_grouped_mgf(m: MmooService, theta: float, taus) -> float:
-    """E[exp(theta sum of increments at the listed slots)] by enumerating
-    every state path of the chain up to the last listed slot."""
-    horizon = max(taus) + 1
-    p = m.on_probability
-    trans = {
-        (0, 0): m.p00,
-        (0, 1): m.p01,
-        (1, 0): m.p10,
-        (1, 1): m.p11,
-    }
+def enumerate_grouped_mgf(model: MarkovModulated2Service, theta: float, taus) -> float:
+    """E[exp(theta * sum of the increments at the listed slots)] of a
+    two-state Markov-modulated model, by enumerating every state path of
+    the chain up to the last listed slot."""
+    p = model.on_probability
+    trans = ((model.p00, model.p01), (model.p10, model.p11))
+    state_mgfs = (float(model.law0.mgf_increment(theta)), float(model.law1.mgf_increment(theta)))
     total = 0.0
-    for states in itertools.product((0, 1), repeat=horizon):
-        weight = p if states[0] == 1 else 1.0 - p
+    for states in itertools.product((0, 1), repeat=max(taus) + 1):
+        weight = p if states[0] else 1.0 - p
         for a, b in zip(states, states[1:]):
-            weight *= trans[(a, b)]
-        value = sum(m.peak * states[tau] for tau in taus)
-        total += weight * math.exp(theta * value)
+            weight *= trans[a][b]
+        total += weight * math.prod(state_mgfs[states[tau]] for tau in taus)
     return total
 
 

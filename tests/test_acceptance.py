@@ -48,7 +48,7 @@ from winflow.oracle import (
 )
 from winflow.simulator import SimConfig, backlog_quantile, run_flow_control
 from winflow import units
-from winflow.verify import random_feedback_instance
+from winflow.verify import enumerate_grouped_mgf, random_feedback_instance
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -285,22 +285,11 @@ def test_10_markov_structure():
             assert MMOO.on_sequence_probability(widened) <= base + 1e-15
     # grouped increments never beat a contiguous block, both theta signs,
     # all index sets of size <= 3 inside [0, 6], by exhaustive enumeration
-    trans = {(0, 0): 0.2, (0, 1): 0.8, (1, 0): 0.1, (1, 1): 0.9}
-
-    def grouped(theta, taus):
-        horizon = max(taus) + 1
-        total = 0.0
-        for states in itertools.product((0, 1), repeat=horizon):
-            weight = MMOO.on_probability if states[0] else 1 - MMOO.on_probability
-            for a, b in zip(states, states[1:]):
-                weight *= trans[(a, b)]
-            total += weight * math.exp(theta * MMOO.peak * sum(states[x] for x in taus))
-        return total
-
     for theta in (0.8, -0.8):
         for size in (1, 2, 3):
             for taus in itertools.combinations(range(7), size):
-                assert grouped(theta, taus) <= MMOO.mgf_path(theta, size) + 1e-12
+                exact = enumerate_grouped_mgf(MMOO, theta, taus)
+                assert exact <= MMOO.mgf_path(theta, size) + 1e-12
     # spectral sandwich, dominant-term lower bound, supermultiplicativity
     for theta in (-2.0, -0.5, -0.1, 0.1, 0.5, 2.0):
         m_plus = MMOO.eigen_m_plus(theta)

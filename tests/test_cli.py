@@ -175,6 +175,39 @@ class TestScenarioParsing:
         assert info.value.key == "cross_rate_mbps"
 
 
+    @pytest.mark.parametrize("seed", ["-1", "-20211"])
+    def test_negative_seed_names_the_key(self, seed):
+        with pytest.raises(ScenarioError, match=r"\[sat\] seed") as info:
+            parse_scenario_text(SIM_INI.replace("seed = 11", f"seed = {seed}"))
+        assert info.value.key == "seed"
+
+    @pytest.mark.parametrize("verb", ["simulate", "verify"])
+    def test_negative_seed_option_is_a_usage_error(self, verb, tmp_path, capsys):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_INI)
+        argv = [verb, "--seed", "-2"]
+        if verb == "simulate":
+            argv += ["--config", str(cfg), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["1", "0", "1.5", "-1e-6", "nan"])
+    def test_epsilon_outside_unit_interval_names_the_key(self, value):
+        text = VBR_CURVE_INI.replace("epsilon = 1e-6", f"epsilon = {value}")
+        with pytest.raises(ScenarioError, match=r"\[curves\] epsilon") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "epsilon"
+
+    @pytest.mark.parametrize("values", ["1e-3 1", "0 1e-9", "1e-3 2", "nan 1e-3"])
+    def test_epsilons_outside_unit_interval_names_the_key(self, values):
+        text = BACKLOG_INI.replace("epsilons = 1e-3 1e-9", f"epsilons = {values}")
+        with pytest.raises(ScenarioError, match=r"\[backlog\] epsilons") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "epsilons"
+
     @pytest.mark.parametrize("warmup", ["5000", "4999"])
     def test_simulate_warmup_must_leave_two_slots(self, warmup):
         text = SIM_INI.replace("warmup_slots = 100", f"warmup_slots = {warmup}")

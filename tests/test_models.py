@@ -25,6 +25,7 @@ from winflow.models import (
     mmoo_as_two_state,
     regularized_lower_gamma,
 )
+from winflow.verify import enumerate_grouped_mgf
 
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
 
@@ -114,6 +115,34 @@ class TestExponentialArrivals:
         assert a.mgf_increment(10.0) == math.inf
         assert a.log_mgf_increment(1.0) == pytest.approx(-math.log(0.9), rel=1e-14)
         assert a.mgf_path(1.0, 3) == pytest.approx((1.0 / 0.9) ** 3, rel=1e-14)
+
+
+class TestOneClassPerFamily:
+    def test_exponential_arrivals_is_the_exponential_law(self):
+        assert ExponentialArrivals is ExponentialVbrService
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DeterministicService(0.7),
+            ExponentialVbrService(1.0),
+            LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4)),
+            MMOO,
+            MarkovModulated2Service(
+                p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
+            ),
+            leftover_two_state(1.5, mmoo_as_two_state(MMOO)),
+        ],
+        ids=[
+            "deterministic", "exponential", "leftover", "on-off", "two-state", "leftover-two-state"
+        ],
+    )
+    @pytest.mark.parametrize("T", [300, 5000])
+    def test_sample_path_is_one_row_of_sample_increments(self, model, T):
+        for seed in (0, 7, 123):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            expected = model.sample_increments(rng, T, 1)[0]
+            assert np.array_equal(model.sample_path(seed, T), expected)
 
 
 class TestLeftover:
@@ -283,6 +312,17 @@ class TestMarkovModulated2:
         b = general.sample_increments(rng_b, 128, 16)
         assert np.array_equal(a, b)
 
+    def test_on_off_is_the_two_state_model_with_constant_laws(self):
+        m = MmooService(0.2, 0.9, 1.125)
+        general = mmoo_as_two_state(m)
+        assert isinstance(m, MarkovModulated2Service)
+        assert m.peak == 1.125
+        assert type(general) is MarkovModulated2Service
+        for name in ("p00", "p11", "law0", "law1"):
+            assert getattr(m, name) == getattr(general, name)
+        assert m.law0 == DeterministicService(0.0)
+        assert m.law1 == DeterministicService(1.125)
+
     def test_leftover_two_state_composition(self):
         cross = mmoo_as_two_state(MmooService(p00=0.4, p11=0.8, peak=0.5))
         left = leftover_two_state(1.0, cross)
@@ -395,23 +435,11 @@ class TestErlangQuantile:
 class TestGroupedTimeCorrelation:
     """Exhaustive checks of the chain's positive time correlations."""
 
-    def enumerate_grouped(self, theta, taus):
-        horizon = max(taus) + 1
-        p = MMOO.on_probability
-        trans = {(0, 0): 0.2, (0, 1): 0.8, (1, 0): 0.1, (1, 1): 0.9}
-        total = 0.0
-        for states in itertools.product((0, 1), repeat=horizon):
-            weight = p if states[0] else 1 - p
-            for a, b in zip(states, states[1:]):
-                weight *= trans[(a, b)]
-            total += weight * math.exp(theta * 1.125 * sum(states[t] for t in taus))
-        return total
-
     @pytest.mark.parametrize("theta", [0.8, -0.8])
     def test_spread_times_never_beat_contiguous_block(self, theta):
         for size in (2, 3):
             for taus in itertools.combinations(range(7), size):
-                grouped = self.enumerate_grouped(theta, taus)
+                grouped = enumerate_grouped_mgf(MMOO, theta, taus)
                 assert grouped <= MMOO.mgf_path(theta, size) + 1e-12
 
     @pytest.mark.parametrize("theta", [1.0, -1.0])
