@@ -133,16 +133,13 @@ def cmd_service_curve(sc: Scenario, out_dir: str) -> List[str]:
     # above, where the path distribution is known: Erlang sums for the
     # exponential server, a point mass for the constant server; otherwise
     # only the window term applies
-    quantiles = None
+    quantiles = np.full(len(ts), math.inf)
     if isinstance(model, ExponentialVbrService):
-        quantiles = np.array(
-            [0.0] + [erlang_quantile(sc.epsilon, int(t), model.mean_rate) for t in ts[1:]]
-        )
+        quantiles = np.concatenate(([0.0], erlang_quantile(sc.epsilon, ts[1:], model.mean_rate)))
     elif isinstance(model, DeterministicService):
         quantiles = model.rate * ts.astype(float)
     for w, d in pairs:
-        window_term = np.ceil(ts / d) * w
-        upper = np.minimum(quantiles, window_term) if quantiles is not None else window_term
+        upper = np.minimum(quantiles, np.ceil(ts / d) * w)
         header.append(f"upper_d{units.slots_to_ms(d, sc.slot_ms):g}ms_mb")
         columns.append(upper)
 

@@ -25,6 +25,7 @@ values: exponential, deterministic.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -101,11 +102,15 @@ class _Section:
     def real(self, key: str, default: Optional[float] = None, positive: bool = False) -> float:
         if key not in self.raw and default is not None:
             return default
-        raw = self._fetch(key)
+        return self._number(key, self._fetch(key), positive)
+
+    def _number(self, key: str, raw: str, positive: bool) -> float:
         try:
             value = float(raw)
         except ValueError as exc:
             raise ScenarioError(self.name, key, f"not a number: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ScenarioError(self.name, key, f"must be finite, got {raw.strip()!r}")
         if positive and value <= 0:
             raise ScenarioError(self.name, key, "must be > 0")
         return value
@@ -134,13 +139,17 @@ class _Section:
         tokens = self._fetch(key).split()
         if not tokens:
             raise ScenarioError(self.name, key, "empty list")
+        return [self._number(key, tok, positive) for tok in tokens]
+
+    def rate(self, key: str, slot_ms: float) -> float:
+        """A positive rate in Mbps, in megabits per slot."""
+        return units.mbps_to_mb_per_slot(self.real(key, positive=True), slot_ms)
+
+    def slots(self, key: str, duration_ms: float, slot_ms: float) -> int:
         try:
-            values = [float(tok) for tok in tokens]
+            return units.ms_to_slots(duration_ms, slot_ms)
         except ValueError as exc:
-            raise ScenarioError(self.name, key, "not a list of numbers") from exc
-        if positive and any(v <= 0 for v in values):
-            raise ScenarioError(self.name, key, "entries must be > 0")
-        return values
+            raise ScenarioError(self.name, key, str(exc)) from exc
 
     def flag(self, key: str, default: bool = False) -> bool:
         if key not in self.raw:
@@ -164,20 +173,14 @@ _MMOO_KEYS = {"p00": "mmoo_p00", "p11": "mmoo_p11", "peak": "mmoo_peak_mbps"}
 def _build_service(sec: _Section, slot_ms: float):
     kind = sec.text("service", choices={"deterministic", "exponential", "mmoo", "leftover"})
     if kind == "deterministic":
-        return DeterministicService(
-            units.mbps_to_mb_per_slot(sec.real("service_rate_mbps", positive=True), slot_ms)
-        )
+        return DeterministicService(sec.rate("service_rate_mbps", slot_ms))
     if kind == "exponential":
-        return ExponentialVbrService(
-            units.mbps_to_mb_per_slot(sec.real("service_rate_mbps", positive=True), slot_ms)
-        )
+        return ExponentialVbrService(sec.rate("service_rate_mbps", slot_ms))
     if kind == "mmoo":
+        p00, p11 = sec.real("mmoo_p00"), sec.real("mmoo_p11")
+        peak = sec.rate("mmoo_peak_mbps", slot_ms)
         try:
-            service = MmooService(
-                p00=sec.real("mmoo_p00"),
-                p11=sec.real("mmoo_p11"),
-                peak=units.mbps_to_mb_per_slot(sec.real("mmoo_peak_mbps", positive=True), slot_ms),
-            )
+            service = MmooService(p00=p00, p11=p11, peak=peak)
         except ValueError as exc:
             # the model's message starts with the field it rejects
             raise ScenarioError(sec.name, _MMOO_KEYS[str(exc).split()[0]], str(exc)) from exc
@@ -186,13 +189,8 @@ def _build_service(sec: _Section, slot_ms: float):
                 sec.name, "mmoo_p11", "mmoo_p00 = mmoo_p11 = 1 leaves no unique steady state"
             )
         return service
-    base = DeterministicService(
-        units.mbps_to_mb_per_slot(sec.real("service_rate_mbps", positive=True), slot_ms)
-    )
-    cross = ExponentialArrivals(
-        units.mbps_to_mb_per_slot(sec.real("cross_rate_mbps", positive=True), slot_ms)
-    )
-    service = LeftoverService(base, cross)
+    base = DeterministicService(sec.rate("service_rate_mbps", slot_ms))
+    service = LeftoverService(base, ExponentialArrivals(sec.rate("cross_rate_mbps", slot_ms)))
     if not service.is_stable:
         raise ScenarioError(sec.name, "cross_rate_mbps", "must be below service_rate_mbps")
     return service
@@ -200,7 +198,7 @@ def _build_service(sec: _Section, slot_ms: float):
 
 def _build_arrivals(sec: _Section, slot_ms: float):
     kind = sec.text("arrival", choices={"deterministic", "exponential"})
-    rate = units.mbps_to_mb_per_slot(sec.real("arrival_rate_mbps", positive=True), slot_ms)
+    rate = sec.rate("arrival_rate_mbps", slot_ms)
     if kind == "deterministic":
         return DeterministicService(rate)
     return ExponentialArrivals(rate)
@@ -212,13 +210,13 @@ def _check_epsilons(sec: _Section, key: str, values: List[float]) -> None:
 
 
 def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[float]]:
-    d_slots = [units.ms_to_slots(d, slot_ms) for d in sec.reals("d_ms", positive=True)]
+    d_slots = [sec.slots("d_ms", d, slot_ms) for d in sec.reals("d_ms", positive=True)]
     if any(d < 1 for d in d_slots):
         raise ScenarioError(sec.name, "d_ms", "delays must be at least one slot")
     if sec.has("w_over_d_mbps") and sec.has("w_mb"):
         raise ScenarioError(sec.name, "w_mb", "give either w_mb or w_over_d_mbps, not both")
     if sec.has("w_over_d_mbps"):
-        ratio = units.mbps_to_mb_per_slot(sec.real("w_over_d_mbps", positive=True), slot_ms)
+        ratio = sec.rate("w_over_d_mbps", slot_ms)
         w_mb = [ratio * d for d in d_slots]
     else:
         w_mb = sec.reals("w_mb", positive=True)
@@ -256,7 +254,7 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
         if kind == "service-curve":
             out.epsilon = sec.real("epsilon")
             _check_epsilons(sec, "epsilon", [out.epsilon])
-            out.horizon_slots = units.ms_to_slots(sec.real("horizon_ms", positive=True), slot_ms)
+            out.horizon_slots = sec.slots("horizon_ms", sec.real("horizon_ms", positive=True), slot_ms)
     elif kind == "backlog":
         d_slots, w_mb = _feedback_lists(sec, slot_ms)
         if len(d_slots) != 1:

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,33 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"\[backlog\] epsilons") as info:
             parse_scenario_text(text)
         assert info.value.key == "epsilons"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("service_rate_mbps", "nan"),
+            ("service_rate_mbps", "inf"),
+            ("w_over_d_mbps", "nan"),
+            ("w_over_d_mbps", "inf"),
+            ("w_over_d_mbps", "-inf"),
+            ("d_ms", "0.3"),
+            ("d_ms", "nan"),
+            ("d_ms", "1 inf"),
+            ("horizon_ms", "nan"),
+            ("horizon_ms", "2.5"),
+            ("mmoo_p00", "nan"),
+            ("mmoo_p00", "abc"),
+            ("mmoo_peak_mbps", "inf"),
+            ("mmoo_peak_mbps", "-1"),
+        ],
+    )
+    def test_non_finite_or_fractional_value_names_the_key(self, key, value):
+        ini = MMOO_CURVE_INI if key.startswith("mmoo") else VBR_CURVE_INI
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", ini, flags=re.M)
+        assert text != ini
+        with pytest.raises(ScenarioError, match=rf"{key}:") as info:
+            parse_scenario_text(text)
+        assert info.value.key == key
 
     @pytest.mark.parametrize("warmup", ["5000", "4999"])
     def test_simulate_warmup_must_leave_two_slots(self, warmup):

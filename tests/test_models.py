@@ -398,6 +398,8 @@ class TestSojournSampler:
 
 
 class TestErlangQuantile:
+    SHAPES = np.array([1, 2, 5, 20, 80, 1000, 10_000])
+
     def test_exponential_closed_forms(self):
         assert erlang_quantile(1.0 - math.exp(-1.0), 1, 1.0) == pytest.approx(1.0, abs=1e-9)
         assert erlang_quantile(1e-6, 1, 1.0) == pytest.approx(
@@ -406,22 +408,45 @@ class TestErlangQuantile:
         assert erlang_quantile(0.5, 1, 1.0) == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_against_scipy_inverse(self):
-        for n in (1, 2, 5, 20, 80):
-            for eps in (1e-9, 1e-4, 0.3, 0.97):
-                mine = erlang_quantile(eps, n, 1.7)
-                ref = scipy.special.gammaincinv(n, eps) * 1.7
-                assert mine == pytest.approx(ref, rel=1e-7, abs=1e-12)
+        for eps in (1e-12, 1e-9, 1e-6, 1e-4, 0.3, 0.5, 0.97):
+            ref = scipy.special.gammaincinv(self.SHAPES, eps) * 1.7
+            mine = erlang_quantile(eps, self.SHAPES, 1.7)
+            np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0)
+            for n, expected in zip(self.SHAPES, ref):
+                assert erlang_quantile(eps, int(n), 1.7) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        shapes = np.arange(1, 1001)
+        whole = erlang_quantile(1e-6, shapes, 0.1)
+        assert whole.shape == shapes.shape
+        assert np.array_equal(whole, [erlang_quantile(1e-6, int(n), 0.1) for n in shapes])
+        assert np.ndim(erlang_quantile(1e-6, 7, 0.1)) == 0
+        grid = erlang_quantile(0.3, shapes.reshape(20, 50), 0.1)
+        assert np.array_equal(grid, erlang_quantile(0.3, shapes, 0.1).reshape(20, 50))
 
     def test_cdf_round_trip(self):
         x = erlang_quantile(0.123, 7, 2.0)
         assert regularized_lower_gamma(7, x / 2.0) == pytest.approx(0.123, abs=1e-9)
 
     def test_regularized_gamma_against_scipy(self):
-        for a in (0.5, 1.0, 3.0, 12.0, 60.0):
-            for x in (0.0, 0.2, 1.0, 5.0, 40.0, 200.0):
+        shapes = (0.5, 1.0, 3.0, 12.0, 60.0)
+        points = (0.0, 0.2, 1.0, 5.0, 40.0, 200.0)
+        for a in shapes:
+            for x in points:
                 assert regularized_lower_gamma(a, x) == pytest.approx(
                     float(scipy.special.gammainc(a, x)), abs=1e-12
                 )
+        a, x = np.meshgrid(shapes, points)
+        np.testing.assert_allclose(
+            regularized_lower_gamma(a, x), scipy.special.gammainc(a, x), rtol=0, atol=1e-12
+        )
+
+    def test_regularized_gamma_far_right_of_the_shape(self):
+        # partial sums past the float range are rescaled, not overflowed
+        a, x = np.array([0.5, 3.0, 1e4]), np.array([800.0, 5000.0, 2000.0])
+        np.testing.assert_allclose(
+            regularized_lower_gamma(a, x), scipy.special.gammainc(a, x), rtol=0, atol=1e-12
+        )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -430,6 +455,26 @@ class TestErlangQuantile:
             erlang_quantile(0.5, 0, 1.0)
         with pytest.raises(ValueError):
             erlang_quantile(0.5, 1, 0.0)
+        with pytest.raises(ValueError):
+            erlang_quantile(math.nan, 1, 1.0)
+        for mean in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                erlang_quantile(0.5, 1, mean)
+        with pytest.raises(ValueError):
+            erlang_quantile(0.5, np.array([3, 0, 5]), 1.0)
+        for a, x in ((0.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                regularized_lower_gamma(a, x)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        import winflow.models as models
+
+        monkeypatch.setattr(models, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            erlang_quantile(1e-6, self.SHAPES, 1.0)
+        monkeypatch.setattr(models, "_SERIES_MAX_TERMS", 16)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            regularized_lower_gamma(3.0, 40.0)
 
 
 class TestGroupedTimeCorrelation:
