@@ -21,7 +21,8 @@ finite at theta exactly when p log M_A(theta) + log_rate(theta) < 0.
 All optimizations over theta use a fixed logarithmic grid followed by
 golden-section refinement; the reported optimum is never worse than the
 best raw grid point.  Service curves refine every t at once, with one
-golden-section search per t run in lockstep.
+golden-section search per t run in lockstep; the steady-state backlog bound
+refines every epsilon of an arrival rate at once in the same way.
 """
 
 from __future__ import annotations
@@ -518,18 +519,6 @@ def _log_steady_state_sum(arrivals, curve: LogMgfCurve, theta):
     return np.where(converges, head + log_offset - tail, INF)
 
 
-def _minimize_over_theta(objective, thetas: np.ndarray, grid_values: np.ndarray) -> float:
-    """Grid argmin, then golden-section refinement on the neighbouring
-    bracket; never worse than the best grid point, +inf if all are."""
-    k = int(np.argmin(grid_values))
-    if grid_values[k] == INF:
-        return INF
-    lo = thetas[max(k - 1, 0)]
-    hi = thetas[min(k + 1, len(thetas) - 1)]
-    _, fx = golden_section_max(lambda th: -objective(th), lo, hi)
-    return float(min(grid_values[k], -fx))
-
-
 def backlog_bound(
     arrivals, curve: LogMgfCurve, eps: float, grid: ThetaGrid, t: int
 ) -> float:
@@ -550,26 +539,50 @@ def backlog_bound(
         s = _log_backlog_sum(arrivals, curve, theta, t)
         return (s - log_eps) / theta if math.isfinite(s) else INF
 
+    # grid argmin, then golden-section refinement on the neighbouring
+    # bracket; never worse than the best grid point, +inf if all are
     thetas = grid.values
-    return _minimize_over_theta(objective, thetas, np.array([objective(th) for th in thetas]))
+    grid_values = [objective(th) for th in thetas]
+    k = int(np.argmin(grid_values))
+    if grid_values[k] == INF:
+        return INF
+    _, fx = golden_section_max(
+        lambda th: -objective(th), thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
+    )
+    return float(min(grid_values[k], -fx))
 
 
-def steady_state_backlog_bound(
-    arrivals, curve: LogMgfCurve, eps: float, grid: ThetaGrid
-) -> float:
+def steady_state_backlog_bound(arrivals, curve: LogMgfCurve, eps, grid: ThetaGrid):
     """Backlog bound in the large-t limit, from the closed-form geometric sum.
 
     The objective at theta is (log S(theta) - log eps) / theta with
     log S = log sum_{j<p} e^{j log M_A + log_offset} - log(1 - e^r) and
     r = p log M_A(theta) + log_rate(theta).  A theta with r >= 0 is
     infeasible; the bound is +inf exactly when every grid theta is.
+
+    eps is a scalar (the bound is a float) or an array (one bound per
+    entry).  All entries share one evaluation of log S on the grid, and the
+    golden-section refinements around their best grid points run in lockstep.
     """
-    if not 0.0 < eps < 1.0:
+    eps = np.asarray(eps, dtype=float)
+    flat = eps.ravel()
+    if not np.all((flat > 0.0) & (flat < 1.0)):
         raise ValueError("eps must lie strictly between 0 and 1")
-    log_eps = math.log(eps)
-
-    def objective(theta):
-        return (_log_steady_state_sum(arrivals, curve, theta) - log_eps) / theta
-
+    log_eps = np.array([math.log(e) for e in flat.tolist()])
     thetas = grid.values
-    return _minimize_over_theta(objective, thetas, objective(thetas))
+    grid_values = (_log_steady_state_sum(arrivals, curve, thetas) - log_eps[:, None]) / thetas
+    k = np.argmin(grid_values, axis=1)
+    best = grid_values[np.arange(len(flat)), k]
+    # refine each finite grid minimum on its neighbouring bracket; the
+    # result is never worse than the grid point
+    live = np.flatnonzero(best < INF)
+    if live.size:
+        lo = thetas[np.maximum(k[live] - 1, 0)]
+        hi = thetas[np.minimum(k[live] + 1, len(thetas) - 1)]
+
+        def negated(theta, which):
+            return -((_log_steady_state_sum(arrivals, curve, theta) - log_eps[live[which]]) / theta)
+
+        _, fx = _golden_section_max_lockstep(negated, lo, hi)
+        best[live] = np.minimum(best[live], -fx)
+    return float(best[0]) if eps.ndim == 0 else best.reshape(eps.shape)

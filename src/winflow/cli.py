@@ -5,6 +5,9 @@ reproduce (canned parameter studies fig4 through fig8).  Scenarios come from
 an INI config file (see scenarios.py for the schema); every verb emits CSV
 only.  Identical config and seed produce byte-identical files: floats are
 written with shortest round-trip formatting and rows in deterministic order.
+The verbs work on whole columns: each one hands ``write_csv`` its columns,
+which formats a block of rows of a numeric array column in one pass, and the
+backlog verb bounds all epsilons of an arrival rate in one call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -45,27 +48,43 @@ __all__ = ["main"]
 
 
 def _fmt(value) -> str:
+    """One CSV cell: strings as they are, integers in decimal, and floats
+    (nan and +-inf included) in shortest round-trip form."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
+    return repr(float(value))
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write rows atomically; UTF-8, '.' decimal, deterministic order."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+def _column_text(column) -> List[str]:
+    # a numeric array converts to Python ints or floats in one pass, and
+    # repr of those is exactly _fmt's text; booleans and objects go by value
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return list(map(repr, column.tolist()))
+    return list(map(_fmt, column))
+
+
+# rows are formatted and written this many at a time, so that the text of
+# a long table is never held in memory at once
+_BLOCK_ROWS = 256
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """Write equal-length columns atomically; UTF-8, '.' decimal, rows in order."""
+    lengths = {len(col) for col in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError("write_csv needs one column per header entry, all of one length")
+    n_rows = lengths.pop() if lengths else 0
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-                handle.write("\n")
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                block = [_column_text(col[start : start + _BLOCK_ROWS]) for col in columns]
+                handle.write("".join([",".join(row) + "\n" for row in zip(*block)]))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,17 +95,14 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str
 
 def write_bound_result_csv(path: str, result) -> str:
     """Serialize one BoundResult curve: t_or_theta, value, theta_opt, family, feasible."""
-    rows = [
-        [
-            result.x[i],
-            result.value[i],
-            result.theta_opt[i],
-            result.family,
-            "true" if result.feasible[i] else "false",
-        ]
-        for i in range(len(result.x))
+    columns = [
+        result.x,
+        result.value,
+        result.theta_opt,
+        [result.family] * len(result.x),
+        ["true" if flag else "false" for flag in result.feasible],
     ]
-    return write_csv(path, ["t_or_theta", "value", "theta_opt", "family", "feasible"], rows)
+    return write_csv(path, ["t_or_theta", "value", "theta_opt", "family", "feasible"], columns)
 
 
 def _grid(sc: Scenario) -> ThetaGrid:
@@ -109,7 +125,7 @@ def cmd_service_curve(sc: Scenario, out_dir: str) -> List[str]:
     shared_ratio = len(ratios) == 1
 
     header = ["t_ms"]
-    columns = []
+    columns = [units.slots_to_ms(ts, sc.slot_ms)]
     for w, d in pairs:
         fb = FeedbackParams(w=w, d=d)
         res = statistical_service_curve(_curve_family(model, fb), sc.epsilon, grid, horizon)
@@ -142,13 +158,8 @@ def cmd_service_curve(sc: Scenario, out_dir: str) -> List[str]:
         upper = np.minimum(quantiles, np.ceil(ts / d) * w)
         header.append(f"upper_d{units.slots_to_ms(d, sc.slot_ms):g}ms_mb")
         columns.append(upper)
-
-    rows = [
-        [units.slots_to_ms(int(t), sc.slot_ms)] + [col[i] for col in columns]
-        for i, t in enumerate(ts)
-    ]
     path = os.path.join(out_dir, f"{sc.name}_service_curve.csv")
-    return [write_csv(path, header, rows)]
+    return [write_csv(path, header, columns)]
 
 
 def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
@@ -157,8 +168,9 @@ def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
     iid = not _is_markov(model)
     paths = []
 
-    def to_mbps(value: float) -> float:
-        return units.mb_per_slot_to_mbps(value, sc.slot_ms) if math.isfinite(value) else math.nan
+    def to_mbps(values: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(values)
+        return np.where(finite, units.mb_per_slot_to_mbps(values, sc.slot_ms), math.nan)
 
     thetas = grid.values
     for w, d in zip(sc.w_mb, sc.d_slots):
@@ -167,17 +179,14 @@ def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
         series = effcap_lower_series(model, fb, thetas) if iid else np.full(len(thetas), math.nan)
         blocks = effcap_lower_blocks(model, fb, thetas)
         apriori_lo, apriori_up = effcap_apriori(model, fb, thetas)
-        rows = [
-            [
-                units.theta_per_mb_to_per_bit(theta),
-                to_mbps(series[i]),
-                to_mbps(blocks[i]),
-                to_mbps(apriori_lo[i]),
-                to_mbps(apriori_up[i]),
-                to_mbps(best.value[i]),
-                best.provenance[i],
-            ]
-            for i, theta in enumerate(thetas)
+        columns = [
+            units.theta_per_mb_to_per_bit(thetas),
+            to_mbps(series),
+            to_mbps(blocks),
+            to_mbps(apriori_lo),
+            to_mbps(apriori_up),
+            to_mbps(best.value),
+            best.provenance,
         ]
         header = [
             "theta_per_bit",
@@ -190,7 +199,7 @@ def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
         ]
         d_ms = units.slots_to_ms(d, sc.slot_ms)
         path = os.path.join(out_dir, f"{sc.name}_effcap_d{d_ms:g}ms.csv")
-        paths.append(write_csv(path, header, rows))
+        paths.append(write_csv(path, header, columns))
     return paths
 
 
@@ -202,12 +211,11 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
     header = ["lambda_mbps"] + [f"bound_eps{eps:.0e}_mb" for eps in sc.epsilons]
     if sc.simulate:
         header += [f"sim_eps{eps:.0e}_mb" for eps in sc.epsilons]
-    rows = []
+    epsilons = np.array(sc.epsilons)
+    bound_rows, sim_rows = [], []
     for lam in sc.lambdas_mb:
         arrivals = ExponentialArrivals(lam)
-        row = [units.mb_per_slot_to_mbps(lam, sc.slot_ms)]
-        for eps in sc.epsilons:
-            row.append(steady_state_backlog_bound(arrivals, curve, eps, grid))
+        bound_rows.append(steady_state_backlog_bound(arrivals, curve, epsilons, grid))
         if sc.simulate:
             config = SimConfig(
                 seed=sc.seed,
@@ -219,14 +227,18 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
                 replications=sc.replications,
             )
             post = (sc.total_slots - sc.warmup_slots) * sc.replications
-            for eps in sc.epsilons:
-                if eps * post >= 100.0:
-                    row.append(backlog_quantile(config, eps))
-                else:
-                    row.append(math.nan)
-        rows.append(row)
+            sim_rows.append(
+                [
+                    backlog_quantile(config, eps) if eps * post >= 100.0 else math.nan
+                    for eps in sc.epsilons
+                ]
+            )
+    lambdas = units.mb_per_slot_to_mbps(np.array(sc.lambdas_mb), sc.slot_ms)
+    columns = [lambdas, *np.array(bound_rows).T]
+    if sc.simulate:
+        columns.extend(np.array(sim_rows, dtype=float).T)
     path = os.path.join(out_dir, f"{sc.name}_backlog.csv")
-    return [write_csv(path, header, rows)]
+    return [write_csv(path, header, columns)]
 
 
 def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
@@ -241,22 +253,16 @@ def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
         replications=sc.replications,
     )
     paths = []
-    summary_rows = []
+    summary = []
     for r in range(sc.replications):
         run = run_flow_control(config, r)
-        rows = [
-            [
-                int(k),
-                run.backlog[k],
-                run.queue[k],
-            ]
-            for k in run.checkpoints
-        ]
+        k = run.checkpoints
         run_path = os.path.join(out_dir, f"{sc.name}_run{r}.csv")
-        paths.append(write_csv(run_path, ["slot", "backlog_mb", "queue_mb"], rows))
+        columns = [k, run.backlog[k], run.queue[k]]
+        paths.append(write_csv(run_path, ["slot", "backlog_mb", "queue_mb"], columns))
         tail = run.backlog[sc.warmup_slots + 1 :]
-        summary_rows.append(
-            [
+        summary.append(
+            (
                 r,
                 units.mb_per_slot_to_mbps(run.throughput, sc.slot_ms),
                 float(np.mean(tail)),
@@ -264,7 +270,7 @@ def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
                 float(np.quantile(tail, 0.99)),
                 float(np.quantile(tail, 0.999)),
                 run.backlog_drift(),
-            ]
+            )
         )
     summary_path = os.path.join(out_dir, f"{sc.name}_summary.csv")
     paths.append(
@@ -279,7 +285,7 @@ def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
                 "p999_backlog_mb",
                 "drift_ratio",
             ],
-            summary_rows,
+            list(zip(*summary)),
         )
     )
     return paths

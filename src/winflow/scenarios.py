@@ -39,9 +39,14 @@ from .models import (
     MmooService,
 )
 
-__all__ = ["Scenario", "ScenarioError", "load_scenarios", "parse_scenario_text"]
+__all__ = ["MAX_SLOTS", "Scenario", "ScenarioError", "load_scenarios", "parse_scenario_text"]
 
 KINDS = ("service-curve", "effective-capacity", "backlog", "simulate")
+
+# Upper limit on every slot count a scenario names (delays, horizons and
+# slots per replication), checked before anything is allocated.  The canned
+# studies, the tests and the benchmark workloads stay at or below 10**6.
+MAX_SLOTS = 10**7
 
 
 class ScenarioError(ValueError):
@@ -146,6 +151,9 @@ class _Section:
         return units.mbps_to_mb_per_slot(self.real(key, positive=True), slot_ms)
 
     def slots(self, key: str, duration_ms: float, slot_ms: float) -> int:
+        """A duration in ms as a whole number of slots, at most MAX_SLOTS."""
+        if duration_ms / slot_ms > MAX_SLOTS:
+            raise ScenarioError(self.name, key, f"must be at most {MAX_SLOTS} slots")
         try:
             return units.ms_to_slots(duration_ms, slot_ms)
         except ValueError as exc:
@@ -269,7 +277,7 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
         out.theta_min, out.theta_max, out.theta_points = _theta_spec(sec)
         out.simulate = sec.flag("simulate", default=False)
         if out.simulate:
-            out.total_slots = sec.integer("sim_slots", minimum=2)
+            out.total_slots = sec.integer("sim_slots", minimum=2, maximum=MAX_SLOTS)
             # the drift ratio compares two halves of at least one slot each
             out.warmup_slots = sec.integer("sim_warmup", minimum=0, maximum=out.total_slots - 2)
             out.replications = sec.integer("sim_replications", default=1, minimum=1)
@@ -278,7 +286,7 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
         if len(out.d_slots) != 1:
             raise ScenarioError(name, "d_ms", "simulate scenarios take one (w, d) pair")
         out.arrivals = _build_arrivals(sec, slot_ms)
-        out.total_slots = sec.integer("total_slots", minimum=2)
+        out.total_slots = sec.integer("total_slots", minimum=2, maximum=MAX_SLOTS)
         out.warmup_slots = sec.integer("warmup_slots", minimum=0, maximum=out.total_slots - 2)
         out.replications = sec.integer("replications", default=1, minimum=1)
     sec.reject_unknown()

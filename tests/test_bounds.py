@@ -28,6 +28,7 @@ from winflow.bounds import (
     statistical_service_curve,
     steady_state_backlog_bound,
 )
+from winflow.bounds import _log_steady_state_sum
 from winflow.models import (
     DeterministicService,
     ExponentialArrivals,
@@ -68,6 +69,23 @@ def scalar_service_curve(curve, eps, grid, horizon):
         theta_opt[t], best = (x, fx) if fx >= best else (thetas[k], best)
         values[t] = max(best, 0.0) if curve.nonnegative else best
     return values, theta_opt, feasible
+
+
+def scalar_steady_state_backlog_bound(arrivals, curve, eps, grid):
+    """Reference: one grid scan and one golden-section search for one eps."""
+    log_eps = math.log(eps)
+    thetas = grid.values
+
+    def objective(theta):
+        return (_log_steady_state_sum(arrivals, curve, theta) - log_eps) / theta
+
+    col = objective(thetas)
+    k = int(np.argmin(col))
+    if col[k] == math.inf:
+        return math.inf
+    lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
+    _, fx = golden_section_max(lambda th: -objective(th), lo, hi)
+    return float(min(col[k], -fx))
 
 
 class TestParams:
@@ -456,6 +474,40 @@ class TestBacklogBound:
         assert math.isfinite(steady_state_backlog_bound(below, curve, 1e-3, GRID))
         at = ExponentialArrivals(capped_mean)
         assert steady_state_backlog_bound(at, curve, 1e-3, GRID) == math.inf
+
+    @pytest.mark.parametrize(
+        "curve, lam",
+        [
+            (per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)), 0.07),
+            (block_curve(MMOO, FeedbackParams(w=0.5, d=5)), 0.03),
+            (series_curve(VBR, FeedbackParams(w=2.0, d=1)), 0.2),
+            # above the capped mean rate 0.0952: every grid theta is infeasible
+            (per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)), 0.2),
+        ],
+        ids=["per-slot-stable", "block-markov-stable", "series-stable", "per-slot-unstable"],
+    )
+    def test_epsilon_array_equals_scalar_calls_exactly(self, curve, lam):
+        arrivals = ExponentialArrivals(lam)
+        eps = np.array([1e-3, 0.5, 1e-9, 1e-6, 1e-3, 0.999])
+        values = steady_state_backlog_bound(arrivals, curve, eps, GRID)
+        scalars = [steady_state_backlog_bound(arrivals, curve, e, GRID) for e in eps.tolist()]
+        reference = [scalar_steady_state_backlog_bound(arrivals, curve, e, GRID) for e in eps]
+        assert all(type(v) is float for v in scalars)
+        assert values.shape == eps.shape
+        assert values.tolist() == scalars == reference
+        if lam == 0.2 and curve.family == "per-slot":
+            assert scalars == [math.inf] * len(eps)
+        else:
+            assert all(math.isfinite(v) for v in scalars)
+        grid = steady_state_backlog_bound(arrivals, curve, eps.reshape(2, 3), GRID)
+        assert grid.tolist() == [scalars[:3], scalars[3:]]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 1.5, math.nan])
+    def test_epsilon_array_with_one_entry_outside_unit_interval_raises(self, bad):
+        curve = per_slot_curve(VBR, FeedbackParams(w=0.1, d=1))
+        eps = np.array([1e-3, bad, 1e-6])
+        with pytest.raises(ValueError, match="eps must lie strictly between 0 and 1"):
+            steady_state_backlog_bound(ExponentialArrivals(0.05), curve, eps, GRID)
 
     def test_epsilon_sensitivity_is_mild(self):
         fb = FeedbackParams(w=0.1, d=1)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from winflow import units
-from winflow.cli import main, write_csv
-from winflow.scenarios import ScenarioError, canned_scenarios, parse_scenario_text
+from winflow.cli import _fmt, main, write_csv
+from winflow.scenarios import MAX_SLOTS, ScenarioError, canned_scenarios, parse_scenario_text
 from winflow.verify import run_all, run_report, suite_dual_oracle
 
 VBR_CURVE_INI = """
@@ -222,6 +222,7 @@ class TestScenarioParsing:
             ("d_ms", "1 inf"),
             ("horizon_ms", "nan"),
             ("horizon_ms", "2.5"),
+            ("horizon_ms", "1e12"),
             ("mmoo_p00", "nan"),
             ("mmoo_p00", "abc"),
             ("mmoo_peak_mbps", "inf"),
@@ -235,6 +236,35 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=rf"{key}:") as info:
             parse_scenario_text(text)
         assert info.value.key == key
+
+    @pytest.mark.parametrize(
+        "ini, old, new, key",
+        [
+            (VBR_CURVE_INI, "horizon_ms = 40", f"horizon_ms = {MAX_SLOTS + 1}", "horizon_ms"),
+            (VBR_CURVE_INI, "horizon_ms = 40", "horizon_ms = 1e308\nslot_ms = 0.5", "horizon_ms"),
+            (VBR_CURVE_INI, "d_ms = 1 2 5", f"d_ms = 1 {MAX_SLOTS + 1}", "d_ms"),
+            (SIM_INI, "total_slots = 5000", f"total_slots = {MAX_SLOTS + 1}", "total_slots"),
+            (
+                BACKLOG_INI,
+                "theta_points = 48",
+                f"theta_points = 48\nsimulate = true\nsim_slots = {MAX_SLOTS + 1}\nsim_warmup = 10",
+                "sim_slots",
+            ),
+        ],
+        ids=["horizon_ms", "horizon_ms-overflow", "d_ms", "total_slots", "sim_slots"],
+    )
+    def test_slot_counts_above_the_limit_name_the_key(self, ini, old, new, key):
+        text = ini.replace(old, new)
+        assert text != ini
+        with pytest.raises(ScenarioError, match=rf"{key}:") as info:
+            parse_scenario_text(text)
+        assert info.value.key == key
+
+    def test_slot_counts_at_the_limit_parse(self):
+        curve_ini = VBR_CURVE_INI.replace("horizon_ms = 40", f"horizon_ms = {MAX_SLOTS}")
+        sim_ini = SIM_INI.replace("total_slots = 5000", f"total_slots = {MAX_SLOTS}")
+        (curve,), (sim,) = parse_scenario_text(curve_ini), parse_scenario_text(sim_ini)
+        assert curve.horizon_slots == sim.total_slots == MAX_SLOTS
 
     @pytest.mark.parametrize("warmup", ["5000", "4999"])
     def test_simulate_warmup_must_leave_two_slots(self, warmup):
@@ -419,15 +449,61 @@ class TestReproduce:
         ]
 
 
+def _row_wise_fmt(value) -> str:
+    """The per-value formatting of the former row-wise writer."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if math.isnan(value):
+        return "nan"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return repr(value)
+
+
 class TestCsvWriter:
     def test_float_formatting_round_trips(self, tmp_path):
         path = str(tmp_path / "x.csv")
-        write_csv(path, ["a", "b"], [[0.1, float("inf")], [3, float("nan")]])
+        write_csv(path, ["a", "b"], [[0.1, 3], [float("inf"), float("nan")]])
         header, rows = read_csv(path)
         assert rows[0][0] == "0.1"
         assert rows[0][1] == "inf"
         assert rows[1][0] == "3"
         assert rows[1][1] == "nan"
+
+    @pytest.mark.parametrize("repeats", [1, 80])
+    def test_column_writer_matches_row_wise_formatting(self, tmp_path, repeats):
+        specials = [3, np.int64(-7), -0.0, 5e-324, 1e16, 0.1, math.nan, math.inf, -math.inf]
+        table = [
+            specials + ["text"],
+            np.array(specials[:-2] + [2.0**62, 1 / 3, -1e-300], dtype=float),
+            np.array(specials + [1 / 3], dtype=np.float32),
+            np.array([0, -1, 2**62, np.iinfo(np.int64).min] * 2 + [5, 6], dtype=np.int64),
+            np.arange(10, dtype=np.uint8),
+            np.array([True, False] * 5),
+            ["a", "b c", "", "true", "false", "nan", "x", "y", "z", "per-slot"],
+            [np.float64(v) for v in specials] + [np.float32(0.1)],
+        ]
+        # 10 rows, or 800 rows written in several blocks
+        columns = [np.tile(c, repeats) if isinstance(c, np.ndarray) else c * repeats for c in table]
+        header = [f"c{i}" for i in range(len(columns))]
+        path = str(tmp_path / "mixed.csv")
+        assert write_csv(path, header, columns) == path
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(v if isinstance(v, str) else _row_wise_fmt(v) for v in row) + "\n"
+            for row in zip(*columns)
+        )
+        with open(path, "rb") as handle:
+            assert handle.read() == expected.encode("utf-8")
+        assert all(_fmt(v) == _row_wise_fmt(v) for v in specials + [np.float32(0.1)])
+
+    def test_mismatched_columns_are_refused(self, tmp_path):
+        path = str(tmp_path / "bad.csv")
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            write_csv(path, ["a"], [[1], [2]])
+        assert not os.path.exists(path)
 
     def test_bound_result_serialization(self, tmp_path):
         from winflow.bounds import FeedbackParams, ThetaGrid, per_slot_curve, statistical_service_curve
@@ -447,6 +523,8 @@ class TestCsvWriter:
         assert len(rows) == 13
         assert rows[3][3] == "per-slot"
         assert rows[3][4] == "true"
+        assert [row[0] for row in rows] == [str(t) for t in range(13)]
+        assert [row[1] for row in rows] == [repr(v) for v in res.value.tolist()]
 
 
 class TestVerifySuite:
