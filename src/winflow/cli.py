@@ -7,7 +7,8 @@ only.  Identical config and seed produce byte-identical files: floats are
 written with shortest round-trip formatting and rows in deterministic order.
 The verbs work on whole columns: each one hands ``write_csv`` its columns,
 which formats a block of rows of a numeric array column in one pass, and the
-backlog verb bounds all epsilons of an arrival rate in one call.
+backlog verb bounds all epsilons of an arrival rate in one call (and, with
+simulation, reads all their quantiles from one set of runs).
 """
 
 from __future__ import annotations
@@ -226,13 +227,13 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
                 feedback=fb,
                 replications=sc.replications,
             )
-            post = (sc.total_slots - sc.warmup_slots) * sc.replications
-            sim_rows.append(
-                [
-                    backlog_quantile(config, eps) if eps * post >= 100.0 else math.nan
-                    for eps in sc.epsilons
-                ]
-            )
+            # the product order of backlog_quantile's guard, so that the
+            # two agree where eps * slots * replications rounds near 100
+            estimable = epsilons * (sc.total_slots - sc.warmup_slots) * sc.replications >= 100.0
+            row = np.full(len(epsilons), math.nan)
+            if estimable.any():
+                row[estimable] = backlog_quantile(config, epsilons[estimable])
+            sim_rows.append(row)
     lambdas = units.mb_per_slot_to_mbps(np.array(sc.lambdas_mb), sc.slot_ms)
     columns = [lambdas, *np.array(bound_rows).T]
     if sc.simulate:
@@ -261,14 +262,15 @@ def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
         columns = [k, run.backlog[k], run.queue[k]]
         paths.append(write_csv(run_path, ["slot", "backlog_mb", "queue_mb"], columns))
         tail = run.backlog[sc.warmup_slots + 1 :]
+        p99, p999 = np.quantile(tail, [0.99, 0.999]).tolist()
         summary.append(
             (
                 r,
                 units.mb_per_slot_to_mbps(run.throughput, sc.slot_ms),
                 float(np.mean(tail)),
                 float(np.max(tail)),
-                float(np.quantile(tail, 0.99)),
-                float(np.quantile(tail, 0.999)),
+                p99,
+                p999,
                 run.backlog_drift(),
             )
         )

@@ -294,7 +294,9 @@ class ExponentialVbrService(_IidModel):
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         # inverse CDF keeps the draw count per path exactly T
         u = rng.random((n, T))
-        return -self.mean_rate * np.log1p(-u)
+        np.log1p(np.negative(u, out=u), out=u)
+        u *= -self.mean_rate
+        return u
 
 
 ExponentialArrivals = ExponentialVbrService
@@ -359,6 +361,10 @@ class LeftoverService(_IidModel):
         return _decay_rate(self.mgf_increment(-theta), theta)
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
+        # a constant base draws nothing from rng: subtract from its rate
+        if isinstance(self.base, DeterministicService):
+            cross = self.cross.sample_increments(rng, T, n)
+            return np.subtract(float(self.base.rate), cross, out=cross)
         base = self.base.sample_increments(rng, T, n)
         cross = self.cross.sample_increments(rng, T, n)
         return base - cross
@@ -473,14 +479,13 @@ def _sample_two_state_chain(
     if n == 1 and T > 4096:
         return _sample_sojourns(rng, p00, p11, p_on, T)[None, :]
     states = np.empty((n, T), dtype=np.int8)
+    stay = np.array([p00, p11])
     x = (rng.random(n) < p_on).astype(np.int8)
     for k in range(T):
         states[:, k] = x
         if k == T - 1:
             break
-        u = rng.random(n)
-        stay = np.where(x == 1, p11, p00)
-        x = np.where(u < stay, x, 1 - x).astype(np.int8)
+        x ^= rng.random(n) >= stay[x]
     return states
 
 

@@ -24,8 +24,9 @@ ground truth for every analytic bound and for the simulator.  A batch
 evaluator vectorizes the dynamic program across many paths.
 
 Costs: the scalar program is O(span * d) Python float operations; the
-closure table is O(T^3) array work in three min-plus products and a
-Floyd-Warshall closure; the batch evaluator is t time-major row steps.
+closure table is O(T^3) array work in one min-plus product and a
+Floyd-Warshall closure, after an O(d T^2) operand built by shifted
+minima; the batch evaluator is t time-major row steps.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    BivariateFunction,
-    convolve,
-    make_delta_plus_w,
-    make_delta_shift,
-    subadditive_closure,
-)
+from .algebra import BivariateFunction, convolve, subadditive_closure
 from .bounds import FeedbackParams
 
 __all__ = [
@@ -102,9 +97,11 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
     cum = path.cumulative[s : t + 1].tolist()
     g = 0.0
     H = [cum[0]]  # H(j) = G(j) + cum(s + j)
-    for j in range(1, len(cum)):
-        g = min(g, w - cum[j] + min(H[max(0, j - d) : j]))
-        H.append(g + cum[j])
+    for j, c in enumerate(cum[1:], 1):
+        v = w - c + min(H[j - d : j] if j > d else H)
+        if v < g:
+            g = v
+        H.append(g + c)
     return cum[-1] - cum[0] + g
 
 
@@ -130,13 +127,22 @@ def equivalent_service_batch(
     d, w = params.d, params.w
     cum = np.zeros((t + 1, n))
     np.cumsum(inc[:, :t].T, axis=0, out=cum[1:])
-    h = np.zeros((t + 1, n))  # h[j] = g(j) + cum[j]
     g = np.zeros(n)
+    m = np.empty(n)
     # a NaN or an infinity anywhere in the first t slots reaches cum[t] + g
     with np.errstate(invalid="ignore"):
+        # row j holds w - cum[j] until step j turns it into g(j) + cum[j]
+        h = w - cum
+        h[0] = 0.0
         for j in range(1, t + 1):
-            np.minimum(g, w - cum[j] + h[max(0, j - d) : j].min(axis=0), out=g)
-            np.add(g, cum[j], out=h[j])
+            row = h[j]
+            if d == 1 or j == 1:
+                row += h[j - 1]
+            else:
+                np.min(h[max(0, j - d) : j], axis=0, out=m)
+                row += m
+            np.minimum(g, row, out=g)
+            np.add(g, cum[j], out=row)
         out = cum[t] + g
     if not np.isfinite(out).all():
         raise ValueError("increments must be finite")
@@ -151,7 +157,8 @@ def equivalent_service_closure(
     Builds the additive service table, forms the feedback operand
     S o delta_d o delta_plus_w, closes it, and convolves with S again.
     Independent of the dynamic-programming route.  Guarded to small
-    horizons; each convolution and the closure cost O(T^3).
+    horizons; the final convolution and the closure cost O(T^3), the
+    operand (``_feedback_operand``) O(d T^2).
     """
     T = path.horizon if horizon is None else horizon
     if T > _CLOSURE_HORIZON_GUARD:
@@ -161,11 +168,24 @@ def equivalent_service_closure(
     if T > path.horizon:
         raise ValueError("horizon exceeds path length")
     service = BivariateFunction.from_increments(path.increments[:T], check=False)
-    operand = convolve(
-        convolve(service, make_delta_shift(T, params.d)),
-        make_delta_plus_w(T, params.w),
-    )
+    operand = BivariateFunction(_feedback_operand(service.table, params), check=False)
     return convolve(subadditive_closure(operand), service)
+
+
+def _feedback_operand(table: np.ndarray, params: FeedbackParams) -> np.ndarray:
+    """Table of S o delta_d o delta_plus_w for the service table S.
+
+    (S o delta_d)(s, t) is the minimum of S(s, tau) over tau in
+    [max(s, t - d), t]: d shifted minima of the table, with the +inf lower
+    triangle masking tau < s.  Convolving with delta_plus_w adds w.  Min and
+    the one addition are exact, so the result equals the two general
+    products bit for bit at O(d T^2) cost.
+    """
+    operand = table.copy()
+    for k in range(1, min(params.d, table.shape[0] - 1) + 1):
+        np.minimum(operand[:, k:], table[:, :-k], out=operand[:, k:])
+    operand += params.w
+    return operand
 
 
 def apriori_envelope(

@@ -242,17 +242,21 @@ def empirical_equivalent_mgf(
     return mean, stderr
 
 
-def backlog_quantile(config: SimConfig, eps: float) -> float:
+def backlog_quantile(config: SimConfig, eps):
     """Empirical (1 - eps)-quantile of the total backlog.
 
-    Pools post-warmup slots across all replications.  Requires the expected
-    number of tail samples eps * slots * replications to be at least 100,
-    otherwise the estimate is statistically meaningless.
+    ``eps`` is a scalar (returns a float) or an array (returns an array of
+    its shape).  Pools post-warmup slots across all replications; each
+    replication runs once and every quantile is read from one partition of
+    the pool.  Requires the expected number of tail samples
+    eps * slots * replications to be at least 100 for every eps, otherwise
+    the estimate is statistically meaningless.
     """
-    if not 0.0 < eps < 1.0:
+    e = np.asarray(eps, dtype=float)
+    if not np.all((0.0 < e) & (e < 1.0)):
         raise ValueError("eps must lie strictly between 0 and 1")
     post = config.total_slots - config.warmup_slots
-    if eps * post * config.replications < 100.0:
+    if np.any(e * post * config.replications < 100.0):
         raise ValueError(
             "quantile not estimable: eps * post-warmup slots * replications < 100"
         )
@@ -260,6 +264,6 @@ def backlog_quantile(config: SimConfig, eps: float) -> float:
     for r in range(config.replications):
         run = run_flow_control(config, r)
         pool[r * post : (r + 1) * post] = run.backlog[config.warmup_slots + 1 :]
-    k = math.ceil((1.0 - eps) * len(pool))
-    k = min(max(k, 1), len(pool))
-    return float(np.partition(pool, k - 1)[k - 1])
+    k = np.clip(np.ceil((1.0 - e) * len(pool)).astype(np.int64), 1, len(pool)) - 1
+    pool = np.partition(pool, k.ravel())
+    return float(pool[k]) if e.ndim == 0 else pool[k]

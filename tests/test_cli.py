@@ -426,6 +426,20 @@ class TestBacklogCommand:
         sim = column(header, rows, "sim_eps1e-03_mb")
         assert np.all(sim <= bound)
 
+    def test_estimability_at_the_rounding_boundary_writes_nan(self, tmp_path):
+        # 1/3 * 100 * 3 rounds below 100 while 1/3 * 300 does not: the verb
+        # must decide with the simulator's own product, not raise from it
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            BACKLOG_INI.replace("lambda_mbps = 30 50 70", "lambda_mbps = 30")
+            .replace("epsilons = 1e-3 1e-9", "epsilons = 0.3333333333333333 0.5")
+            + "simulate = true\nsim_slots = 101\nsim_warmup = 1\nsim_replications = 3\n"
+        )
+        assert main(["backlog", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "backlog_backlog.csv")
+        assert np.isnan(column(header, rows, "sim_eps3e-01_mb")).all()
+        assert np.isfinite(column(header, rows, "sim_eps5e-01_mb")).all()
+
 
 class TestSimulateCommand:
     def test_saturated_run_summary(self, tmp_path):

@@ -397,6 +397,70 @@ class TestSojournSampler:
             assert rng.random() == rng_ref.random()
 
 
+def where_chain(rng, p00, p11, p_on, T, n):
+    """The batch two-state chain before its step went in place, a literal
+    copy: one np.where for the stay probability and one for the next state."""
+    states = np.empty((n, T), dtype=np.int8)
+    x = (rng.random(n) < p_on).astype(np.int8)
+    for k in range(T):
+        states[:, k] = x
+        if k == T - 1:
+            break
+        u = rng.random(n)
+        stay = np.where(x == 1, p11, p00)
+        x = np.where(u < stay, x, 1 - x).astype(np.int8)
+    return states
+
+
+SAMPLER_SHAPES = [(1, 1), (7, 3), (50, 1000), (4096, 2)]
+
+
+class TestSamplersBitIdenticalToPreviousExpressions:
+    """Samples and the generator's next draws equal the previous code."""
+
+    @pytest.mark.parametrize("T, n", SAMPLER_SHAPES)
+    def test_exponential(self, T, n):
+        rng, rng_ref = np.random.default_rng(T + n), np.random.default_rng(T + n)
+        expected = -0.7 * np.log1p(-rng_ref.random((n, T)))
+        assert np.array_equal(ExponentialVbrService(0.7).sample_increments(rng, T, n), expected)
+        assert np.array_equal(rng.random(5), rng_ref.random(5))
+
+    @pytest.mark.parametrize("T, n", SAMPLER_SHAPES)
+    def test_leftover_with_constant_base(self, T, n):
+        model = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.6))
+        rng, rng_ref = np.random.default_rng(T * n), np.random.default_rng(T * n)
+        expected = np.full((n, T), 1.0) - (-0.6 * np.log1p(-rng_ref.random((n, T))))
+        assert np.array_equal(model.sample_increments(rng, T, n), expected)
+        assert np.array_equal(rng.random(5), rng_ref.random(5))
+
+    def test_leftover_with_random_base(self):
+        model = LeftoverService(ExponentialVbrService(2.0), ExponentialArrivals(0.6))
+        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        base = model.base.sample_increments(rng_ref, 30, 4)
+        expected = base - model.cross.sample_increments(rng_ref, 30, 4)
+        assert np.array_equal(model.sample_increments(rng, 30, 4), expected)
+        assert np.array_equal(rng.random(5), rng_ref.random(5))
+
+    @pytest.mark.parametrize("p00, p11", [(0.2, 0.9), (0.5, 0.5), (0.0, 1.0), (1.0, 0.3)])
+    @pytest.mark.parametrize("T, n", SAMPLER_SHAPES)
+    def test_batch_two_state_chain(self, p00, p11, T, n):
+        from winflow.models import _sample_two_state_chain
+
+        rng, rng_ref = np.random.default_rng([T, n]), np.random.default_rng([T, n])
+        expected = where_chain(rng_ref, p00, p11, 0.4, T, n)
+        states = _sample_two_state_chain(rng, p00, p11, 0.4, T, n)
+        assert states.dtype == expected.dtype
+        assert np.array_equal(states, expected)
+        assert np.array_equal(rng.random(5), rng_ref.random(5))
+
+    def test_on_off_batch(self):
+        rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        states = where_chain(rng_ref, MMOO.p00, MMOO.p11, MMOO.on_probability, 50, 1000)
+        expected = np.where(states == 1, 1.125, 0.0)
+        assert np.array_equal(MMOO.sample_increments(rng, 50, 1000), expected)
+        assert np.array_equal(rng.random(5), rng_ref.random(5))
+
+
 class TestErlangQuantile:
     SHAPES = np.array([1, 2, 5, 20, 80, 1000, 10_000])
 

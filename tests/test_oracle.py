@@ -12,6 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from winflow.algebra import (
+    BivariateFunction,
+    convolve,
+    make_delta_plus_w,
+    make_delta_shift,
+    subadditive_closure,
+)
 from winflow.bounds import FeedbackParams
 from winflow.models import (
     DeterministicService,
@@ -26,6 +33,7 @@ from winflow.oracle import (
     equivalent_service_batch,
     equivalent_service_closure,
     equivalent_service_dp,
+    _feedback_operand,
 )
 from winflow.verify import random_feedback_instance
 
@@ -68,6 +76,50 @@ def numpy_scalar_dp(path, params, s, t):
         G[j] = g
         H[j] = g + cum[s + j]
     return float(cum[t] - cum[s] + G[span])
+
+
+def time_major_batch(increments, params, t):
+    """The time-major batch step before the window minimum went in place,
+    a literal copy: one (w - cum[j]) + min temporary per slot."""
+    inc = np.asarray(increments, dtype=float)
+    n = inc.shape[0]
+    if t == 0:
+        return np.zeros(n)
+    d, w = params.d, params.w
+    cum = np.zeros((t + 1, n))
+    np.cumsum(inc[:, :t].T, axis=0, out=cum[1:])
+    h = np.zeros((t + 1, n))
+    g = np.zeros(n)
+    for j in range(1, t + 1):
+        np.minimum(g, w - cum[j] + h[max(0, j - d) : j].min(axis=0), out=g)
+        np.add(g, cum[j], out=h[j])
+    return cum[t] + g
+
+
+def list_scalar_dp(path, params, s, t):
+    """The list-based scalar program before its step was trimmed, a literal
+    copy: min() of the running cost and a max()-clamped window slice."""
+    if t == s:
+        return 0.0
+    d, w = params.d, params.w
+    cum = path.cumulative[s : t + 1].tolist()
+    g = 0.0
+    H = [cum[0]]
+    for j in range(1, len(cum)):
+        g = min(g, w - cum[j] + min(H[max(0, j - d) : j]))
+        H.append(g + cum[j])
+    return cum[-1] - cum[0] + g
+
+
+def closure_by_products(path, params):
+    """The closure route with its feedback operand built by two general
+    min-plus products, as before the operand was formed directly."""
+    T = path.horizon
+    service = BivariateFunction.from_increments(path.increments, check=False)
+    operand = convolve(
+        convolve(service, make_delta_shift(T, params.d)), make_delta_plus_w(T, params.w)
+    )
+    return convolve(subadditive_closure(operand), service)
 
 
 PATH_FAMILIES = {
@@ -230,6 +282,49 @@ class TestDualOracle:
         table = equivalent_service_closure(path, FeedbackParams(w=0.5, d=1), horizon=10)
         assert table.horizon == 10
         assert table.value(0, 10) == pytest.approx(5.0)  # min(1, 0.5) per slot
+
+
+class TestBitIdentityToPreviousSteps:
+    """The trimmed oracle steps reproduce the previous expressions bit for bit."""
+
+    # d = 64 exceeds every horizon drawn here
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    def test_direct_operand_equals_two_products(self, d):
+        rng = np.random.default_rng(2024)
+        signed = 0
+        for _ in range(40):
+            path, fb = random_feedback_instance(rng, max_horizon=40)
+            T = path.horizon
+            fb = FeedbackParams(w=fb.w, d=d)
+            signed += path.increments.min() < 0.0
+            S = BivariateFunction.from_increments(path.increments, check=False)
+            expected = convolve(convolve(S, make_delta_shift(T, fb.d)), make_delta_plus_w(T, fb.w))
+            assert np.array_equal(_feedback_operand(S.table, fb), expected.table)
+            assert equivalent_service_closure(path, fb).equals(closure_by_products(path, fb))
+        assert signed > 0
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 5, 60])
+    def test_batch_equals_previous_step(self, family, d):
+        rng = np.random.default_rng([d, 7, len(family)])
+        paths = PATH_FAMILIES[family].sample_increments(rng, 50, 300)
+        for w in (0.05 * d, 0.9 * d):
+            fb = FeedbackParams(w=w, d=d)
+            for t in (0, 1, 10, 50):
+                assert np.array_equal(
+                    equivalent_service_batch(paths, fb, t), time_major_batch(paths, fb, t)
+                )
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    def test_dp_equals_previous_step(self, family):
+        rng = np.random.default_rng([11, len(family)])
+        path = SamplePath(PATH_FAMILIES[family].sample_increments(rng, 50, 1)[0])
+        for d in (1, 2, 5, 60):
+            fb = FeedbackParams(w=float(rng.uniform(0.05, 1.5)) * d, d=d)
+            for s in (0, 1, 10, 50):
+                for t in (0, 1, 10, 50):
+                    if s <= t:
+                        assert equivalent_service_dp(path, fb, s, t) == list_scalar_dp(path, fb, s, t)
 
 
 class TestStructure:

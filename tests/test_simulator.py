@@ -6,6 +6,8 @@ hand-computed deterministic traces, and against the dioid guarantee that
 departures dominate arrivals convolved with the exact equivalent service.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,37 @@ class TestBacklogQuantile:
         assert run.backlog_quantile(1e-3) == backlog_quantile(config, 1e-3)
         with pytest.raises(ValueError):
             run.backlog_quantile(0.0)
+
+    def test_pooled_quantiles_equal_scalar_calls(self, monkeypatch):
+        import winflow.simulator as simulator
+
+        config = small_config(
+            arrivals=ExponentialArrivals(0.3),
+            service=MmooService(p00=0.2, p11=0.9, peak=1.125),
+            feedback=FeedbackParams(w=0.5, d=3),
+            total_slots=40_000,
+            replications=3,
+        )
+        eps = np.array([0.37, 1e-2, 1.3e-3, 1e-2])
+        scalar = [backlog_quantile(config, float(e)) for e in eps]
+        pool = np.sort(
+            np.concatenate([run_flow_control(config, r).backlog[101:] for r in range(3)])
+        )
+        assert scalar == [pool[math.ceil((1.0 - e) * len(pool)) - 1] for e in eps]
+        calls = []
+        monkeypatch.setattr(
+            simulator, "run_flow_control", lambda *a: calls.append(a) or run_flow_control(*a)
+        )
+        pooled = backlog_quantile(config, eps)
+        assert len(calls) == config.replications
+        assert isinstance(scalar[0], float)
+        assert pooled.shape == eps.shape
+        assert np.array_equal(pooled, scalar)
+        assert np.array_equal(backlog_quantile(config, eps.reshape(2, 2)), pooled.reshape(2, 2))
+        with pytest.raises(ValueError, match="estimable"):
+            backlog_quantile(config, np.array([1e-2, 1e-6]))
+        with pytest.raises(ValueError, match="between"):
+            backlog_quantile(config, np.array([1e-2, 1.0]))
 
     def test_zero_arrivals_give_zero_backlog(self):
         config = small_config(
