@@ -40,7 +40,6 @@ from .models import (
     MmooService,
     erlang_quantile,
     leftover_two_state,
-    mmoo_as_two_state,
 )
 from .oracle import (
     SamplePath,

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .models import MarkovModulated2Service, MmooService, _decay_rate, _positive_theta
+from .models import DeterministicService, MarkovModulated2Service, MmooService, _decay_rate, _positive_theta
 
 INF = float("inf")
 
@@ -311,7 +311,13 @@ def block_curve(model, params: FeedbackParams) -> LogMgfCurve:
     slot_mgf = model.eigen_m_plus if markov else model.mgf_increment
 
     def coefficients(theta):
-        return _log(slot_mgf(-theta) ** d + d * np.exp(-theta * w)), 0.0
+        log_rate = _log(slot_mgf(-theta) ** d + d * np.exp(-theta * w))
+        # where both terms underflow, add them in the log domain instead
+        lost = np.isneginf(log_rate)
+        if lost.any():
+            log_m = -theta * model.effective_capacity(theta)  # log M(-theta)
+            log_rate = np.where(lost, np.logaddexp(d * log_m, math.log(d) - theta * w), log_rate)
+        return log_rate, 0.0
 
     family = "block-markov" if markov else "block-iid"
     return LogMgfCurve(family, d, coefficients, model.nonnegative)
@@ -424,8 +430,10 @@ def effcap_lower_blocks(model, params: FeedbackParams, theta):
     ok = gamma > -INF
     arg = theta * (params.d * np.where(ok, gamma, 0.0) - params.w)
     with np.errstate(over="ignore"):
-        penalty = np.log1p(params.d * np.exp(arg)) / (params.d * theta)
-    return np.where(ok, gamma - penalty, -INF)[()]
+        log_term = np.log1p(params.d * np.exp(arg))
+    # where d e^arg overflows, log(1 + d e^arg) = logaddexp(0, arg + log d)
+    log_term = np.where(np.isfinite(log_term), log_term, np.logaddexp(0.0, arg + math.log(params.d)))
+    return np.where(ok, gamma - log_term / (params.d * theta), -INF)[()]
 
 
 def effcap_apriori(model, params: FeedbackParams, theta) -> tuple:
@@ -442,6 +450,9 @@ def effcap_apriori(model, params: FeedbackParams, theta) -> tuple:
         lower = _peak_capped(model, cap).effective_capacity(theta)
     else:
         lower = _decay_rate(model.censored_mgf(-theta, cap), theta)
+    if isinstance(model, DeterministicService):
+        # e^{-theta min(rate, cap)} underflows at large theta; the rate does not
+        lower = np.where(np.isfinite(lower), lower, upper)[()]
     return lower, upper
 
 

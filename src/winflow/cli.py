@@ -42,8 +42,8 @@ from .models import (
     ExponentialVbrService,
     erlang_quantile,
 )
-from .scenarios import Scenario, canned_scenarios, load_scenarios
-from .simulator import SimConfig, backlog_quantile, run_flow_control
+from .scenarios import CANNED, Scenario, canned_scenarios, load_scenarios
+from .simulator import SimConfig, backlog_quantile, quantile_estimable, run_flow_control
 
 __all__ = ["main"]
 
@@ -94,20 +94,16 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> 
     return path
 
 
-def write_bound_result_csv(path: str, result) -> str:
-    """Serialize one BoundResult curve: t_or_theta, value, theta_opt, family, feasible."""
-    columns = [
-        result.x,
-        result.value,
-        result.theta_opt,
-        [result.family] * len(result.x),
-        ["true" if flag else "false" for flag in result.feasible],
-    ]
-    return write_csv(path, ["t_or_theta", "value", "theta_opt", "family", "feasible"], columns)
-
-
 def _grid(sc: Scenario) -> ThetaGrid:
     return ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
+
+
+def _sim_config(sc: Scenario, arrivals) -> SimConfig:
+    return SimConfig(
+        seed=sc.seed, total_slots=sc.total_slots, warmup_slots=sc.warmup_slots, arrivals=arrivals,
+        service=sc.service, feedback=FeedbackParams(w=sc.w_mb[0], d=sc.d_slots[0]),
+        replications=sc.replications,
+    )
 
 
 def _curve_family(model, fb: FeedbackParams):
@@ -218,18 +214,8 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
         arrivals = ExponentialArrivals(lam)
         bound_rows.append(steady_state_backlog_bound(arrivals, curve, epsilons, grid))
         if sc.simulate:
-            config = SimConfig(
-                seed=sc.seed,
-                total_slots=sc.total_slots,
-                warmup_slots=sc.warmup_slots,
-                arrivals=arrivals,
-                service=model,
-                feedback=fb,
-                replications=sc.replications,
-            )
-            # the product order of backlog_quantile's guard, so that the
-            # two agree where eps * slots * replications rounds near 100
-            estimable = epsilons * (sc.total_slots - sc.warmup_slots) * sc.replications >= 100.0
+            config = _sim_config(sc, arrivals)
+            estimable = quantile_estimable(config, epsilons)
             row = np.full(len(epsilons), math.nan)
             if estimable.any():
                 row[estimable] = backlog_quantile(config, epsilons[estimable])
@@ -243,16 +229,7 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
 
 
 def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
-    fb = FeedbackParams(w=sc.w_mb[0], d=sc.d_slots[0])
-    config = SimConfig(
-        seed=sc.seed,
-        total_slots=sc.total_slots,
-        warmup_slots=sc.warmup_slots,
-        arrivals=sc.arrivals,
-        service=sc.service,
-        feedback=fb,
-        replications=sc.replications,
-    )
+    config = _sim_config(sc, sc.arrivals)
     paths = []
     summary = []
     for r in range(sc.replications):
@@ -261,7 +238,7 @@ def cmd_simulate(sc: Scenario, out_dir: str) -> List[str]:
         run_path = os.path.join(out_dir, f"{sc.name}_run{r}.csv")
         columns = [k, run.backlog[k], run.queue[k]]
         paths.append(write_csv(run_path, ["slot", "backlog_mb", "queue_mb"], columns))
-        tail = run.backlog[sc.warmup_slots + 1 :]
+        tail = run.tail
         p99, p999 = np.quantile(tail, [0.99, 0.999]).tolist()
         summary.append(
             (
@@ -301,20 +278,6 @@ _COMMANDS = {
 }
 
 
-def _run_scenarios(scenarios: List[Scenario], kind: str, out_dir: str) -> List[str]:
-    selected = [sc for sc in scenarios if sc.kind == kind]
-    if not selected:
-        raise SystemExit(f"no scenarios of kind {kind!r} in the config")
-    runner = _COMMANDS[kind]
-    return [path for sc in selected for path in runner(sc, out_dir)]
-
-
-def _apply_seed_override(scenarios: List[Scenario], seed) -> None:
-    if seed is not None:
-        for sc in scenarios:
-            sc.seed = int(seed)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="winflow",
@@ -332,7 +295,7 @@ def main(argv=None) -> int:
     for verb in _COMMANDS:
         add_common(sub.add_parser(verb, help=f"run {verb} scenarios"))
     rep = sub.add_parser("reproduce", help="run a canned parameter study")
-    rep.add_argument("figure", choices=["fig4", "fig5", "fig6", "fig7", "fig8"])
+    rep.add_argument("figure", choices=list(CANNED))
     add_common(rep, needs_config=False)
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--fast", action="store_true", help="smaller sample sizes")
@@ -349,19 +312,15 @@ def main(argv=None) -> int:
 
     if args.verb == "reproduce":
         scenarios = canned_scenarios(args.figure)
-        _apply_seed_override(scenarios, args.seed)
-        produced = []
-        for sc in scenarios:
-            produced.extend(_COMMANDS[sc.kind](sc, args.out))
-        for path in produced:
+    else:
+        scenarios = [sc for sc in load_scenarios(args.config) if sc.kind == args.verb]
+        if not scenarios:
+            raise SystemExit(f"no scenarios of kind {args.verb!r} in the config")
+    for sc in scenarios:
+        if args.seed is not None:
+            sc.seed = args.seed
+        for path in _COMMANDS[sc.kind](sc, args.out):
             print(path)
-        return 0
-
-    scenarios = load_scenarios(args.config)
-    _apply_seed_override(scenarios, args.seed)
-    produced = _run_scenarios(scenarios, args.verb, args.out)
-    for path in produced:
-        print(path)
     return 0
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "MmooService",
     "MarkovModulated2Service",
     "leftover_two_state",
-    "mmoo_as_two_state",
     "erlang_quantile",
     "regularized_lower_gamma",
 ]
@@ -628,7 +627,3 @@ def leftover_two_state(base_rate: float, cross: MarkovModulated2Service) -> Mark
         law1=LeftoverService(base, cross.law1),
     )
 
-
-def mmoo_as_two_state(m: MmooService) -> MarkovModulated2Service:
-    """On-Off model as a plain ``MarkovModulated2Service`` with the same fields."""
-    return MarkovModulated2Service(m.p00, m.p11, m.law0, m.law1)

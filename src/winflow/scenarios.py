@@ -308,107 +308,49 @@ def load_scenarios(path: str) -> List[Scenario]:
 # canned parameter studies reproducing the standard evaluation figures
 # ---------------------------------------------------------------------------
 
-_VBR_SERVICE = """
-service = exponential
-service_rate_mbps = 1000
-"""
-
-_MMOO_SERVICE = """
-service = mmoo
-mmoo_p00 = 0.2
-mmoo_p11 = 0.9
-mmoo_peak_mbps = 1125
-"""
-
-CANNED: Dict[str, str] = {
-    "fig4": f"""
-[fig4a-vbr-curves-100]
-kind = service-curve
-seed = 20211
-{_VBR_SERVICE}
-w_over_d_mbps = 100
-d_ms = 1 2 5 10
-epsilon = 1e-6
-horizon_ms = 100
-
-[fig4b-vbr-curves-500]
-kind = service-curve
-seed = 20212
-{_VBR_SERVICE}
-w_over_d_mbps = 500
-d_ms = 1 2 5 10
-epsilon = 1e-6
-horizon_ms = 100
-""",
-    "fig5": f"""
-[fig5a-vbr-effcap-100]
-kind = effective-capacity
-seed = 20213
-{_VBR_SERVICE}
-w_over_d_mbps = 100
-d_ms = 1 2 5 10
-
-[fig5b-vbr-effcap-500]
-kind = effective-capacity
-seed = 20214
-{_VBR_SERVICE}
-w_over_d_mbps = 500
-d_ms = 1 2 5 10
-""",
-    "fig6": f"""
-[fig6a-mmoo-curves-100]
-kind = service-curve
-seed = 20215
-{_MMOO_SERVICE}
-w_over_d_mbps = 100
-d_ms = 1 2 5 10
-epsilon = 1e-6
-horizon_ms = 100
-
-[fig6b-mmoo-curves-500]
-kind = service-curve
-seed = 20216
-{_MMOO_SERVICE}
-w_over_d_mbps = 500
-d_ms = 1 2 5 10
-epsilon = 1e-6
-horizon_ms = 100
-""",
-    "fig7": f"""
-[fig7a-mmoo-effcap-100]
-kind = effective-capacity
-seed = 20217
-{_MMOO_SERVICE}
-w_over_d_mbps = 100
-d_ms = 1 2 5 10
-
-[fig7b-mmoo-effcap-500]
-kind = effective-capacity
-seed = 20218
-{_MMOO_SERVICE}
-w_over_d_mbps = 500
-d_ms = 1 2 5 10
-""",
-    "fig8": f"""
-[fig8a-vbr-backlog-100]
-kind = backlog
-seed = 20219
-{_VBR_SERVICE}
-d_ms = 1
-w_mb = 0.1
-lambda_mbps = 10 20 30 40 50 60 70 80 85 90 92 94
-epsilons = 1e-3 1e-6 1e-9
-
-[fig8b-vbr-backlog-500]
-kind = backlog
-seed = 20220
-{_VBR_SERVICE}
-d_ms = 1
-w_mb = 0.5
-lambda_mbps = 50 100 150 200 250 300 330 360 380 390
-epsilons = 1e-3 1e-6 1e-9
-""",
+_SERVERS = {
+    "vbr": "service = exponential\nservice_rate_mbps = 1000",
+    "mmoo": "service = mmoo\nmmoo_p00 = 0.2\nmmoo_p11 = 0.9\nmmoo_peak_mbps = 1125",
 }
+
+# study: (kind, keys shared by every panel)
+_STUDIES = {
+    "curves": ("service-curve", "d_ms = 1 2 5 10\nepsilon = 1e-6\nhorizon_ms = 100"),
+    "effcap": ("effective-capacity", "d_ms = 1 2 5 10"),
+    "backlog": ("backlog", "d_ms = 1\nepsilons = 1e-3 1e-6 1e-9"),
+}
+
+_W_OVER_D = ("w_over_d_mbps = 100", "w_over_d_mbps = 500")
+
+# figure: (server, study, keys of panel a at w/d = 100 Mbps and of panel b
+# at 500 Mbps); panel p of the figure with index i has seed 20211 + 2 i + p
+_FIGURES = {
+    "fig4": ("vbr", "curves", _W_OVER_D),
+    "fig5": ("vbr", "effcap", _W_OVER_D),
+    "fig6": ("mmoo", "curves", _W_OVER_D),
+    "fig7": ("mmoo", "effcap", _W_OVER_D),
+    "fig8": (
+        "vbr",
+        "backlog",
+        (
+            "w_mb = 0.1\nlambda_mbps = 10 20 30 40 50 60 70 80 85 90 92 94",
+            "w_mb = 0.5\nlambda_mbps = 50 100 150 200 250 300 330 360 380 390",
+        ),
+    ),
+}
+
+
+def _canned_text(index: int, figure: str) -> str:
+    server, study, panels = _FIGURES[figure]
+    kind, shared = _STUDIES[study]
+    return "".join(
+        f"\n[{figure}{'ab'[p]}-{server}-{study}-{ratio}]\nkind = {kind}\n"
+        f"seed = {20211 + 2 * index + p}\n{_SERVERS[server]}\n{shared}\n{keys}\n"
+        for p, (ratio, keys) in enumerate(zip((100, 500), panels))
+    )
+
+
+CANNED: Dict[str, str] = {figure: _canned_text(i, figure) for i, figure in enumerate(_FIGURES)}
 
 
 def canned_scenarios(figure: str) -> List[Scenario]:

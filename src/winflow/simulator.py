@@ -29,13 +29,17 @@ d = 1 one scan is Lindley's recursion.  Negative capacity increments
 signed sums separately.
 
 All runs are deterministic functions of the configured seed.  Replications
-use disjoint child seed streams and may execute concurrently.
+use disjoint child seed streams and may execute concurrently.  A run keeps
+the per-slot total backlog and network queue, from which D and A' follow.
+``backlog_quantile`` pools the post-warmup tails of all replications, and
+``quantile_estimable`` is the one statement of the tail-sample floor that
+such a quantile needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
     "run_flow_control",
     "empirical_equivalent_mgf",
     "backlog_quantile",
+    "quantile_estimable",
 ]
 
 INF = float("inf")
@@ -84,23 +89,21 @@ class SimRun:
 
     ``backlog`` is the per-slot total backlog B(t) = A(0,t) - D(0,t) and
     ``queue`` the per-slot network backlog q(t) = A'(0,t) - D(0,t), both of
-    length total_slots + 1.  Cumulative A, A' and D are sampled at
-    ``checkpoints``.
+    length total_slots + 1; D = A - backlog and A' = D + queue.
+    ``checkpoints`` are the slots that the run files sample, and
+    ``throughput`` is D(0, T) / T.
     """
 
     config: SimConfig
-    replication: int
     backlog: np.ndarray
     queue: np.ndarray
     checkpoints: np.ndarray
-    arrivals_cum: np.ndarray
-    admitted_cum: np.ndarray
-    departures_cum: np.ndarray
-    throughput: float = field(init=False)
+    throughput: float
 
-    def __post_init__(self):
-        T = self.config.total_slots
-        self.throughput = float(self.departures_cum[-1]) / T
+    @property
+    def tail(self) -> np.ndarray:
+        """The post-warmup backlog B(t), t = warmup_slots + 1 .. total_slots."""
+        return self.backlog[self.config.warmup_slots + 1 :]
 
     def backlog_drift(self) -> float:
         """Mean post-warmup backlog of the second half over the first half.
@@ -108,21 +111,13 @@ class SimRun:
         Ratios well above one signal a queue that is still growing, i.e. an
         unstable operating point.
         """
-        tail = self.backlog[self.config.warmup_slots + 1 :]
+        tail = self.tail
         half = len(tail) // 2
         first = float(np.mean(tail[:half]))
         second = float(np.mean(tail[half:]))
         if first <= 0.0:
             return INF if second > 0.0 else 1.0
         return second / first
-
-    def backlog_quantile(self, eps: float) -> float:
-        """Post-warmup (1 - eps)-quantile of this single replication."""
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie strictly between 0 and 1")
-        tail = self.backlog[self.config.warmup_slots + 1 :]
-        k = min(max(math.ceil((1.0 - eps) * len(tail)), 1), len(tail))
-        return float(np.partition(tail, k - 1)[k - 1])
 
 
 def _replication_rngs(seed: int, replication: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -201,16 +196,7 @@ def run_flow_control(config: SimConfig, replication: int = 0) -> SimRun:
     queue = admitted - departed
     step = max(1, T // (_CHECKPOINTS - 1))
     checkpoints = np.unique(np.concatenate((np.arange(0, T + 1, step), [T])))
-    return SimRun(
-        config=config,
-        replication=replication,
-        backlog=backlog,
-        queue=queue,
-        checkpoints=checkpoints,
-        arrivals_cum=arrivals_cum[checkpoints],
-        admitted_cum=admitted[checkpoints],
-        departures_cum=departed[checkpoints],
-    )
+    return SimRun(config, backlog, queue, checkpoints, float(departed[-1]) / T)
 
 
 def empirical_equivalent_mgf(
@@ -242,28 +228,34 @@ def empirical_equivalent_mgf(
     return mean, stderr
 
 
+def quantile_estimable(config: SimConfig, eps) -> np.ndarray:
+    """Whether the (1 - eps)-quantile of the pooled post-warmup backlog has
+    at least 100 expected tail samples, eps * post-warmup slots *
+    replications >= 100; one flag per eps.  Below that the estimate is
+    statistically meaningless."""
+    post = config.total_slots - config.warmup_slots
+    return np.asarray(eps, dtype=float) * post * config.replications >= 100.0
+
+
 def backlog_quantile(config: SimConfig, eps):
     """Empirical (1 - eps)-quantile of the total backlog.
 
     ``eps`` is a scalar (returns a float) or an array (returns an array of
     its shape).  Pools post-warmup slots across all replications; each
     replication runs once and every quantile is read from one partition of
-    the pool.  Requires the expected number of tail samples
-    eps * slots * replications to be at least 100 for every eps, otherwise
-    the estimate is statistically meaningless.
+    the pool.  Every eps must pass ``quantile_estimable``.
     """
     e = np.asarray(eps, dtype=float)
     if not np.all((0.0 < e) & (e < 1.0)):
         raise ValueError("eps must lie strictly between 0 and 1")
-    post = config.total_slots - config.warmup_slots
-    if np.any(e * post * config.replications < 100.0):
+    if not np.all(quantile_estimable(config, e)):
         raise ValueError(
             "quantile not estimable: eps * post-warmup slots * replications < 100"
         )
+    post = config.total_slots - config.warmup_slots
     pool = np.empty(post * config.replications)
     for r in range(config.replications):
-        run = run_flow_control(config, r)
-        pool[r * post : (r + 1) * post] = run.backlog[config.warmup_slots + 1 :]
+        pool[r * post : (r + 1) * post] = run_flow_control(config, r).tail
     k = np.clip(np.ceil((1.0 - e) * len(pool)).astype(np.int64), 1, len(pool)) - 1
     pool = np.partition(pool, k.ravel())
     return float(pool[k]) if e.ndim == 0 else pool[k]

@@ -6,21 +6,12 @@ identity criteria state their tolerances inline.  Sample batches are shared
 across criteria through module-scoped fixtures.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from winflow.algebra import (
-    BivariateFunction,
-    convolve,
-    make_delta,
-    make_delta_plus_w,
-    pointwise_min,
-    subadditive_closure,
-)
 from winflow.bounds import (
     FeedbackParams,
     ThetaGrid,
@@ -48,7 +39,7 @@ from winflow.oracle import (
 )
 from winflow.simulator import SimConfig, backlog_quantile, run_flow_control
 from winflow import units
-from winflow.verify import enumerate_grouped_mgf, random_feedback_instance
+from winflow.verify import random_feedback_instance, suite_dioid_laws, suite_markov_structure
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -275,74 +266,22 @@ def test_09_backlog_dominance_and_saturation():
 
 def test_10_markov_structure():
     started = time.perf_counter()
-    # correlation monotonicity: widening any gap of a 3-point ON pattern
-    # within [0, 8] cannot raise its probability
-    for times in itertools.combinations(range(9), 3):
-        base = MMOO.on_sequence_probability(times)
-        for i in (1, 2):
-            widened = list(times)
-            widened[i:] = [x + 1 for x in widened[i:]]
-            assert MMOO.on_sequence_probability(widened) <= base + 1e-15
-    # grouped increments never beat a contiguous block, both theta signs,
-    # all index sets of size <= 3 inside [0, 6], by exhaustive enumeration
-    for theta in (0.8, -0.8):
-        for size in (1, 2, 3):
-            for taus in itertools.combinations(range(7), size):
-                exact = enumerate_grouped_mgf(MMOO, theta, taus)
-                assert exact <= MMOO.mgf_path(theta, size) + 1e-12
-    # spectral sandwich, dominant-term lower bound, supermultiplicativity
-    for theta in (-2.0, -0.5, -0.1, 0.1, 0.5, 2.0):
-        m_plus = MMOO.eigen_m_plus(theta)
-        mc = MMOO.mgf_increment(theta)
-        K = MMOO.k_theta(theta)
-        assert 0.0 < K < 1.0
-        for t in range(1, 17):
-            ms = MMOO.mgf_path(theta, t)
-            assert mc**t <= ms * (1 + 1e-12)
-            assert ms <= m_plus**t * (1 + 1e-12)
-            assert ms >= K * m_plus**t * (1 - 1e-12)
-        for s in range(0, 13):
-            for t in range(0, 13):
-                assert MMOO.mgf_path(theta, s) * MMOO.mgf_path(theta, t) <= MMOO.mgf_path(
-                    theta, s + t
-                ) * (1 + 1e-12)
+    # correlation monotonicity of 3-point ON patterns in [0, 8]; grouped
+    # increments of every index set of size <= 3 in [0, 6] against a
+    # contiguous block, both theta signs, by exhaustive enumeration; the
+    # spectral sandwich and dominant-term bound for t <= 16; and
+    # supermultiplicativity for every s, t in 0..12
+    result = suite_markov_structure()
+    assert result.passed, result.notes
+    assert result.checks == 168 + 2 * (7 + 21 + 35) + 6 * (2 * 16 + 13 * 13 + 1)
     report(10, "chain correlation and spectral structure", started, 30.0)
 
 
 def test_11_dioid_law_suite():
     started = time.perf_counter()
-    rng = np.random.default_rng(77)
-
-    def random_dyadic(T):
-        n = T + 1
-        table = np.full((n, n), np.inf)
-        for s in range(n):
-            start = rng.integers(0, 40) * 0.125
-            steps = rng.integers(0, 24, size=n - s - 1) * 0.125
-            row = start + np.concatenate(([0.0], np.cumsum(steps)))
-            if rng.random() < 0.15 and len(row) > 1:
-                row[rng.integers(1, len(row)) :] = np.inf
-            table[s, s:] = row
-        return BivariateFunction(table)
-
-    for _ in range(1000):
-        T = int(rng.integers(1, 9))
-        f, g, h = (random_dyadic(T) for _ in range(3))
-        delta = make_delta(T)
-        assert convolve(delta, f).equals(f)
-        assert convolve(f, delta).equals(f)
-        assert convolve(convolve(f, g), h).equals(convolve(f, convolve(g, h)))
-        assert convolve(f, pointwise_min(g, h)).equals(
-            pointwise_min(convolve(f, g), convolve(f, h))
-        )
-        w = float(rng.integers(1, 24)) * 0.125
-        dw = make_delta_plus_w(T, w)
-        assert convolve(f, dw).equals(convolve(dw, f))
-        causal_table = np.array(f.table)
-        np.fill_diagonal(causal_table, 0.0)
-        closure = subadditive_closure(BivariateFunction(causal_table)).table
-        for s in range(T + 1):
-            for tau in range(s, T + 1):
-                for t in range(tau, T + 1):
-                    assert closure[s, t] <= closure[s, tau] + closure[tau, t]
+    # neutrality, associativity, distributivity, offset commutation, closure
+    # subadditivity and family preservation on 1000 dyadic instances
+    result = suite_dioid_laws(77, instances=1000)
+    assert result.passed, result.notes
+    assert result.checks == 1000 * 10 + 1
     report(11, "dioid law suite, 1000 randomized instances", started, 30.0)

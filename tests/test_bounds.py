@@ -36,7 +36,7 @@ from winflow.models import (
     LeftoverService,
     MmooService,
 )
-from winflow.oracle import equivalent_service_batch
+from winflow.oracle import SamplePath, equivalent_service_batch, equivalent_service_dp
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -413,6 +413,36 @@ class TestEffectiveCapacityBounds:
         res = best_effcap_lower(general, FeedbackParams(w=0.5, d=2), GRID)
         assert np.any(np.isfinite(res.value))
         assert set(res.provenance) <= {"blocks", "none"}
+
+
+class TestDeterministicServerAtLargeTheta:
+    """A constant server's e^{-theta c} leaves the float range at the top of
+    the theta grid; its bounds stay finite there."""
+
+    def test_apriori_lower_is_the_rate_cap_on_the_whole_grid(self):
+        lo, hi = effcap_apriori(DeterministicService(1.0), FeedbackParams(w=1.0, d=1), GRID.values)
+        assert GRID.values[-1] == 1e3
+        assert np.allclose(lo, 1.0, rtol=1e-9, atol=0.0)
+        assert np.array_equal(hi, np.ones(len(GRID.values)))
+
+    def test_blocks_lower_is_finite_on_the_grid(self):
+        server, fb = DeterministicService(1.0), FeedbackParams(w=1.0, d=10)
+        assert np.all(np.isfinite(effcap_lower_blocks(server, fb, GRID.values)))
+        # gamma - log(1 + d e^{theta (d gamma - w)}) / (d theta), with
+        # d e^900 beyond the float range
+        expected = 1.0 - (900.0 + math.log(10.0)) / 1000.0
+        assert effcap_lower_blocks(server, fb, 100.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_envelope_below_exact_equivalent_service(self, d):
+        # 1000 Mbps server at w/d = 500 Mbps
+        server, fb = DeterministicService(1.0), FeedbackParams(w=0.5 * d, d=d)
+        family = per_slot_curve(server, fb) if d == 1 else block_curve(server, fb)
+        assert np.all(np.isfinite(family.log_value(GRID.values, 4 * d)))
+        curve = statistical_service_curve(family, 1e-6, GRID, 100)
+        path = SamplePath(np.ones(100))
+        exact = np.array([equivalent_service_dp(path, fb, 0, t) for t in range(101)])
+        assert np.all(curve.value <= exact + 1e-12)
 
 
 class TestBacklogBound:

@@ -10,7 +10,13 @@ import pytest
 
 from winflow import units
 from winflow.cli import _fmt, main, write_csv
-from winflow.scenarios import MAX_SLOTS, ScenarioError, canned_scenarios, parse_scenario_text
+from winflow.scenarios import (
+    CANNED,
+    MAX_SLOTS,
+    ScenarioError,
+    canned_scenarios,
+    parse_scenario_text,
+)
 from winflow.verify import run_all, run_report, suite_dual_oracle
 
 VBR_CURVE_INI = """
@@ -79,6 +85,117 @@ replications = 2
 """
 
 
+# the canned studies as literal INI text, from before they were generated
+# from one table; the generated text must parse to the same scenarios
+CANNED_LITERAL = {
+    "fig4": """
+[fig4a-vbr-curves-100]
+kind = service-curve
+seed = 20211
+service = exponential
+service_rate_mbps = 1000
+w_over_d_mbps = 100
+d_ms = 1 2 5 10
+epsilon = 1e-6
+horizon_ms = 100
+
+[fig4b-vbr-curves-500]
+kind = service-curve
+seed = 20212
+service = exponential
+service_rate_mbps = 1000
+w_over_d_mbps = 500
+d_ms = 1 2 5 10
+epsilon = 1e-6
+horizon_ms = 100
+""",
+    "fig5": """
+[fig5a-vbr-effcap-100]
+kind = effective-capacity
+seed = 20213
+service = exponential
+service_rate_mbps = 1000
+w_over_d_mbps = 100
+d_ms = 1 2 5 10
+
+[fig5b-vbr-effcap-500]
+kind = effective-capacity
+seed = 20214
+service = exponential
+service_rate_mbps = 1000
+w_over_d_mbps = 500
+d_ms = 1 2 5 10
+""",
+    "fig6": """
+[fig6a-mmoo-curves-100]
+kind = service-curve
+seed = 20215
+service = mmoo
+mmoo_p00 = 0.2
+mmoo_p11 = 0.9
+mmoo_peak_mbps = 1125
+w_over_d_mbps = 100
+d_ms = 1 2 5 10
+epsilon = 1e-6
+horizon_ms = 100
+
+[fig6b-mmoo-curves-500]
+kind = service-curve
+seed = 20216
+service = mmoo
+mmoo_p00 = 0.2
+mmoo_p11 = 0.9
+mmoo_peak_mbps = 1125
+w_over_d_mbps = 500
+d_ms = 1 2 5 10
+epsilon = 1e-6
+horizon_ms = 100
+""",
+    "fig7": """
+[fig7a-mmoo-effcap-100]
+kind = effective-capacity
+seed = 20217
+service = mmoo
+mmoo_p00 = 0.2
+mmoo_p11 = 0.9
+mmoo_peak_mbps = 1125
+w_over_d_mbps = 100
+d_ms = 1 2 5 10
+
+[fig7b-mmoo-effcap-500]
+kind = effective-capacity
+seed = 20218
+service = mmoo
+mmoo_p00 = 0.2
+mmoo_p11 = 0.9
+mmoo_peak_mbps = 1125
+w_over_d_mbps = 500
+d_ms = 1 2 5 10
+""",
+    "fig8": """
+[fig8a-vbr-backlog-100]
+kind = backlog
+seed = 20219
+service = exponential
+service_rate_mbps = 1000
+d_ms = 1
+w_mb = 0.1
+lambda_mbps = 10 20 30 40 50 60 70 80 85 90 92 94
+epsilons = 1e-3 1e-6 1e-9
+
+[fig8b-vbr-backlog-500]
+kind = backlog
+seed = 20220
+service = exponential
+service_rate_mbps = 1000
+d_ms = 1
+w_mb = 0.5
+lambda_mbps = 50 100 150 200 250 300 330 360 380 390
+epsilons = 1e-3 1e-6 1e-9
+""",
+}
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -123,9 +240,15 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="whole number"):
             parse_scenario_text(VBR_CURVE_INI.replace("d_ms = 1 2 5", "d_ms = 1.5"))
 
-    def test_canned_studies_parse(self):
-        for figure in ("fig4", "fig5", "fig6", "fig7", "fig8"):
-            assert canned_scenarios(figure)
+    @pytest.mark.parametrize("figure", sorted(CANNED_LITERAL))
+    def test_canned_studies_equal_their_literal_text(self, figure):
+        assert canned_scenarios(figure) == parse_scenario_text(CANNED_LITERAL[figure])
+
+    def test_canned_studies_are_the_reproduce_choices(self, capsys):
+        assert sorted(CANNED) == sorted(CANNED_LITERAL)
+        with pytest.raises(SystemExit):
+            main(["reproduce", "fig9"])
+        assert "'fig4', 'fig5', 'fig6', 'fig7', 'fig8'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "p00, p11, key",
@@ -518,27 +641,6 @@ class TestCsvWriter:
         with pytest.raises(ValueError):
             write_csv(path, ["a"], [[1], [2]])
         assert not os.path.exists(path)
-
-    def test_bound_result_serialization(self, tmp_path):
-        from winflow.bounds import FeedbackParams, ThetaGrid, per_slot_curve, statistical_service_curve
-        from winflow.cli import write_bound_result_csv
-        from winflow.models import ExponentialVbrService
-
-        res = statistical_service_curve(
-            per_slot_curve(ExponentialVbrService(1.0), FeedbackParams(w=0.5, d=1)),
-            1e-3,
-            ThetaGrid.logspace(),
-            12,
-        )
-        path = str(tmp_path / "curve.csv")
-        write_bound_result_csv(path, res)
-        header, rows = read_csv(path)
-        assert header == ["t_or_theta", "value", "theta_opt", "family", "feasible"]
-        assert len(rows) == 13
-        assert rows[3][3] == "per-slot"
-        assert rows[3][4] == "true"
-        assert [row[0] for row in rows] == [str(t) for t in range(13)]
-        assert [row[1] for row in rows] == [repr(v) for v in res.value.tolist()]
 
 
 class TestVerifySuite:

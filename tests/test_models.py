@@ -22,12 +22,16 @@ from winflow.models import (
     MmooService,
     erlang_quantile,
     leftover_two_state,
-    mmoo_as_two_state,
     regularized_lower_gamma,
 )
 from winflow.verify import enumerate_grouped_mgf
 
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
+
+
+def as_two_state(m):
+    """An On-Off model as a plain ``MarkovModulated2Service`` with its fields."""
+    return MarkovModulated2Service(m.p00, m.p11, m.law0, m.law1)
 
 
 class TestExponentialVbr:
@@ -131,7 +135,7 @@ class TestOneClassPerFamily:
             MarkovModulated2Service(
                 p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
             ),
-            leftover_two_state(1.5, mmoo_as_two_state(MMOO)),
+            leftover_two_state(1.5, as_two_state(MMOO)),
         ],
         ids=[
             "deterministic", "exponential", "leftover", "on-off", "two-state", "leftover-two-state"
@@ -300,7 +304,7 @@ class TestMmoo:
 
 class TestMarkovModulated2:
     def test_reduction_to_on_off_is_bit_for_bit(self):
-        general = mmoo_as_two_state(MMOO)
+        general = as_two_state(MMOO)
         for theta in (-2.0, -0.5, 0.0, 0.7):
             assert general.mgf_increment(theta) == MMOO.mgf_increment(theta)
             assert general.eigen_m_plus(theta) == MMOO.eigen_m_plus(theta)
@@ -314,7 +318,7 @@ class TestMarkovModulated2:
 
     def test_on_off_is_the_two_state_model_with_constant_laws(self):
         m = MmooService(0.2, 0.9, 1.125)
-        general = mmoo_as_two_state(m)
+        general = as_two_state(m)
         assert isinstance(m, MarkovModulated2Service)
         assert m.peak == 1.125
         assert type(general) is MarkovModulated2Service
@@ -324,7 +328,7 @@ class TestMarkovModulated2:
         assert m.law1 == DeterministicService(1.125)
 
     def test_leftover_two_state_composition(self):
-        cross = mmoo_as_two_state(MmooService(p00=0.4, p11=0.8, peak=0.5))
+        cross = as_two_state(MmooService(p00=0.4, p11=0.8, peak=0.5))
         left = leftover_two_state(1.0, cross)
         assert left.mean_rate == pytest.approx(1.0 - cross.mean_rate, abs=1e-14)
         # per-state means: state 0 leaves everything, state 1 leaves C - P

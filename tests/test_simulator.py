@@ -25,6 +25,7 @@ from winflow.simulator import (
     SimConfig,
     backlog_quantile,
     empirical_equivalent_mgf,
+    quantile_estimable,
     run_flow_control,
 )
 
@@ -91,17 +92,22 @@ class TestStructuralInvariants:
             assert np.max(run.queue) <= w + 1e-9
 
     def test_checkpoint_values_match_cumulative_processes(self):
+        # D = A - backlog and A' = D + queue, with A from the replayed
+        # arrivals, at every checkpoint; the last one carries the throughput
         config = small_config(total_slots=300, warmup_slots=10)
         run = run_flow_control(config)
         a, _ = replay_increments(config)
         A = np.concatenate(([0.0], np.cumsum(a)))
-        assert np.allclose(run.arrivals_cum, A[run.checkpoints])
-        assert np.allclose(
-            run.departures_cum, run.arrivals_cum - run.backlog[run.checkpoints]
-        )
-        assert np.allclose(
-            run.admitted_cum, run.departures_cum + run.queue[run.checkpoints]
-        )
+        arrivals, departed, _, _ = reference_loop(config)
+        k = run.checkpoints
+        assert k[0] == 0 and k[-1] == config.total_slots
+        assert np.array_equal(A, arrivals)
+        assert np.allclose(A[k] - run.backlog[k], departed[k], rtol=0.0, atol=1e-12)
+        admitted = A - run.backlog + run.queue
+        assert np.allclose(admitted[k], departed[k] + run.queue[k], rtol=0.0, atol=1e-12)
+        assert np.all(admitted <= A + 1e-12)
+        assert run.throughput == pytest.approx(departed[-1] / config.total_slots, abs=1e-12)
+        assert np.array_equal(run.tail, run.backlog[config.warmup_slots + 1 :])
 
 
 class TestAgainstReferences:
@@ -334,12 +340,23 @@ class TestEmpiricalMgf:
 
 
 class TestBacklogQuantile:
-    def test_single_run_quantile_matches_pooled_for_one_replication(self):
+    def test_single_run_quantile_is_the_order_statistic_of_its_tail(self):
         config = small_config(total_slots=150_000, warmup_slots=1_000)
-        run = run_flow_control(config)
-        assert run.backlog_quantile(1e-3) == backlog_quantile(config, 1e-3)
+        tail = np.sort(run_flow_control(config).tail)
+        assert len(tail) == 149_000
+        assert backlog_quantile(config, 1e-3) == tail[math.ceil((1.0 - 1e-3) * len(tail)) - 1]
         with pytest.raises(ValueError):
-            run.backlog_quantile(0.0)
+            backlog_quantile(config, 0.0)
+
+    def test_estimability_floor_is_the_product_of_eps_slots_and_replications(self):
+        config = small_config(total_slots=101, warmup_slots=1, replications=3)
+        # 1/3 * 100 * 3 rounds below 100 in this order of the product
+        eps = np.array([1 / 3, 0.34, 0.5])
+        assert quantile_estimable(config, eps).tolist() == [False, True, True]
+        assert quantile_estimable(config, 0.5)
+        with pytest.raises(ValueError, match="estimable"):
+            backlog_quantile(config, eps)
+        assert backlog_quantile(config, eps[1:]).shape == (2,)
 
     def test_pooled_quantiles_equal_scalar_calls(self, monkeypatch):
         import winflow.simulator as simulator
