@@ -17,6 +17,8 @@ of immutable inputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 INF = float("inf")
@@ -37,6 +39,14 @@ __all__ = [
     "self_convolve",
     "subadditive_closure",
 ]
+
+
+@lru_cache(maxsize=64)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only mask of the strict lower triangle (s > t) of an (n, n) table."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class ClosureNonConvergence(RuntimeError):
@@ -62,11 +72,11 @@ class BivariateFunction:
             raise ValueError(f"table must be square, got shape {table.shape}")
         n = table.shape[0]
         table = table.copy()
-        rows, cols = np.indices((n, n))
-        table[cols < rows] = INF
+        table[_strict_lower(n)] = INF
         if np.isnan(table).any():
             raise ValueError("table contains NaN")
         if check:
+            rows, cols = np.indices((n, n))
             upper = cols >= rows
             if not np.all(table[upper] >= 0.0):
                 raise ValueError("bivariate function must be non-negative")

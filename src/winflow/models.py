@@ -357,7 +357,16 @@ class LeftoverService(_IidModel):
 
     def effective_capacity(self, theta):
         theta = _positive_theta(theta)
-        return _decay_rate(self.mgf_increment(-theta), theta)
+        gamma = _decay_rate(self.mgf_increment(-theta), theta)
+        lost = ~np.isfinite(gamma)
+        if lost.any():
+            # where M_base(-theta) M_cross(theta) underflows, subtract the
+            # logs instead: gamma = gamma_base - log M_cross(theta) / theta
+            mc = self.cross.mgf_increment(theta)
+            ok = lost & np.isfinite(mc)
+            split = self.base.effective_capacity(theta) - np.log(np.where(ok, mc, 1.0)) / theta
+            gamma = np.where(ok, split, gamma)[()]
+        return gamma
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         # a constant base draws nothing from rng: subtract from its rate

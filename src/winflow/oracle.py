@@ -26,7 +26,9 @@ evaluator vectorizes the dynamic program across many paths.
 Costs: the scalar program is O(span * d) Python float operations; the
 closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
-minima; the batch evaluator is t time-major row steps.
+minima; the batch evaluator is t time-major row steps per block of
+``_PATH_BLOCK`` paths, in O(t * _PATH_BLOCK) working memory whatever the
+number of paths.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ __all__ = [
 ]
 
 _CLOSURE_HORIZON_GUARD = 64
+
+# bytes of one slot row of a batch-oracle path block (4096 float paths)
+_BLOCK_ROW_BYTES = 1 << 15
+_PATH_BLOCK = _BLOCK_ROW_BYTES // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,10 @@ def equivalent_service_batch(
     """Equivalent service over [0, t) for a batch of paths, shape (n_paths, T >= t).
 
     Vectorization of the scalar dynamic program across paths; used by the
-    Monte Carlo harness.  The state is stored time-major, one row of n_paths
-    per slot, so every step reads and writes contiguous rows.  Raises
+    Monte Carlo harness.  Paths are taken in blocks of ``_PATH_BLOCK``; each
+    block's state is stored time-major, one row per slot, so every step reads
+    and writes contiguous rows.  The working buffers are reused across blocks
+    and hold O(t * _PATH_BLOCK) floats whatever the number of paths.  Raises
     ValueError when a path carries a non-finite increment before t, which
     would otherwise come out as NaN.
     """
@@ -125,25 +133,37 @@ def equivalent_service_batch(
     if t == 0:
         return np.zeros(n)
     d, w = params.d, params.w
-    cum = np.zeros((t + 1, n))
-    np.cumsum(inc[:, :t].T, axis=0, out=cum[1:])
-    g = np.zeros(n)
-    m = np.empty(n)
-    # a NaN or an infinity anywhere in the first t slots reaches cum[t] + g
+    out = np.empty(n)
+    width = min(n, _PATH_BLOCK)
+    # flat buffers, viewed per block as contiguous (rows, paths) tables
+    inc_buf = np.empty(t * width)
+    h_buf = np.empty((t + 1) * width)
+    cum_buf, g_buf, m_buf = np.empty((3, width))
+    # a NaN or an infinity anywhere in the first t slots reaches cum + g
     with np.errstate(invalid="ignore"):
-        # row j holds w - cum[j] until step j turns it into g(j) + cum[j]
-        h = w - cum
-        h[0] = 0.0
-        for j in range(1, t + 1):
-            row = h[j]
-            if d == 1 or j == 1:
-                row += h[j - 1]
-            else:
-                np.min(h[max(0, j - d) : j], axis=0, out=m)
-                row += m
-            np.minimum(g, row, out=g)
-            np.add(g, cum[j], out=row)
-        out = cum[t] + g
+        for b in range(0, n, _PATH_BLOCK):
+            k = min(_PATH_BLOCK, n - b)
+            slots = inc_buf[: t * k].reshape(t, k)
+            h = h_buf[: (t + 1) * k].reshape(t + 1, k)
+            cum, g, m = cum_buf[:k], g_buf[:k], m_buf[:k]
+            np.copyto(slots, inc[b : b + k, :t].T)
+            # cum runs through the same additions as np.cumsum along the path
+            cum[:] = slots[0]
+            g[:] = 0.0
+            h[0] = 0.0
+            for j in range(1, t + 1):
+                if j > 1:
+                    cum += slots[j - 1]
+                row = h[j]
+                np.subtract(w, cum, out=row)
+                if d == 1 or j == 1:
+                    row += h[j - 1]
+                else:
+                    np.min(h[max(0, j - d) : j], axis=0, out=m)
+                    row += m
+                np.minimum(g, row, out=g)
+                np.add(g, cum, out=row)
+            np.add(cum, g, out=out[b : b + k])
     if not np.isfinite(out).all():
         raise ValueError("increments must be finite")
     return out

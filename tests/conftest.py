@@ -2,6 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and keep no example file
+settings.register_profile("winflow", derandomize=True, database=None, deadline=None)
+settings.load_profile("winflow")
 
 
 @pytest.fixture

@@ -445,6 +445,50 @@ class TestDeterministicServerAtLargeTheta:
         assert np.all(curve.value <= exact + 1e-12)
 
 
+class TestLeftoverAtLargeTheta:
+    """With a constant base C and exponential cross traffic of mean L,
+    M(-theta) = e^{-theta C} / (1 - L theta) underflows below theta = 1/L;
+    the effective capacity and the bounds built on it stay finite there."""
+
+    MODEL = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.001))
+    THETA = 774.0
+    GAMMA = 1.0 + math.log1p(-0.774) / 774.0  # C + log(1 - L theta) / theta, about 0.998
+    FB = FeedbackParams(w=1.0, d=2)
+
+    def test_effective_capacity_in_the_log_domain(self):
+        assert self.MODEL.effective_capacity(self.THETA) == pytest.approx(self.GAMMA, rel=1e-12)
+        assert self.GAMMA == pytest.approx(0.998, abs=1e-3)
+        # from theta = 1/L on the cross MGF diverges
+        assert np.array_equal(self.MODEL.effective_capacity(np.array([1e3, 2e3])), [-math.inf, -math.inf])
+
+    def test_apriori_lower_not_above_upper(self):
+        lower, upper = effcap_apriori(self.MODEL, self.FB, self.THETA)
+        assert lower == 0.5
+        assert upper == 0.5  # min(gamma, w / d)
+
+    def test_blocks_lower_is_finite(self):
+        # d e^{theta (d gamma - w)} overflows: gamma - (theta (d gamma - w) + log d) / (d theta)
+        expected = self.GAMMA - (self.THETA * (2.0 * self.GAMMA - 1.0) + math.log(2.0)) / (
+            2.0 * self.THETA
+        )
+        value = effcap_lower_blocks(self.MODEL, self.FB, self.THETA)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(0.5 - math.log(2.0) / 1548.0, rel=1e-9)
+
+    def test_block_curve_keeps_the_theta(self):
+        # floor(10 / d) log(M^d + d e^{-theta w}), added in the log domain
+        log_rate = np.logaddexp(-2.0 * self.THETA * self.GAMMA, math.log(2.0) - self.THETA)
+        value = block_curve(self.MODEL, self.FB).log_value(self.THETA, 10)
+        assert value == pytest.approx(5.0 * log_rate, rel=1e-12)
+
+    def test_finite_values_unchanged(self):
+        for model in (LEFTOVER, self.MODEL):
+            with np.errstate(divide="ignore"):
+                direct = -np.log(model.mgf_increment(-GRID.values)) / GRID.values
+            finite = np.isfinite(direct)
+            assert np.array_equal(model.effective_capacity(GRID.values)[finite], direct[finite])
+
+
 class TestBacklogBound:
     def test_monotone_in_arrival_rate(self):
         fb = FeedbackParams(w=0.1, d=1)

@@ -8,9 +8,12 @@ evaluator, and the dioid-closure route must all reproduce.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winflow.algebra import (
     BivariateFunction,
@@ -28,6 +31,7 @@ from winflow.models import (
     MmooService,
 )
 from winflow.oracle import (
+    _PATH_BLOCK,
     SamplePath,
     apriori_envelope,
     equivalent_service_batch,
@@ -325,6 +329,77 @@ class TestBitIdentityToPreviousSteps:
                 for t in (0, 1, 10, 50):
                     if s <= t:
                         assert equivalent_service_dp(path, fb, s, t) == list_scalar_dp(path, fb, s, t)
+
+
+BLOCK_EDGES = (1, _PATH_BLOCK - 1, _PATH_BLOCK, _PATH_BLOCK + 1, 2 * _PATH_BLOCK + 3)
+
+
+class TestPathBlocks:
+    """The batch evaluator walks the paths in blocks of _PATH_BLOCK with
+    buffers reused across blocks; the blocking never shows in the result."""
+
+    def test_no_paths(self):
+        fb = FeedbackParams(w=0.5, d=3)
+        for t in (0, 1, 10):
+            out = equivalent_service_batch(np.zeros((0, 10)), fb, t)
+            assert out.shape == (0,)
+            assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 5, 60])
+    def test_block_edges_equal_previous_step(self, family, d):
+        rng = np.random.default_rng([d, 12, len(family)])
+        paths = PATH_FAMILIES[family].sample_increments(rng, 64, BLOCK_EDGES[-1])
+        fb = FeedbackParams(w=0.4 * d, d=d)
+        for n in BLOCK_EDGES:
+            for t in (1, d, 64):
+                assert np.array_equal(
+                    equivalent_service_batch(paths[:n], fb, t), time_major_batch(paths[:n], fb, t)
+                )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_last_block_raises(self, bad):
+        fb = FeedbackParams(w=0.5, d=3)
+        paths = np.ones((BLOCK_EDGES[-1], 10))
+        paths[-1, 9] = bad
+        with pytest.raises(ValueError, match="finite"):
+            equivalent_service_batch(paths, fb, 10)
+        assert np.all(np.isfinite(equivalent_service_batch(paths, fb, 9)))
+
+    def test_working_memory_does_not_grow_with_paths(self):
+        # the two (t + 1, n) tables of the unblocked program took 80 MiB here
+        paths = np.random.default_rng(3).exponential(1.0, size=(100_000, 50))
+        tracemalloc.start()
+        try:
+            equivalent_service_batch(paths, FeedbackParams(w=2.5, d=5), 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+@settings(max_examples=40)
+@given(
+    n=st.one_of(*(st.integers(max(1, e - 2), e + 2) for e in BLOCK_EDGES)),
+    horizon=st.integers(1, 64),
+    d=st.integers(1, 70),
+    w_per_slot=st.floats(0.02, 2.0),
+    family=st.sampled_from(sorted(PATH_FAMILIES)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batch_property(n, horizon, d, w_per_slot, family, seed, data):
+    """Around the block edges the batch equals the row-major program bit for
+    bit and the scalar program within 1e-9, signed leftover paths included."""
+    paths = PATH_FAMILIES[family].sample_increments(np.random.default_rng(seed), horizon, n)
+    t = data.draw(st.integers(0, horizon), label="t")
+    fb = FeedbackParams(w=w_per_slot * d, d=d)
+    batch = equivalent_service_batch(paths, fb, t)
+    assert np.array_equal(batch, row_major_batch(paths, fb, t))
+    edges = {0, n - 1, min(n - 1, _PATH_BLOCK - 1), min(n - 1, _PATH_BLOCK)}
+    for i in edges | {data.draw(st.integers(0, n - 1), label="path")}:
+        scalar = equivalent_service_dp(SamplePath(paths[i]), fb, 0, t)
+        assert batch[i] == pytest.approx(scalar, abs=1e-9)
 
 
 class TestStructure:
