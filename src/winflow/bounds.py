@@ -12,17 +12,20 @@ resulting feedback-equivalent service process, and derive from it
 * Chernoff backlog bounds against an arrival MGF.
 
 Every bound family here depends on (s, t) only through the interval length
-ell, and its log is linear in ell over a period p:
+ell, and its log is linear in ell over a period p.  Each family is stated
+once, as rates(theta) -> (rate, log_offset) (``LogMgfCurve``):
 log bound(theta, ell) = floor(ell / p) * log_rate(theta) + log_offset(theta)
-(``LogMgfCurve``).  Curves are therefore indexed by t alone, and the
-steady-state backlog bound sums a geometric series in closed form; it is
-finite at theta exactly when p log M_A(theta) + log_rate(theta) < 0.
+with log_rate = -p theta rate.  The rate is the decay rate of the bound, so
+it is also the family's effective-capacity lower bound, and the
+``effcap_*`` functions read it off the curve.  Curves are indexed by t
+alone, and the steady-state backlog bound sums a geometric series in closed
+form; it is finite at theta exactly when p log M_A(theta) + log_rate(theta) < 0.
 
 All optimizations over theta use a fixed logarithmic grid followed by
 golden-section refinement; the reported optimum is never worse than the
-best raw grid point.  Service curves refine every t at once, with one
-golden-section search per t run in lockstep; the steady-state backlog bound
-refines every epsilon of an arrival rate at once in the same way.
+best raw grid point.  Service curves refine every t at once, and the
+steady-state backlog bound every epsilon of an arrival rate, through one
+helper that runs the golden-section searches in lockstep.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .models import DeterministicService, MarkovModulated2Service, MmooService, _decay_rate, _positive_theta
+from .models import MarkovModulated2Service, MmooService, _positive_theta
 
 INF = float("inf")
 
@@ -191,6 +194,31 @@ def _golden_section_max_lockstep(
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
+def _refine_grid_max(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], thetas: np.ndarray, grid_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize fn(theta, i) over theta for every problem i at once.
+
+    grid_values[k, i] is fn(thetas[k], i).  Each problem whose best grid
+    value is above -inf is refined by golden section on the bracket of the
+    neighbouring grid points, all in lockstep; the result is never worse
+    than the grid point.  Returns (max, argmax, refined), with argmax nan
+    and max -inf where no grid theta gave a value.
+    """
+    k = np.argmax(grid_values, axis=0)
+    best = grid_values[k, np.arange(grid_values.shape[1])]
+    refined = best > -INF
+    argmax = np.full(len(best), np.nan)
+    live, kl = np.flatnonzero(refined), k[refined]
+    lo = thetas[np.maximum(kl - 1, 0)]
+    hi = thetas[np.minimum(kl + 1, len(thetas) - 1)]
+    x, fx = _golden_section_max_lockstep(lambda th, which: fn(th, live[which]), lo, hi)
+    improved = fx >= best[live]
+    best[live] = np.where(improved, fx, best[live])
+    argmax[live] = np.where(improved, x, thetas[kl])
+    return best, argmax, refined
+
+
 # ===========================================================================
 # MGF bounds for the feedback-equivalent service
 # ===========================================================================
@@ -250,19 +278,25 @@ def _mgf_value(curve: LogMgfCurve, theta: float, t: int) -> float:
 class LogMgfCurve:
     """theta-indexed family of log MGF bounds, linear in the length over a period.
 
-    log bound(theta, ell) = floor(ell / period) * log_rate(theta) + log_offset(theta)
+    log bound(theta, ell) = -floor(ell / period) * period * theta * rate(theta) + log_offset(theta)
 
-    with the convention 0 * (+-inf) = 0.  ``coefficients(theta)`` returns
-    (log_rate, log_offset) for a scalar or an array of theta; +inf encodes
-    infeasibility (an offset of +inf rules out every length).  ``nonnegative``
-    states that the service never decreases, so that zero is a valid floor
-    for its envelopes.
+    with the convention 0 * (+-inf) = 0.  ``rates(theta)`` returns
+    (rate, log_offset) for a scalar or an array of theta.  The rate is the
+    family's effective-capacity lower bound, the decay rate of the bound;
+    a rate of -inf or an offset of +inf encodes infeasibility (the offset
+    rules out every length).  ``nonnegative`` states that the service never
+    decreases, so that zero is a valid floor for its envelopes.
     """
 
     family: str
     period: int
-    coefficients: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    rates: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
     nonnegative: bool
+
+    def coefficients(self, theta) -> Tuple[np.ndarray, np.ndarray]:
+        """(log_rate, log_offset), with log_rate = -period * theta * rate."""
+        rate, log_offset = self.rates(theta)
+        return -self.period * theta * rate, log_offset
 
     def log_value(self, theta, lengths) -> np.ndarray:
         """log bound values; theta and lengths broadcast against each other."""
@@ -286,41 +320,46 @@ def _log(x):
 def series_curve(model, params: FeedbackParams) -> LogMgfCurve:
     """Geometric-series bound as a curve family (i.i.d. models only).
 
-    ell log M - (ell + 2) log(1 - x) with x = M^{-d} e^{-theta w}: period
-    one, log_rate = log M - log(1 - x), log_offset = -2 log(1 - x).
+    ell log M - (ell + 2) log(1 - x) with M = e^{-theta gamma(-theta)} and
+    x = M^{-d} e^{-theta w}: period one, rate gamma(-theta) + log(1 - x) / theta,
+    log_offset = -2 log(1 - x).  Valid only where x < 1, that is
+    gamma(-theta) < w / d.
     """
     d, w = params.d, params.w
 
-    def coefficients(theta):
-        log_m = _log(model.mgf_increment(-theta))
-        log_x = -d * log_m - theta * w
-        ok = log_x < 0.0
-        log_1mx = np.log(-np.expm1(np.where(ok, log_x, -1.0)))
-        return np.where(ok, log_m - log_1mx, INF), np.where(ok, -2.0 * log_1mx, INF)
+    def rates(theta):
+        gamma = model.effective_capacity(theta)
+        arg = theta * (d * gamma - w)  # log x
+        ok = arg < 0.0
+        log_1mx = np.log(-np.expm1(np.where(ok, arg, -1.0)))
+        return np.where(ok, gamma + log_1mx / theta, -INF), np.where(ok, -2.0 * log_1mx, INF)
 
-    return LogMgfCurve("series", 1, coefficients, model.nonnegative)
+    return LogMgfCurve("series", 1, rates, model.nonnegative)
 
 
 def block_curve(model, params: FeedbackParams) -> LogMgfCurve:
-    """Block-counting bound as a curve family; dispatches on the model kind.
+    """Block-counting bound as a curve family.
 
-    floor(ell / d) log(M^d + d e^{-theta w}): period d, no offset.
+    floor(ell / d) log(M^d + d e^{-theta w}) with M = e^{-theta gamma(-theta)}:
+    period d, no offset, rate gamma(-theta) - log(1 + d e^{theta (d gamma - w)}) / (d theta).
+    Finite for every theta > 0.  For two-state Markov-modulated models
+    gamma is the spectral effective capacity, so M is the dominant
+    eigenvalue of the slot operator L(-theta).
     """
     d, w = params.d, params.w
-    markov = _is_markov(model)
-    slot_mgf = model.eigen_m_plus if markov else model.mgf_increment
 
-    def coefficients(theta):
-        log_rate = _log(slot_mgf(-theta) ** d + d * np.exp(-theta * w))
-        # where both terms underflow, add them in the log domain instead
-        lost = np.isneginf(log_rate)
-        if lost.any():
-            log_m = -theta * model.effective_capacity(theta)  # log M(-theta)
-            log_rate = np.where(lost, np.logaddexp(d * log_m, math.log(d) - theta * w), log_rate)
-        return log_rate, 0.0
+    def rates(theta):
+        gamma = model.effective_capacity(theta)  # -inf gives arg = -inf and rate -inf
+        arg = theta * (d * gamma - w)
+        with np.errstate(over="ignore"):
+            log_term = np.log1p(d * np.exp(arg))
+        lost = np.isinf(log_term)
+        if lost.any():  # d e^arg overflows: log(1 + d e^arg) = logaddexp(0, arg + log d)
+            log_term = np.where(lost, np.logaddexp(0.0, arg + math.log(d)), log_term)
+        return gamma - log_term / (d * theta), 0.0
 
-    family = "block-markov" if markov else "block-iid"
-    return LogMgfCurve(family, d, coefficients, model.nonnegative)
+    family = "block-markov" if _is_markov(model) else "block-iid"
+    return LogMgfCurve(family, d, rates, model.nonnegative)
 
 
 def per_slot_curve(model, params: FeedbackParams) -> LogMgfCurve:
@@ -328,21 +367,23 @@ def per_slot_curve(model, params: FeedbackParams) -> LogMgfCurve:
     offers min(c_k, w/d) for i.i.d. models, or the peak-capped chain for
     Markov-modulated models.
 
-    This is the MGF route of the a-priori envelope.  For d = 1 and i.i.d.
+    This is the MGF route of the a-priori envelope; its rate is the
+    effective capacity of the capped service.  For d = 1 and i.i.d.
     increments it is the exact equivalent-service MGF, not just a bound.
     """
     cap = params.rate_cap
     if _is_markov(model):
-        slot_mgf = _peak_capped(model, cap).eigen_m_plus
+        capped_rate = _peak_capped(model, cap).effective_capacity
     else:
 
-        def slot_mgf(theta):
-            return model.censored_mgf(theta, cap)
+        def capped_rate(theta):
+            log_m = model.log_censored_mgf(-theta, cap)
+            return np.where(np.isfinite(log_m), -log_m / theta, -INF)
 
-    def coefficients(theta):
-        return _log(slot_mgf(-theta)), 0.0
+    def rates(theta):
+        return capped_rate(theta), 0.0
 
-    return LogMgfCurve("per-slot", 1, coefficients, model.nonnegative)
+    return LogMgfCurve("per-slot", 1, rates, model.nonnegative)
 
 
 def _peak_capped(model, cap: float):
@@ -377,23 +418,12 @@ def statistical_service_curve(
     thetas = grid.values
     ts = np.arange(horizon + 1)
 
-    def objective(theta, t):
+    def objective(theta, t):  # t doubles as the problem index
         with np.errstate(invalid="ignore"):
             value = (log_eps - curve.log_value(theta, t)) / theta
         return np.where(np.isfinite(value), value, -INF)
 
-    cand = objective(thetas[:, None], ts)
-    k = np.argmax(cand, axis=0)
-    best = cand[k, ts]
-    feasible = best > -INF
-    theta_opt = np.full(horizon + 1, np.nan)
-    ft, fk = ts[feasible], k[feasible]
-    lo = thetas[np.maximum(fk - 1, 0)]
-    hi = thetas[np.minimum(fk + 1, len(thetas) - 1)]
-    x, fx = _golden_section_max_lockstep(lambda th, which: objective(th, ft[which]), lo, hi)
-    improved = fx >= best[feasible]
-    best[feasible] = np.where(improved, fx, best[feasible])
-    theta_opt[feasible] = np.where(improved, x, thetas[fk])
+    best, theta_opt, feasible = _refine_grid_max(objective, thetas, objective(thetas[:, None], ts))
     values = np.maximum(best, 0.0) if curve.nonnegative else best
     return BoundResult(curve.family, ts, values, theta_opt, feasible)
 
@@ -404,55 +434,33 @@ def statistical_service_curve(
 
 
 def effcap_lower_series(model, params: FeedbackParams, theta):
-    """Effective-capacity lower bound from the geometric-series MGF bound.
-
-    gamma(-theta) + log(1 - e^{theta (d gamma(-theta) - w)}) / theta, valid
-    only where gamma(-theta) < w / d; returns -inf where infeasible so that
-    pointwise maxima remain correct.  Scalar or array theta.
+    """Effective-capacity lower bound from the geometric-series MGF bound:
+    the rate of ``series_curve``, -inf where the series diverges.
+    Scalar or array theta.
     """
-    theta = _positive_theta(theta)
-    gamma = model.effective_capacity(theta)
-    arg = theta * (params.d * gamma - params.w)
-    ok = arg < 0.0
-    return np.where(ok, gamma + np.log(-np.expm1(np.where(ok, arg, -1.0))) / theta, -INF)[()]
+    return series_curve(model, params).rates(_positive_theta(theta))[0][()]
 
 
 def effcap_lower_blocks(model, params: FeedbackParams, theta):
-    """Effective-capacity lower bound from the block-counting MGF bound.
-
-    gamma(-theta) - log(1 + d e^{theta (d gamma(-theta) - w)}) / (d theta),
-    finite for every theta > 0.  Applies to i.i.d. models and to two-state
-    Markov-modulated models through their spectral effective capacity.
-    Scalar or array theta.
+    """Effective-capacity lower bound from the block-counting MGF bound:
+    the rate of ``block_curve``, finite for every theta > 0.  Applies to
+    i.i.d. models and to two-state Markov-modulated models.  Scalar or
+    array theta.
     """
-    theta = _positive_theta(theta)
-    gamma = model.effective_capacity(theta)
-    ok = gamma > -INF
-    arg = theta * (params.d * np.where(ok, gamma, 0.0) - params.w)
-    with np.errstate(over="ignore"):
-        log_term = np.log1p(params.d * np.exp(arg))
-    # where d e^arg overflows, log(1 + d e^arg) = logaddexp(0, arg + log d)
-    log_term = np.where(np.isfinite(log_term), log_term, np.logaddexp(0.0, arg + math.log(params.d)))
-    return np.where(ok, gamma - log_term / (params.d * theta), -INF)[()]
+    return block_curve(model, params).rates(_positive_theta(theta))[0][()]
 
 
 def effcap_apriori(model, params: FeedbackParams, theta) -> tuple:
     """A-priori envelope (lower, upper) on the feedback effective capacity.
 
-    lower: effective capacity of the rate-capped service (cap w/d per slot),
-    exact for d = 1.  upper: min(gamma(-theta), w / d).  For a deterministic
-    server both collapse to min(rate, w / d).  Scalar or array theta.
+    lower: the rate of ``per_slot_curve``, the effective capacity of the
+    rate-capped service (cap w/d per slot), exact for d = 1.  upper:
+    min(gamma(-theta), w / d).  For a deterministic server both collapse to
+    min(rate, w / d).  Scalar or array theta.
     """
     theta = _positive_theta(theta)
-    cap = params.rate_cap
-    upper = np.minimum(model.effective_capacity(theta), cap)[()]
-    if _is_markov(model):
-        lower = _peak_capped(model, cap).effective_capacity(theta)
-    else:
-        lower = _decay_rate(model.censored_mgf(-theta, cap), theta)
-    if isinstance(model, DeterministicService):
-        # e^{-theta min(rate, cap)} underflows at large theta; the rate does not
-        lower = np.where(np.isfinite(lower), lower, upper)[()]
+    upper = np.minimum(model.effective_capacity(theta), params.rate_cap)[()]
+    lower = per_slot_curve(model, params).rates(theta)[0][()]
     return lower, upper
 
 
@@ -581,19 +589,9 @@ def steady_state_backlog_bound(arrivals, curve: LogMgfCurve, eps, grid: ThetaGri
         raise ValueError("eps must lie strictly between 0 and 1")
     log_eps = np.array([math.log(e) for e in flat.tolist()])
     thetas = grid.values
-    grid_values = (_log_steady_state_sum(arrivals, curve, thetas) - log_eps[:, None]) / thetas
-    k = np.argmin(grid_values, axis=1)
-    best = grid_values[np.arange(len(flat)), k]
-    # refine each finite grid minimum on its neighbouring bracket; the
-    # result is never worse than the grid point
-    live = np.flatnonzero(best < INF)
-    if live.size:
-        lo = thetas[np.maximum(k[live] - 1, 0)]
-        hi = thetas[np.minimum(k[live] + 1, len(thetas) - 1)]
 
-        def negated(theta, which):
-            return -((_log_steady_state_sum(arrivals, curve, theta) - log_eps[live[which]]) / theta)
+    def negated(theta, i):
+        return (log_eps[i] - _log_steady_state_sum(arrivals, curve, theta)) / theta
 
-        _, fx = _golden_section_max_lockstep(negated, lo, hi)
-        best[live] = np.minimum(best[live], -fx)
+    best = -_refine_grid_max(negated, thetas, negated(thetas[:, None], np.arange(len(flat))))[0]
     return float(best[0]) if eps.ndim == 0 else best.reshape(eps.shape)

@@ -11,7 +11,7 @@ Each model is an immutable dataclass exposing, where meaningful:
 
 Internally rates are megabits per slot and theta is per megabit.  MGFs that
 diverge return +inf rather than raising: divergence is a value.  The
-per-slot transforms (``mgf_increment``, ``censored_mgf``, ``eigen_m_plus``)
+per-slot transforms (``mgf_increment``, ``log_censored_mgf``, ``eigen_m_plus``)
 and ``effective_capacity`` take a scalar or an array of theta, and
 ``erlang_quantile(eps, n, C)`` a scalar or an array of shapes n; each returns
 a value of the same shape, so a whole theta grid or service-curve horizon is
@@ -232,9 +232,9 @@ class DeterministicService(_IidModel):
     def mgf_increment(self, theta):
         return _safe_exp(np.multiply(theta, self.rate))
 
-    def censored_mgf(self, theta, cap: float):
-        """E[exp(theta min(c, cap))]."""
-        return _safe_exp(np.multiply(theta, min(self.rate, cap)))
+    def log_censored_mgf(self, theta, cap: float):
+        """log E[exp(theta min(c, cap))] = theta min(rate, cap)."""
+        return np.multiply(theta, min(self.rate, cap))
 
     def effective_capacity(self, theta):
         return np.full(_positive_theta(theta).shape, float(self.rate))[()]
@@ -271,10 +271,10 @@ class ExponentialVbrService(_IidModel):
         below = theta < 1.0 / lam
         return np.where(below, -np.log1p(-lam * np.where(below, theta, 0.0)), INF)[()]
 
-    def censored_mgf(self, theta, cap: float):
-        """E[exp(theta min(c, cap))], finite for every real theta.
+    def log_censored_mgf(self, theta, cap: float):
+        """log E[exp(theta min(c, cap))], finite for every real theta.
 
-        Closed form (1 - C theta e^((theta - 1/C) cap)) / (1 - C theta),
+        Log of the closed form (1 - C theta e^((theta - 1/C) cap)) / (1 - C theta),
         with the removable singularity at theta = 1/C filled by its limit.
         """
         if cap <= 0:
@@ -284,7 +284,7 @@ class ExponentialVbrService(_IidModel):
         denom = 1.0 - c * theta
         singular = np.abs(denom) < 1e-12
         numer = 1.0 - c * theta * _safe_exp((theta - 1.0 / c) * cap)
-        return np.where(singular, 1.0 + cap / c, numer / np.where(singular, 1.0, denom))[()]
+        return np.log(np.where(singular, 1.0 + cap / c, numer / np.where(singular, 1.0, denom)))[()]
 
     def effective_capacity(self, theta):
         theta = _positive_theta(theta)
@@ -328,13 +328,14 @@ class LeftoverService(_IidModel):
         finite = np.isfinite(mb) & np.isfinite(mc)
         return np.where(finite, np.where(finite, mb, 1.0) * np.where(finite, mc, 1.0), INF)[()]
 
-    def censored_mgf(self, theta, cap: float):
-        """E[exp(theta min(c, cap))] for deterministic base and exponential cross.
+    def log_censored_mgf(self, theta, cap: float):
+        """log E[exp(theta min(c, cap))] for deterministic base and exponential cross.
 
         With base rate C and exponential cross of mean L the increment is
         C - a.  For cap >= C the cap never binds.  Otherwise condition on
-        a <=> C - cap; the conditional tail MGF of a requires -theta < 1/L,
-        and returns +inf where it diverges.
+        a <=> C - cap and add the two terms in the log domain; the
+        conditional tail MGF of a requires -theta < 1/L, and returns +inf
+        where it diverges.
         """
         if not isinstance(self.base, DeterministicService) or not isinstance(
             self.cross, ExponentialArrivals
@@ -345,15 +346,15 @@ class LeftoverService(_IidModel):
             )
         C = self.base.rate
         lam = self.cross.mean_rate
-        if cap >= C:
-            return self.mgf_increment(theta)
-        x = C - cap  # cap binds exactly when a < x
-        p_below = -math.expm1(-x / lam)
         theta = np.asarray(theta, dtype=float)
+        if cap >= C:
+            return (theta * C + self.cross.log_mgf_increment(-theta))[()]
+        x = C - cap  # cap binds exactly when a < x
+        log_below = math.log(-math.expm1(-x / lam))
         converges = -theta < 1.0 / lam
         th = np.where(converges, theta, 0.0)
-        tail = _safe_exp(th * C) * np.exp(-x * (1.0 / lam + th)) / (1.0 + lam * th)
-        return np.where(converges, _safe_exp(th * cap) * p_below + tail, INF)[()]
+        log_tail = th * C - x * (1.0 / lam + th) - np.log1p(lam * th)
+        return np.where(converges, np.logaddexp(th * cap + log_below, log_tail), INF)[()]
 
     def effective_capacity(self, theta):
         theta = _positive_theta(theta)

@@ -35,8 +35,10 @@ from winflow.models import (
     ExponentialVbrService,
     LeftoverService,
     MmooService,
+    _decay_rate,
 )
 from winflow.oracle import SamplePath, equivalent_service_batch, equivalent_service_dp
+from winflow.scenarios import parse_scenario_text
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -86,6 +88,55 @@ def scalar_steady_state_backlog_bound(arrivals, curve, eps, grid):
     lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
     _, fx = golden_section_max(lambda th: -objective(th), lo, hi)
     return float(min(col[k], -fx))
+
+
+def closed_form_effcap_series(model, params, theta):
+    """Reference: the series lower bound as its own closed form,
+    gamma(-theta) + log(1 - e^{theta (d gamma(-theta) - w)}) / theta."""
+    gamma = model.effective_capacity(theta)
+    arg = theta * (params.d * gamma - params.w)
+    ok = arg < 0.0
+    return np.where(ok, gamma + np.log(-np.expm1(np.where(ok, arg, -1.0))) / theta, -np.inf)
+
+
+def closed_form_effcap_blocks(model, params, theta):
+    """Reference: the block lower bound as its own closed form,
+    gamma(-theta) - log(1 + d e^{theta (d gamma(-theta) - w)}) / (d theta)."""
+    gamma = model.effective_capacity(theta)
+    ok = gamma > -np.inf
+    arg = theta * (params.d * np.where(ok, gamma, 0.0) - params.w)
+    with np.errstate(over="ignore"):
+        log_term = np.log1p(params.d * np.exp(arg))
+    log_term = np.where(np.isfinite(log_term), log_term, np.logaddexp(0.0, arg + math.log(params.d)))
+    return np.where(ok, gamma - log_term / (params.d * theta), -np.inf)
+
+
+def closed_form_effcap_apriori_lower(model, params, theta):
+    """Reference: effective capacity of the rate-capped service, from the
+    censored MGF (1 - C s e^{(s - 1/C) cap}) / (1 - C s) at s = -theta for
+    the exponential server and the peak-capped chain for On-Off service."""
+    cap = params.rate_cap
+    if isinstance(model, MmooService):
+        return MmooService(model.p00, model.p11, min(model.peak, cap)).effective_capacity(theta)
+    c, s = model.mean_rate, -theta
+    censored = (1.0 - c * s * np.exp((s - 1.0 / c) * cap)) / (1.0 - c * s)
+    return _decay_rate(censored, theta)
+
+
+def effcap_scenarios():
+    """The exponential and On-Off effective-capacity sweeps of the analytic
+    benchmark: 512 theta, d in {1, 2, 5, 10, 20, 50} ms, w/d in {100, 500} Mbps."""
+    servers = {
+        "vbr": "service = exponential\nservice_rate_mbps = 1000",
+        "mmoo": "service = mmoo\nmmoo_p00 = 0.2\nmmoo_p11 = 0.9\nmmoo_peak_mbps = 1125",
+    }
+    text = "".join(
+        f"[{name}-{ratio}]\n{body}\nkind = effective-capacity\nseed = 1\n"
+        f"w_over_d_mbps = {ratio}\nd_ms = 1 2 5 10 20 50\ntheta_points = 512\n"
+        for name, body in servers.items()
+        for ratio in (100, 500)
+    )
+    return parse_scenario_text(text)
 
 
 class TestParams:
@@ -180,7 +231,7 @@ class TestBlockMgfBounds:
         fb = FeedbackParams(w=0.4, d=1)
         t = 15
         for theta in (0.3, 1.0, 5.0):
-            exact = VBR.censored_mgf(-theta, fb.w) ** t
+            exact = np.exp(VBR.log_censored_mgf(-theta, fb.w)) ** t
             bound = feedback_mgf_blocks_iid(VBR, fb, theta, t)
             assert bound >= exact
 
@@ -415,6 +466,57 @@ class TestEffectiveCapacityBounds:
         assert set(res.provenance) <= {"blocks", "none"}
 
 
+class TestEffcapIsTheCurveRate:
+    """Each effective-capacity lower bound is the rate of its MGF curve; it
+    stays bit-identical to the family's closed form, and so does the
+    family that wins each theta."""
+
+    @pytest.mark.parametrize("sc", effcap_scenarios(), ids=lambda sc: sc.name)
+    def test_rates_equal_closed_forms_on_the_analytic_grid(self, sc):
+        model = sc.service
+        markov = isinstance(model, MmooService)
+        grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
+        thetas = grid.values
+        for w, d in zip(sc.w_mb, sc.d_slots):
+            fb = FeedbackParams(w=w, d=d)
+            candidates = {"blocks": closed_form_effcap_blocks(model, fb, thetas)}
+            if not markov:
+                candidates["series"] = closed_form_effcap_series(model, fb, thetas)
+            candidates["apriori"] = closed_form_effcap_apriori_lower(model, fb, thetas)
+            assert np.array_equal(effcap_lower_blocks(model, fb, thetas), candidates["blocks"])
+            assert np.array_equal(block_curve(model, fb).rates(thetas)[0], candidates["blocks"])
+            if not markov:
+                assert np.array_equal(effcap_lower_series(model, fb, thetas), candidates["series"])
+            assert np.array_equal(effcap_apriori(model, fb, thetas)[0], candidates["apriori"])
+            assert np.array_equal(per_slot_curve(model, fb).rates(thetas)[0], candidates["apriori"])
+            stacked = np.vstack(list(candidates.values()))
+            pick = np.argmax(stacked, axis=0)
+            names = list(candidates)
+            provenance = [names[i] for i in pick]
+            best = best_effcap_lower(model, fb, grid)
+            assert best.provenance == provenance
+            assert np.array_equal(best.value, stacked[pick, np.arange(len(thetas))])
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            series_curve(VBR, FeedbackParams(w=2.0, d=1)),
+            series_curve(VBR, FeedbackParams(w=0.1, d=1)),
+            block_curve(VBR, FeedbackParams(w=0.5, d=5)),
+            block_curve(MMOO, FeedbackParams(w=1.0, d=10)),
+            per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)),
+            per_slot_curve(MMOO, FeedbackParams(w=0.1, d=1)),
+            per_slot_curve(LEFTOVER, FeedbackParams(w=0.2, d=1)),
+        ],
+        ids=lambda c: f"{c.family}-p{c.period}",
+    )
+    def test_log_rate_is_minus_period_theta_rate(self, curve):
+        rate, _ = curve.rates(GRID.values)
+        log_rate, log_offset = curve.coefficients(GRID.values)
+        assert np.array_equal(log_rate, -curve.period * GRID.values * rate)
+        assert np.array_equal(curve.log_value(GRID.values, 7 * curve.period), 7 * log_rate + log_offset)
+
+
 class TestDeterministicServerAtLargeTheta:
     """A constant server's e^{-theta c} leaves the float range at the top of
     the theta grid; its bounds stay finite there."""
@@ -432,6 +534,21 @@ class TestDeterministicServerAtLargeTheta:
         # d e^900 beyond the float range
         expected = 1.0 - (900.0 + math.log(10.0)) / 1000.0
         assert effcap_lower_blocks(server, fb, 100.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_per_slot_curve_keeps_the_top_of_the_grid(self):
+        # e^{-1000} underflows, but the curve's rate is the rate cap 1
+        server, fb = DeterministicService(1.0), FeedbackParams(w=1.0, d=1)
+        family = per_slot_curve(server, fb)
+        assert family.log_value(1e3, 10) == -10_000.0
+        assert np.all(np.isfinite(family.log_value(GRID.values, 10)))
+        eps = 1e-6
+        curve = statistical_service_curve(family, eps, GRID, 50)
+        path = SamplePath(np.ones(50))
+        exact = np.array([equivalent_service_dp(path, fb, 0, t) for t in range(51)])
+        assert np.all(curve.value <= exact + 1e-12)
+        # t + log(eps) / theta is best at the top grid point
+        ts = np.arange(1, 51)
+        assert np.allclose(curve.value[1:], ts + math.log(eps) / 1e3, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10])
     def test_envelope_below_exact_equivalent_service(self, d):
@@ -480,6 +597,14 @@ class TestLeftoverAtLargeTheta:
         log_rate = np.logaddexp(-2.0 * self.THETA * self.GAMMA, math.log(2.0) - self.THETA)
         value = block_curve(self.MODEL, self.FB).log_value(self.THETA, 10)
         assert value == pytest.approx(5.0 * log_rate, rel=1e-12)
+
+    def test_per_slot_rate_in_the_log_domain(self):
+        # cross mean 1e-4 and w = 0.9 at d = 1: the censored MGF
+        # e^{-900} + e^{-1900}/0.9 underflows, its log -900 does not
+        model = LeftoverService(DeterministicService(1.0), ExponentialArrivals(1e-4))
+        fb = FeedbackParams(w=0.9, d=1)
+        assert effcap_apriori(model, fb, 1e3) == (0.9, 0.9)
+        assert per_slot_curve(model, fb).log_value(1e3, 10) == pytest.approx(-9000.0, rel=1e-15)
 
     def test_finite_values_unchanged(self):
         for model in (LEFTOVER, self.MODEL):
