@@ -23,7 +23,7 @@ form; it is finite at theta exactly when p log M_A(theta) + log_rate(theta) < 0.
 
 All optimizations over theta use a fixed logarithmic grid followed by
 golden-section refinement; the reported optimum is never worse than the
-best raw grid point.  Service curves refine every t at once, and the
+best raw grid point.  Service curves refine their t in bounded blocks, and the
 steady-state backlog bound every epsilon of an arrival rate, through one
 helper that runs the golden-section searches in lockstep.
 """
@@ -311,12 +311,6 @@ def _times_log(n: np.ndarray, log_base) -> np.ndarray:
         return np.where(n == 0, 0.0, n * log_base)
 
 
-def _log(x):
-    """Natural log with log 0 = -inf and log inf = inf, without warnings."""
-    with np.errstate(divide="ignore"):
-        return np.log(x)
-
-
 def series_curve(model, params: FeedbackParams) -> LogMgfCurve:
     """Geometric-series bound as a curve family (i.i.d. models only).
 
@@ -399,6 +393,9 @@ def _peak_capped(model, cap: float):
 # statistical service curves
 # ===========================================================================
 
+# theta-grid x t entries evaluated at once; bounds the working memory of a curve
+_CURVE_BLOCK_ENTRIES = 1 << 20
+
 
 def statistical_service_curve(
     curve: LogMgfCurve, eps: float, grid: ThetaGrid, horizon: int
@@ -410,7 +407,9 @@ def statistical_service_curve(
     non-negative service are floored at zero; signed service keeps negative
     values.  A t where every grid theta is infeasible gets the trivial
     envelope (0, or -inf for signed service) with the feasibility flag
-    cleared.
+    cleared.  Each t is its own problem, refined in blocks of t under
+    ``_CURVE_BLOCK_ENTRIES`` grid entries, so memory stays bounded at any
+    horizon and the result does not depend on the blocking.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -423,7 +422,14 @@ def statistical_service_curve(
             value = (log_eps - curve.log_value(theta, t)) / theta
         return np.where(np.isfinite(value), value, -INF)
 
-    best, theta_opt, feasible = _refine_grid_max(objective, thetas, objective(thetas[:, None], ts))
+    step = max(1, _CURVE_BLOCK_ENTRIES // len(thetas))
+    blocks = [  # problem i of a block is t = lo + i
+        _refine_grid_max(
+            lambda th, i: objective(th, lo + i), thetas, objective(thetas[:, None], ts[lo : lo + step])
+        )
+        for lo in range(0, len(ts), step)
+    ]
+    best, theta_opt, feasible = (np.concatenate(parts) for parts in zip(*blocks))
     values = np.maximum(best, 0.0) if curve.nonnegative else best
     return BoundResult(curve.family, ts, values, theta_opt, feasible)
 
@@ -493,12 +499,6 @@ def best_effcap_lower(model, params: FeedbackParams, grid: ThetaGrid) -> BoundRe
 # ===========================================================================
 
 
-def _log_arrival_mgf(arrivals, theta):
-    if hasattr(arrivals, "log_mgf_increment"):
-        return arrivals.log_mgf_increment(theta)
-    return _log(arrivals.mgf_increment(theta))
-
-
 def _logsumexp(values: np.ndarray) -> float:
     top = np.max(values)
     if not math.isfinite(top):
@@ -508,7 +508,7 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def _log_backlog_sum(arrivals, curve: LogMgfCurve, theta: float, t: int) -> float:
     """log sum over interval lengths 0..t of M_A(theta)^ell * bound(theta, ell)."""
-    log_ma = _log_arrival_mgf(arrivals, theta)
+    log_ma = arrivals.log_mgf_increment(theta)
     if log_ma == INF:
         return INF
     ell = np.arange(t + 1, dtype=float)
@@ -526,7 +526,7 @@ def _log_steady_state_sum(arrivals, curve: LogMgfCurve, theta):
     r = p log M_A + log_rate.  It converges exactly when r < 0 and is +inf
     otherwise.  Scalar or array theta.
     """
-    log_ma = _log_arrival_mgf(arrivals, theta)
+    log_ma = arrivals.log_mgf_increment(theta)
     log_rate, log_offset = curve.coefficients(theta)
     with np.errstate(invalid="ignore"):
         r = curve.period * log_ma + log_rate

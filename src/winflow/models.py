@@ -9,6 +9,10 @@ Each model is an immutable dataclass exposing, where meaningful:
 * ``sample_path(seed, T)`` and ``sample_increments(rng, T, n)`` seeded
   deterministic sample path generators.
 
+An i.i.d. law states one transform, ``log_mgf_increment(theta)``; its MGF
+and effective capacity are read off it.  Two-state models take the log
+eigenvalues of their slot operator from the state laws' log-MGFs.
+
 Internally rates are megabits per slot and theta is per megabit.  MGFs that
 diverge return +inf rather than raising: divergence is a value.  The
 per-slot transforms (``mgf_increment``, ``log_censored_mgf``, ``eigen_m_plus``)
@@ -66,12 +70,6 @@ def _positive_theta(theta) -> np.ndarray:
     if np.any(theta <= 0):
         raise ValueError("theta must be > 0")
     return theta
-
-
-def _decay_rate(m, theta):
-    """-log(m) / theta where 0 < m < inf, and -inf elsewhere."""
-    ok = np.isfinite(m) & (m > 0)
-    return np.where(ok, -np.log(np.where(ok, m, 1.0)) / theta, -INF)[()]
 
 
 # ===========================================================================
@@ -200,7 +198,14 @@ class _Model:
 
 
 class _IidModel(_Model):
-    """Models with i.i.d. slot increments: the path MGF is M(theta)^t."""
+    """i.i.d. slot increments: M = exp(log_mgf_increment), path MGF M^t."""
+
+    def mgf_increment(self, theta):
+        return _safe_exp(self.log_mgf_increment(theta))
+
+    def effective_capacity(self, theta):
+        theta = _positive_theta(theta)
+        return (-self.log_mgf_increment(-theta) / theta)[()]
 
     def mgf_path(self, theta: float, t: int) -> float:
         if t < 0:
@@ -229,15 +234,12 @@ class DeterministicService(_IidModel):
     def mean_rate(self) -> float:
         return self.rate
 
-    def mgf_increment(self, theta):
-        return _safe_exp(np.multiply(theta, self.rate))
+    def log_mgf_increment(self, theta):
+        return np.multiply(theta, self.rate)
 
     def log_censored_mgf(self, theta, cap: float):
         """log E[exp(theta min(c, cap))] = theta min(rate, cap)."""
         return np.multiply(theta, min(self.rate, cap))
-
-    def effective_capacity(self, theta):
-        return np.full(_positive_theta(theta).shape, float(self.rate))[()]
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         return np.full((n, T), float(self.rate))
@@ -258,14 +260,8 @@ class ExponentialVbrService(_IidModel):
         if self.mean_rate <= 0:
             raise ValueError("mean rate must be > 0")
 
-    def mgf_increment(self, theta):
-        """1 / (1 - C theta), +inf from theta = 1/C on."""
-        lam = self.mean_rate
-        theta = np.asarray(theta, dtype=float)
-        below = theta < 1.0 / lam
-        return np.where(below, 1.0 / (1.0 - lam * np.where(below, theta, 0.0)), INF)[()]
-
     def log_mgf_increment(self, theta):
+        """-log(1 - C theta), +inf from theta = 1/C on."""
         lam = self.mean_rate
         theta = np.asarray(theta, dtype=float)
         below = theta < 1.0 / lam
@@ -285,10 +281,6 @@ class ExponentialVbrService(_IidModel):
         singular = np.abs(denom) < 1e-12
         numer = 1.0 - c * theta * _safe_exp((theta - 1.0 / c) * cap)
         return np.log(np.where(singular, 1.0 + cap / c, numer / np.where(singular, 1.0, denom)))[()]
-
-    def effective_capacity(self, theta):
-        theta = _positive_theta(theta)
-        return (np.log1p(self.mean_rate * theta) / theta)[()]
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         # inverse CDF keeps the draw count per path exactly T
@@ -322,11 +314,8 @@ class LeftoverService(_IidModel):
     def is_stable(self) -> bool:
         return self.cross.mean_rate < self.base.mean_rate
 
-    def mgf_increment(self, theta):
-        mb = self.base.mgf_increment(theta)
-        mc = self.cross.mgf_increment(np.negative(theta))
-        finite = np.isfinite(mb) & np.isfinite(mc)
-        return np.where(finite, np.where(finite, mb, 1.0) * np.where(finite, mc, 1.0), INF)[()]
+    def log_mgf_increment(self, theta):
+        return self.base.log_mgf_increment(theta) + self.cross.log_mgf_increment(np.negative(theta))
 
     def log_censored_mgf(self, theta, cap: float):
         """log E[exp(theta min(c, cap))] for deterministic base and exponential cross.
@@ -348,26 +337,13 @@ class LeftoverService(_IidModel):
         lam = self.cross.mean_rate
         theta = np.asarray(theta, dtype=float)
         if cap >= C:
-            return (theta * C + self.cross.log_mgf_increment(-theta))[()]
+            return self.log_mgf_increment(theta)[()]
         x = C - cap  # cap binds exactly when a < x
         log_below = math.log(-math.expm1(-x / lam))
         converges = -theta < 1.0 / lam
         th = np.where(converges, theta, 0.0)
         log_tail = th * C - x * (1.0 / lam + th) - np.log1p(lam * th)
         return np.where(converges, np.logaddexp(th * cap + log_below, log_tail), INF)[()]
-
-    def effective_capacity(self, theta):
-        theta = _positive_theta(theta)
-        gamma = _decay_rate(self.mgf_increment(-theta), theta)
-        lost = ~np.isfinite(gamma)
-        if lost.any():
-            # where M_base(-theta) M_cross(theta) underflows, subtract the
-            # logs instead: gamma = gamma_base - log M_cross(theta) / theta
-            mc = self.cross.mgf_increment(theta)
-            ok = lost & np.isfinite(mc)
-            split = self.base.effective_capacity(theta) - np.log(np.where(ok, mc, 1.0)) / theta
-            gamma = np.where(ok, split, gamma)[()]
-        return gamma
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         # a constant base draws nothing from rng: subtract from its rate
@@ -387,21 +363,15 @@ class LeftoverService(_IidModel):
 def _two_state_eigs(p00: float, p11: float, m0, m1) -> Tuple:
     """Eigenvalues (minus, plus) of [[p00 m0, p01 m1], [p10 m0, p11 m1]].
 
-    The closed-form quadratic is evaluated with the product form for the
-    small root to avoid cancellation.  The discriminant is non-negative for
-    non-negative m0, m1; tiny negative float residue is clamped.  Scalar or
-    array state MGFs; both eigenvalues are +inf where either MGF diverges.
+    For finite state MGFs m0, m1 >= 0, not both 0, under slow switching
+    (p00 + p11 > 1, so plus > 0).  The closed-form quadratic is evaluated
+    with the product form for the small root to avoid cancellation; tiny
+    negative float residue of the discriminant is clamped.
     """
-    finite = np.isfinite(m0) & np.isfinite(m1)
-    m0 = np.where(finite, m0, 0.0)
-    m1 = np.where(finite, m1, 0.0)
     tr = p00 * m0 + p11 * m1
     det = (p00 + p11 - 1.0) * m0 * m1
-    disc = tr * tr - 4.0 * det
-    root = np.sqrt(np.maximum(disc, 0.0))
-    plus = 0.5 * (tr + root)
-    minus = np.where(plus > 0.0, det / np.where(plus > 0.0, plus, 1.0), 0.5 * (tr - root))
-    return (np.where(finite, minus, INF)[()], np.where(finite, plus, INF)[()])
+    plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    return det / plus, plus
 
 
 def _two_state_mgf_path(
@@ -576,21 +546,36 @@ class MarkovModulated2Service(_Model):
         m0, m1 = self._state_mgfs(theta)
         return _two_state_mgf_path(self.p00, self.p11, self.on_probability, m0, m1, t)
 
-    def eigen_m_plus(self, theta):
+    def _log_eigs(self, theta) -> Tuple:
+        """log eigenvalues (minus, plus) of L(theta), +inf where a state MGF diverges.
+
+        Eigenvalues are homogeneous of degree one in (M0, M1): those of the
+        state MGFs scaled by the larger, e^(l - top), plus top are exact at
+        any theta, where the MGFs themselves would under- or overflow.
+        """
         self._require_slow_switching()
-        return _two_state_eigs(self.p00, self.p11, *self._state_mgfs(theta))[1]
+        l0, l1 = self.law0.log_mgf_increment(theta), self.law1.log_mgf_increment(theta)
+        top = np.maximum(l0, l1)
+        finite = np.isfinite(top)
+        top = np.where(finite, top, 0.0)
+        m0, m1 = (np.exp(np.where(finite, l - top, 0.0)) for l in (l0, l1))
+        with np.errstate(divide="ignore"):  # minus is 0 where the smaller MGF underflows
+            logs = np.log(_two_state_eigs(self.p00, self.p11, m0, m1)) + top
+        return tuple(np.where(finite, logs, INF))
+
+    def eigen_m_plus(self, theta):
+        return _safe_exp(self._log_eigs(theta)[1])
 
     def k_theta(self, theta: float) -> float:
         """Weight of the dominant spectral term in the exact path MGF."""
-        self._require_slow_switching()
-        minus, plus = _two_state_eigs(self.p00, self.p11, *self._state_mgfs(theta))
+        minus, plus = _safe_exp(self._log_eigs(theta))
         if not math.isfinite(plus) or plus - minus <= 1e-7 * max(plus, 1.0):
             raise ValueError("eigenvalues coincide; spectral weight undefined")
         return (self.mgf_increment(theta) - minus) / (plus - minus)
 
     def effective_capacity(self, theta):
         theta = _positive_theta(theta)
-        return _decay_rate(self.eigen_m_plus(-theta), theta)
+        return (-self._log_eigs(-theta)[1] / theta)[()]
 
     def on_sequence_probability(self, times) -> float:
         return _on_times_probability(self.p01, self.p10, times)

@@ -7,9 +7,12 @@ optimizer results are checked against raw grid scans.
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from winflow import bounds
 from winflow.bounds import (
     FeedbackParams,
     ThetaGrid,
@@ -34,8 +37,8 @@ from winflow.models import (
     ExponentialArrivals,
     ExponentialVbrService,
     LeftoverService,
+    MarkovModulated2Service,
     MmooService,
-    _decay_rate,
 )
 from winflow.oracle import SamplePath, equivalent_service_batch, equivalent_service_dp
 from winflow.scenarios import parse_scenario_text
@@ -88,6 +91,12 @@ def scalar_steady_state_backlog_bound(arrivals, curve, eps, grid):
     lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
     _, fx = golden_section_max(lambda th: -objective(th), lo, hi)
     return float(min(col[k], -fx))
+
+
+def _decay_rate(m, theta):
+    """-log(m) / theta where 0 < m < inf, and -inf elsewhere."""
+    ok = np.isfinite(m) & (m > 0)
+    return np.where(ok, -np.log(np.where(ok, m, 1.0)) / theta, -np.inf)[()]
 
 
 def closed_form_effcap_series(model, params, theta):
@@ -607,11 +616,94 @@ class TestLeftoverAtLargeTheta:
         assert per_slot_curve(model, fb).log_value(1e3, 10) == pytest.approx(-9000.0, rel=1e-15)
 
     def test_finite_values_unchanged(self):
+        # C + log(1 - L theta) / theta below theta = 1/L, -inf from there on;
+        # the product form -log(e^{-theta C} / (1 - L theta)) / theta is
+        # itself off by up to 1.5e-12 relative, so it is not the reference
         for model in (LEFTOVER, self.MODEL):
-            with np.errstate(divide="ignore"):
-                direct = -np.log(model.mgf_increment(-GRID.values)) / GRID.values
-            finite = np.isfinite(direct)
-            assert np.array_equal(model.effective_capacity(GRID.values)[finite], direct[finite])
+            C, L = model.base.rate, model.cross.mean_rate
+            thetas = GRID.values
+            below = thetas < 1.0 / L
+            gamma = model.effective_capacity(thetas)
+            expected = C + np.log1p(-L * thetas[below]) / thetas[below]
+            assert np.all(np.abs(gamma[below] - expected) <= 1e-15 * np.abs(expected))
+            assert np.all(gamma[~below] == -math.inf)
+
+
+class TestTwoStateAtLargeTheta:
+    """Both state MGFs of a two-state chain underflow at large theta; the
+    log eigenvalues are taken from the scaled state MGFs and stay exact.
+    The reference values come from a 50-digit evaluation of the quadratic."""
+
+    MODEL = MarkovModulated2Service(0.3, 0.9, DeterministicService(1.0), DeterministicService(2.0))
+    FB = FeedbackParams(w=1.0, d=2)
+
+    def test_effective_capacity_is_finite_and_exact(self):
+        assert self.MODEL.effective_capacity(1000.0) == pytest.approx(1.0012039728043259, rel=1e-14)
+        # tr^2 underflows in the unscaled discriminant here
+        assert self.MODEL.effective_capacity(700.0) == pytest.approx(1.0017199611490371, rel=1e-14)
+
+    def test_block_bound_keeps_the_theta(self):
+        assert effcap_lower_blocks(self.MODEL, self.FB, 1000.0) == pytest.approx(
+            0.4996534264097201, rel=1e-14
+        )
+        value = block_curve(self.MODEL, self.FB).log_value(1000.0, 10)
+        assert value == pytest.approx(-4996.534264097201, rel=1e-14)
+
+
+def on_off_plus(model, theta):
+    """Dominant eigenvalue of L(-theta) for On-Off service, from the quadratic."""
+    m1 = np.exp(-theta * model.peak)
+    tr = model.p00 + model.p11 * m1
+    det = (model.p00 + model.p11 - 1.0) * m1
+    return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+
+
+class TestCapacityFromTheLogMgf:
+    """Capacities read off the log-MGF equal the direct closed forms bit for
+    bit on the analytic benchmark's grids: log1p(C theta) / theta for the
+    exponential server and -log(plus) / theta for On-Off service."""
+
+    @pytest.mark.parametrize("sc", effcap_scenarios()[::2], ids=lambda sc: sc.name)
+    def test_closed_forms_on_the_analytic_grid(self, sc):
+        model = sc.service
+        thetas = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points).values
+        if isinstance(model, MmooService):
+            expected = _decay_rate(on_off_plus(model, thetas), thetas)
+        else:
+            expected = np.log1p(model.mean_rate * thetas) / thetas
+        assert np.array_equal(model.effective_capacity(thetas), expected)
+
+
+class TestServiceCurveBlocks:
+    """Service curves are refined in blocks of t; no t depends on another."""
+
+    FAMILY = block_curve(VBR, FeedbackParams(w=1.0, d=2))
+
+    def test_blocking_leaves_every_t_unchanged(self, monkeypatch):
+        step = bounds._CURVE_BLOCK_ENTRIES // len(GRID.values)
+        horizon = 2 * step + 7
+        long = statistical_service_curve(self.FAMILY, 1e-6, GRID, horizon)
+        short = statistical_service_curve(self.FAMILY, 1e-6, GRID, step + 3)
+        monkeypatch.setattr(bounds, "_CURVE_BLOCK_ENTRIES", 1 << 40)
+        whole = statistical_service_curve(self.FAMILY, 1e-6, GRID, horizon)
+        for name in ("x", "value", "theta_opt", "feasible"):
+            assert np.array_equal(getattr(long, name), getattr(whole, name), equal_nan=name == "theta_opt")
+            assert np.array_equal(
+                getattr(long, name)[: step + 4], getattr(short, name), equal_nan=name == "theta_opt"
+            )
+        assert long.feasible[1:].all()
+
+    def test_working_memory_is_bounded(self):
+        # unblocked, each (grid x horizon) matrix alone would take 49 MiB
+        horizon = 100_000
+        tracemalloc.start()
+        try:
+            curve = statistical_service_curve(self.FAMILY, 1e-6, GRID, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.value) == horizon + 1
+        assert peak < 32 * 2**20
 
 
 class TestBacklogBound:
