@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .models import MarkovModulated2Service, MmooService, _positive_theta
+from .models import _EXP_OVERFLOW, MarkovModulated2Service, MmooService, _positive_theta
 
 INF = float("inf")
 
@@ -266,7 +266,7 @@ def _mgf_value(curve: LogMgfCurve, theta: float, t: int) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     log_value = float(curve.log_value(theta, t))
-    return math.exp(log_value) if log_value < 709.0 else INF
+    return math.exp(log_value) if log_value < _EXP_OVERFLOW else INF
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@
 Each model is an immutable dataclass exposing, where meaningful:
 
 * ``mgf_increment(theta)``      E[exp(theta c_k)] of one slot increment,
-* ``mgf_path(theta, t)``        exact E[exp(theta S(0, t))],
+* ``mgf_path(theta, t)``        exact E[exp(theta S(0, t))], the exp of
+  ``log_mgf_path(theta, t)``,
 * ``effective_capacity(theta)`` long-run decay rate of the service MGF at
   -theta (theta > 0), whose theta -> 0 limit is the mean rate,
 * ``sample_path(seed, T)`` and ``sample_increments(rng, T, n)`` seeded
   deterministic sample path generators.
 
-An i.i.d. law states one transform, ``log_mgf_increment(theta)``; its MGF
-and effective capacity are read off it.  Two-state models take the log
-eigenvalues of their slot operator from the state laws' log-MGFs.
+An i.i.d. law states one transform, ``log_mgf_increment(theta)``.  The
+two-state model states one scaled spectral form of its slot operator,
+computed from the state laws' log-MGFs.  The MGFs and the effective capacity
+of both are read off these, by one implementation in the base class.
 
 Internally rates are megabits per slot and theta is per megabit.  MGFs that
 diverge return +inf rather than raising: divergence is a value.  The
-per-slot transforms (``mgf_increment``, ``log_censored_mgf``, ``eigen_m_plus``)
-and ``effective_capacity`` take a scalar or an array of theta, and
+per-slot transforms (``mgf_increment``, ``log_censored_mgf``, ``eigen_m_plus``),
+the path MGFs and ``effective_capacity`` take a scalar or an array of theta, and
 ``erlang_quantile(eps, n, C)`` a scalar or an array of shapes n; each returns
 a value of the same shape, so a whole theta grid or service-curve horizon is
 one call.  ``nonnegative`` tells whether every increment is >= 0.
@@ -31,7 +33,9 @@ Two-state Markov-modulated models additionally expose the spectral
 quantities of the 2x2 slot operator L(theta) = P_transition * diag(M0, M1):
 its dominant eigenvalue drives the effective capacity, and the mixing
 weight of the spectral decomposition gives an exact two-term form of the
-path MGF.
+path MGF.  The path MGF holds for any chain with a steady state; the
+dominant eigenvalue, the weight and the capacity, which the bounds use,
+require slow switching, p01 + p10 < 1.
 """
 
 from __future__ import annotations
@@ -190,7 +194,25 @@ def erlang_quantile(eps: float, n, mean_per_slot: float):
 
 
 class _Model:
-    """Seeded single-path sampling on top of ``sample_increments``."""
+    """MGFs and capacity from a family's ``_log_path(theta, t >= 1)`` and
+    per-slot log growth rate ``_log_growth``; seeded single paths."""
+
+    def log_mgf_path(self, theta, t: int):
+        """log E[exp(theta S(0, t))]: 0 at t = 0, +inf where it diverges."""
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        theta = np.asarray(theta, dtype=float)
+        return (self._log_path(theta, t) if t else np.zeros_like(theta))[()]
+
+    def mgf_path(self, theta, t: int):
+        return _safe_exp(self.log_mgf_path(theta, t))
+
+    def mgf_increment(self, theta):
+        return self.mgf_path(theta, 1)
+
+    def effective_capacity(self, theta):
+        theta = _positive_theta(theta)
+        return (-self._log_growth(-theta) / theta)[()]
 
     def sample_path(self, seed: int, T: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -198,22 +220,13 @@ class _Model:
 
 
 class _IidModel(_Model):
-    """i.i.d. slot increments: M = exp(log_mgf_increment), path MGF M^t."""
+    """i.i.d. slot increments: the path log-MGF is t log_mgf_increment."""
 
-    def mgf_increment(self, theta):
-        return _safe_exp(self.log_mgf_increment(theta))
+    def _log_path(self, theta, t: int):
+        return t * self.log_mgf_increment(theta)
 
-    def effective_capacity(self, theta):
-        theta = _positive_theta(theta)
-        return (-self.log_mgf_increment(-theta) / theta)[()]
-
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 1.0
-        m = self.mgf_increment(theta)
-        return m**t if math.isfinite(m) else INF
+    def _log_growth(self, theta):
+        return self.log_mgf_increment(theta)
 
 
 @dataclass(frozen=True)
@@ -360,49 +373,6 @@ class LeftoverService(_IidModel):
 # ===========================================================================
 
 
-def _two_state_eigs(p00: float, p11: float, m0, m1) -> Tuple:
-    """Eigenvalues (minus, plus) of [[p00 m0, p01 m1], [p10 m0, p11 m1]].
-
-    For finite state MGFs m0, m1 >= 0, not both 0, under slow switching
-    (p00 + p11 > 1, so plus > 0).  The closed-form quadratic is evaluated
-    with the product form for the small root to avoid cancellation; tiny
-    negative float residue of the discriminant is clamped.
-    """
-    tr = p00 * m0 + p11 * m1
-    det = (p00 + p11 - 1.0) * m0 * m1
-    plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-    return det / plus, plus
-
-
-def _two_state_mgf_path(
-    p00: float, p11: float, p_on: float, m0: float, m1: float, t: int
-) -> float:
-    if t == 0:
-        return 1.0
-    if not (math.isfinite(m0) and math.isfinite(m1)):
-        return INF
-    L = np.array([[p00 * m0, (1.0 - p00) * m1], [(1.0 - p11) * m0, p11 * m1]])
-    pi = np.array([1.0 - p_on, p_on])
-    return float(pi @ np.linalg.matrix_power(L, t) @ np.ones(2))
-
-
-def _on_times_probability(p01: float, p10: float, times) -> float:
-    """Exact probability of the chain being in state 1 at every listed time."""
-    ts = list(times)
-    if not ts:
-        raise ValueError("times must be non-empty")
-    if any(int(x) != x for x in ts):
-        raise ValueError("times must be integers")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("times must be strictly increasing")
-    p = p01 / (p01 + p10)
-    mu = 1.0 - p01 - p10
-    prob = p
-    for a, b in zip(ts, ts[1:]):
-        prob *= p + (1.0 - p) * mu ** (b - a)
-    return prob
-
-
 def _sample_sojourns(rng: np.random.Generator, p00: float, p11: float, p_on: float, T: int) -> np.ndarray:
     """One path of T states from geometric sojourn runs.
 
@@ -474,8 +444,10 @@ class MarkovModulated2Service(_Model):
 
     The chain selects the slot law: increments are drawn i.i.d. from ``law0``
     in state 0 and from ``law1`` in state 1, independently of the chain.
-    The chain starts in steady state.  The spectral operations require slow
-    switching, p01 + p10 < 1, which keeps the correlation eigenvalue
+    The chain starts in steady state.  The path MGF holds for any chain with
+    a steady state.  The spectral bound quantities (``eigen_m_plus``,
+    ``k_theta``, ``effective_capacity``) require slow switching,
+    p01 + p10 < 1, which keeps the correlation eigenvalue
     mu = 1 - p01 - p10 inside (0, 1).
     """
 
@@ -532,53 +504,77 @@ class MarkovModulated2Service(_Model):
     def nonnegative(self) -> bool:
         return self.law0.nonnegative and self.law1.nonnegative
 
-    def _state_mgfs(self, theta) -> Tuple:
-        return (self.law0.mgf_increment(theta), self.law1.mgf_increment(theta))
+    def _scaled(self, theta) -> Tuple:
+        """(top, plus, s, mean) of L(theta), the state MGFs scaled by e^-top.
 
-    def mgf_increment(self, theta):
-        m0, m1 = self._state_mgfs(theta)
-        p = self.on_probability
-        return (1.0 - p) * m0 + p * m1
-
-    def mgf_path(self, theta: float, t: int) -> float:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        m0, m1 = self._state_mgfs(theta)
-        return _two_state_mgf_path(self.p00, self.p11, self.on_probability, m0, m1, t)
-
-    def _log_eigs(self, theta) -> Tuple:
-        """log eigenvalues (minus, plus) of L(theta), +inf where a state MGF diverges.
-
-        Eigenvalues are homogeneous of degree one in (M0, M1): those of the
-        state MGFs scaled by the larger, e^(l - top), plus top are exact at
-        any theta, where the MGFs themselves would under- or overflow.
+        top is the larger state log-MGF (+inf where one diverges), plus the
+        dominant eigenvalue, s = trace / plus = 1 + minus / plus, and mean the
+        one-slot MGF.  Being homogeneous in (M0, M1), they are exact at any
+        theta, where the MGFs themselves would under- or overflow.
         """
-        self._require_slow_switching()
         l0, l1 = self.law0.log_mgf_increment(theta), self.law1.log_mgf_increment(theta)
         top = np.maximum(l0, l1)
         finite = np.isfinite(top)
         top = np.where(finite, top, 0.0)
         m0, m1 = (np.exp(np.where(finite, l - top, 0.0)) for l in (l0, l1))
-        with np.errstate(divide="ignore"):  # minus is 0 where the smaller MGF underflows
-            logs = np.log(_two_state_eigs(self.p00, self.p11, m0, m1)) + top
-        return tuple(np.where(finite, logs, INF))
+        tr = self.p00 * m0 + self.p11 * m1
+        det = (self.p00 + self.p11 - 1.0) * m0 * m1
+        # tiny negative float residue of the discriminant is clamped
+        plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+        p = self.on_probability
+        return np.where(finite, top, INF), plus, tr / plus, (1.0 - p) * m0 + p * m1
+
+    def _log_path(self, theta, t: int):
+        """Spectral form of the path log-MGF, for any chain with a steady state.
+
+        K plus^t + (1 - K) minus^t, K = (mean - minus) / (plus - minus), is
+        plus^t (1 - (1 - mean / plus)(1 + r + ... + r^(t-1))) with r = s - 1,
+        which has no pole where the eigenvalues coincide.  r lies in [-1, 1],
+        negative under fast switching; near -1, 1 - r^t at even t is taken
+        from s, a sum of nonnegative terms.  With p00 = 0 or p11 = 0, plus
+        underflows once the scaled other state MGF does, below e^-745.
+        """
+        top, plus, s, mean = self._scaled(theta)
+        r = s - 1.0
+        alternate = (r < 0.0) & (t % 2 == 0)
+        rest = np.where(alternate, -np.expm1(t * np.log1p(-np.where(alternate, s, 0.0))), 1.0 - r**t)
+        flat = r == 1.0
+        geo = np.where(flat, t, rest / np.where(flat, 1.0, 1.0 - r))
+        return t * (np.log(plus) + top) + np.log1p(-(1.0 - mean / plus) * geo)
+
+    def _log_growth(self, theta):
+        """log plus of L(theta), +inf where a state MGF diverges."""
+        self._require_slow_switching()
+        top, plus, _, _ = self._scaled(theta)
+        return np.log(plus) + top
 
     def eigen_m_plus(self, theta):
-        return _safe_exp(self._log_eigs(theta)[1])
+        return _safe_exp(self._log_growth(theta))
 
     def k_theta(self, theta: float) -> float:
-        """Weight of the dominant spectral term in the exact path MGF."""
-        minus, plus = _safe_exp(self._log_eigs(theta))
-        if not math.isfinite(plus) or plus - minus <= 1e-7 * max(plus, 1.0):
-            raise ValueError("eigenvalues coincide; spectral weight undefined")
-        return (self.mgf_increment(theta) - minus) / (plus - minus)
-
-    def effective_capacity(self, theta):
-        theta = _positive_theta(theta)
-        return (-self._log_eigs(-theta)[1] / theta)[()]
+        """Weight K = (mean / plus - r) / (1 - r) of the dominant spectral term;
+        the eigenvalues coincide where 1 - r = (plus - minus) / plus <= 1e-7."""
+        self._require_slow_switching()
+        top, plus, s, mean = self._scaled(theta)
+        r = s - 1.0
+        if not np.isfinite(top) or 1.0 - r <= 1e-7:
+            raise ValueError("eigenvalues diverge or coincide; spectral weight undefined")
+        return (mean / plus - r) / (1.0 - r)
 
     def on_sequence_probability(self, times) -> float:
-        return _on_times_probability(self.p01, self.p10, times)
+        """Exact probability of the chain being in state 1 at every listed time."""
+        ts = list(times)
+        if not ts:
+            raise ValueError("times must be non-empty")
+        if any(int(x) != x for x in ts):
+            raise ValueError("times must be integers")
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("times must be strictly increasing")
+        p, mu = self.on_probability, self.correlation_eigenvalue
+        prob = p
+        for a, b in zip(ts, ts[1:]):
+            prob *= p + (1.0 - p) * mu ** (b - a)
+        return prob
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
         states = _sample_two_state_chain(rng, self.p00, self.p11, self.on_probability, T, n)

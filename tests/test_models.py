@@ -230,12 +230,12 @@ class TestMmoo:
             fast.eigen_m_plus(-1.0)
 
     def test_spectral_weight_gives_exact_two_term_decomposition(self):
-        from winflow.models import _two_state_eigs
-
         for theta in (-1.0, -0.3, 0.5):
             K = MMOO.k_theta(theta)
             assert 0.0 < K < 1.0
-            minus, plus = _two_state_eigs(0.2, 0.9, *MMOO._state_mgfs(theta))
+            m0, m1 = (float(law.mgf_increment(theta)) for law in (MMOO.law0, MMOO.law1))
+            L = np.array([[0.2 * m0, 0.8 * m1], [0.1 * m0, 0.9 * m1]])
+            minus, plus = np.sort(np.linalg.eigvals(L).real)
             assert K * plus + (1 - K) * minus == pytest.approx(
                 MMOO.mgf_increment(theta), abs=1e-14
             )
@@ -300,6 +300,53 @@ class TestMmoo:
                     weight *= trans[(a, b)]
                 total += weight
         assert MMOO.on_sequence_probability([0, 1, 2]) == pytest.approx(total, abs=1e-15)
+
+
+# p00 = 0.3, p11 = 0.9 with constant laws 1 and 2 Mb/slot: as theta -> -inf
+# the dominant eigenvalue tends to 0.3 e^theta and the one-slot MGF to
+# 0.125 e^theta, so K tends to 0.125 / 0.3 = 5/12
+STEP_CHAIN = MarkovModulated2Service(0.3, 0.9, DeterministicService(1.0), DeterministicService(2.0))
+FAST_CHAIN = MmooService(0.1, 0.3, 1.0)  # p01 + p10 = 1.6: fast switching
+THETA_GRID = np.concatenate([-np.geomspace(1e-4, 1e3, 512), np.geomspace(1e-4, 1e3, 512)])
+
+
+class TestScaledSpectralForm:
+    """One scaled spectral form serves the path MGF and the spectral weight."""
+
+    @pytest.mark.parametrize("theta", [-10.0, -100.0, -400.0, -800.0])
+    def test_spectral_weight_finite_at_very_negative_theta(self, theta):
+        K = STEP_CHAIN.k_theta(theta)
+        assert math.isfinite(K) and 0.0 < K < 1.0
+        if theta <= -100.0:
+            assert abs(K - 5.0 / 12.0) <= 1e-12
+
+    @pytest.mark.parametrize("model", [MMOO, STEP_CHAIN, FAST_CHAIN], ids=["mmoo", "step", "fast"])
+    def test_path_mgf_raises_no_warning_on_theta_grid(self, model):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for t in range(101):
+                log_value = model.log_mgf_path(THETA_GRID, t)
+                value = model.mgf_path(THETA_GRID, t)
+                assert not np.any(np.isnan(log_value)) and not np.any(np.isnan(value))
+                below = log_value < 709.0
+                assert np.array_equal(value[below], np.exp(log_value[below]))
+                assert np.all(value[~below] == math.inf)
+
+    @pytest.mark.parametrize(
+        "model",
+        [MMOO, STEP_CHAIN, FAST_CHAIN, MmooService(0.0, 0.5, 1.0), MmooService(0.0, 0.0, 1.0)],
+        ids=["mmoo", "step", "fast", "zero-diagonal", "alternating"],
+    )
+    def test_path_mgf_matches_chain_enumeration(self, model):
+        for theta in (-60.0, -7.0, -1.0, -0.1, 0.0, 0.2, 3.0):
+            for t in range(11):
+                exact = enumerate_grouped_mgf(model, theta, range(t)) if t else 1.0
+                assert abs(model.mgf_path(theta, t) - exact) <= 1e-12 * exact
+                assert model.log_mgf_path(theta, t) == pytest.approx(math.log(exact), rel=1e-12, abs=1e-13)
+
+    def test_path_mgf_rejects_negative_length(self):
+        for model in (MMOO, ExponentialVbrService(1.0)):
+            with pytest.raises(ValueError, match="t must be"):
+                model.mgf_path(0.5, -1)
 
 
 class TestMarkovModulated2:
