@@ -262,11 +262,12 @@ def feedback_mgf_blocks_markov(model, params: FeedbackParams, theta: float, t: i
 
 
 def _mgf_value(curve: LogMgfCurve, theta: float, t: int) -> float:
-    """exp of one log_value, with +inf from the float overflow range on."""
+    """exp of one log_value, with +inf from the float overflow range on and
+    nan kept."""
     if t < 0:
         raise ValueError("t must be >= 0")
     log_value = float(curve.log_value(theta, t))
-    return math.exp(log_value) if log_value < _EXP_OVERFLOW else INF
+    return INF if log_value >= _EXP_OVERFLOW else math.exp(log_value)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,11 @@ Two-state Markov-modulated models additionally expose the spectral
 quantities of the 2x2 slot operator L(theta) = P_transition * diag(M0, M1):
 its dominant eigenvalue drives the effective capacity, and the mixing
 weight of the spectral decomposition gives an exact two-term form of the
-path MGF.  The path MGF holds for any chain with a steady state; the
-dominant eigenvalue, the weight and the capacity, which the bounds use,
-require slow switching, p01 + p10 < 1.
+path MGF.  The path MGF holds for any chain with a steady state, summed
+from nonnegative terms only; a chain with p00 = 0 or p11 = 0 has it while
+its state log-MGFs differ by at most 1400, and nan past that.  The dominant
+eigenvalue, the weight and the capacity, which the bounds use, require slow
+switching, p01 + p10 < 1.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ _EXP_OVERFLOW = 709.0
 
 
 def _safe_exp(x):
-    """exp(x), with +inf from the overflow threshold on; scalar or array."""
+    """exp(x), with +inf from the overflow threshold on and nan kept; scalar or array."""
     x = np.asarray(x, dtype=float)
-    return np.where(x < _EXP_OVERFLOW, np.exp(np.minimum(x, _EXP_OVERFLOW)), INF)[()]
+    return np.where(x >= _EXP_OVERFLOW, INF, np.exp(np.minimum(x, _EXP_OVERFLOW)))[()]
 
 
 def _positive_theta(theta) -> np.ndarray:
@@ -445,7 +447,8 @@ class MarkovModulated2Service(_Model):
     The chain selects the slot law: increments are drawn i.i.d. from ``law0``
     in state 0 and from ``law1`` in state 1, independently of the chain.
     The chain starts in steady state.  The path MGF holds for any chain with
-    a steady state.  The spectral bound quantities (``eigen_m_plus``,
+    a steady state (with a zero diagonal, while the state log-MGFs differ by
+    at most 1400).  The spectral bound quantities (``eigen_m_plus``,
     ``k_theta``, ``effective_capacity``) require slow switching,
     p01 + p10 < 1, which keeps the correlation eigenvalue
     mu = 1 - p01 - p10 inside (0, 1).
@@ -505,61 +508,102 @@ class MarkovModulated2Service(_Model):
         return self.law0.nonnegative and self.law1.nonnegative
 
     def _scaled(self, theta) -> Tuple:
-        """(top, plus, s, mean) of L(theta), the state MGFs scaled by e^-top.
+        """(top, e0, e1, m0, m1): the state MGFs of L(theta) over e^top, as
+        logs e and values m = e^e; exact where the MGFs would under- or
+        overflow, as eigenvalues and path MGF are homogeneous in (M0, M1).
 
-        top is the larger state log-MGF (+inf where one diverges), plus the
-        dominant eigenvalue, s = trace / plus = 1 + minus / plus, and mean the
-        one-slot MGF.  Being homogeneous in (M0, M1), they are exact at any
-        theta, where the MGFs themselves would under- or overflow.
+        top is the larger state log-MGF, +inf where one diverges.  With
+        p00 p11 = 0 plus nears sqrt(p01 p10 M0 M1) as the MGFs part, so top is
+        the largest log diagonal entry or half log off-diagonal product
+        (plus >= 1), but at most 709 below the larger state log-MGF.  Past a
+        gap of 1400 between the state log-MGFs a scaled MGF that counts can
+        leave the normal float range: top is nan, not a wrong value.
         """
         l0, l1 = self.law0.log_mgf_increment(theta), self.law1.log_mgf_increment(theta)
-        top = np.maximum(l0, l1)
+        top, span = np.maximum(l0, l1), INF
+        if self.p00 * self.p11 == 0.0:
+            entries = ((self.p00, l0), (self.p11, l1), (math.sqrt(self.p01 * self.p10), 0.5 * (l0 + l1)))
+            top = np.maximum.reduce([l + math.log(w) for w, l in entries if w > 0.0] + [top - _EXP_OVERFLOW])
+            span = 1400.0
         finite = np.isfinite(top)
         top = np.where(finite, top, 0.0)
-        m0, m1 = (np.exp(np.where(finite, l - top, 0.0)) for l in (l0, l1))
-        tr = self.p00 * m0 + self.p11 * m1
-        det = (self.p00 + self.p11 - 1.0) * m0 * m1
-        # tiny negative float residue of the discriminant is clamped
-        plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-        p = self.on_probability
-        return np.where(finite, top, INF), plus, tr / plus, (1.0 - p) * m0 + p * m1
+        e0, e1 = (np.where(finite, l - top, 0.0) for l in (l0, l1))
+        inside = np.abs(e0 - e1) <= span
+        e0, e1 = (np.where(inside, e, 0.0) for e in (e0, e1))
+        top = np.where(finite, np.where(inside, top, np.nan), INF)
+        return top, e0, e1, np.exp(e0), np.exp(e1)
+
+    def _spectrum(self, theta) -> Tuple:
+        """(top, plus, negative, gap, log_r, lead) of the two-term spectral form.
+
+        With r = minus / plus, the path MGF over plus^t e^(top t) is the sum
+        of nonnegative terms (lead / plus)(1 + r + ... + r^(t-1)) + rest: for
+        r >= 0, lead = mean - minus and rest = r^t; for r < 0 (``negative``,
+        fast switching), lead = mean and rest = |r| (1 + r + ... + r^(t-2)).
+        gap = 1 - |r| and log_r = log |r|, read off the logs of the MGFs so
+        r^t survives where they underflow.  Nothing cancels: with the diagonal
+        entries a, d, h = (a - d) / 2 and w = hypot(h, sqrt(p01 p10 m0 m1)),
+        plus = (a + d) / 2 + w; |h| + w is the larger of a - minus = plus - d
+        and d - minus, whose product is p01 p10 m0 m1; and mean - minus =
+        pi0 (p01 m0 + a - minus) + pi1 (p10 m1 + d - minus).  So a steady
+        state (nearly) off the dominant eigenvector keeps full precision.
+        """
+        top, e0, e1, m0, m1 = self._scaled(theta)
+        p, mu = self.on_probability, self.p00 + self.p11 - 1.0
+        a, d = self.p00 * m0, self.p11 * m1
+        root_bc = math.sqrt(self.p01 * self.p10) * np.exp(0.5 * (e0 + e1))  # no square underflows
+        h = 0.5 * (a - d)
+        w = np.hypot(h, root_bc)
+        plus = 0.5 * (a + d) + w
+        if mu < 0.0:
+            lead, gap = (1.0 - p) * m0 + p * m1, (a + d) / plus
+        else:
+            big = np.abs(h) + w
+            small = root_bc * np.divide(root_bc, big, out=np.zeros_like(big), where=big > 0.0)
+            a_gap, d_gap = np.where(h >= 0.0, big, small), np.where(h >= 0.0, small, big)
+            lead, gap = (1.0 - p) * (self.p01 * m0 + a_gap) + p * (self.p10 * m1 + d_gap), 2.0 * w / plus
+        with np.errstate(divide="ignore"):  # r = 0 where mu = 0
+            log_r = np.log(abs(mu)) + e0 + e1 - 2.0 * np.log(plus)
+        return top, plus, mu < 0.0, gap, np.where(gap < 0.5, np.log1p(-np.minimum(gap, 0.5)), log_r), lead
 
     def _log_path(self, theta, t: int):
-        """Spectral form of the path log-MGF, for any chain with a steady state.
+        """Spectral form of the path log-MGF, for any chain with a steady state:
+        K plus^t + (1 - K) minus^t summed as in ``_spectrum``, with no pole
+        where the eigenvalues coincide and 1 - r^n taken from gap."""
+        top, plus, negative, gap, log_r, lead = self._spectrum(theta)
+        one_minus_r = 2.0 - gap if negative else gap
 
-        K plus^t + (1 - K) minus^t, K = (mean - minus) / (plus - minus), is
-        plus^t (1 - (1 - mean / plus)(1 + r + ... + r^(t-1))) with r = s - 1,
-        which has no pole where the eigenvalues coincide.  r lies in [-1, 1],
-        negative under fast switching; near -1, 1 - r^t at even t is taken
-        from s, a sum of nonnegative terms.  With p00 = 0 or p11 = 0, plus
-        underflows once the scaled other state MGF does, below e^-745.
-        """
-        top, plus, s, mean = self._scaled(theta)
-        r = s - 1.0
-        alternate = (r < 0.0) & (t % 2 == 0)
-        rest = np.where(alternate, -np.expm1(t * np.log1p(-np.where(alternate, s, 0.0))), 1.0 - r**t)
-        flat = r == 1.0
-        geo = np.where(flat, t, rest / np.where(flat, 1.0, 1.0 - r))
-        return t * (np.log(plus) + top) + np.log1p(-(1.0 - mean / plus) * geo)
+        def geometric(n):  # 1 + r + ... + r^(n-1); log_r is finite when negative
+            head = 1.0 + np.exp(n * log_r) if negative and n % 2 else -np.expm1(n * log_r)
+            return np.divide(head, one_minus_r, out=np.full_like(gap, float(n)), where=one_minus_r > 0.0)
+
+        with np.errstate(divide="ignore"):  # log 0 = -inf is a vanishing term
+            rest = log_r + np.log(geometric(t - 1)) if negative else t * log_r
+            log_value = np.logaddexp(np.log(lead) - np.log(plus) + np.log(geometric(t)), rest)
+        return t * (np.log(plus) + top) + log_value
 
     def _log_growth(self, theta):
-        """log plus of L(theta), +inf where a state MGF diverges."""
+        """log plus of L(theta), +inf where a state MGF diverges, by the
+        closed-form root of the characteristic quadratic: ``_spectrum`` forms
+        the same root without cancellation, but every effective capacity,
+        and so every figure, is computed with this one bit for bit."""
         self._require_slow_switching()
-        top, plus, _, _ = self._scaled(theta)
-        return np.log(plus) + top
+        top, _, _, m0, m1 = self._scaled(theta)
+        tr, det = self.p00 * m0 + self.p11 * m1, (self.p00 + self.p11 - 1.0) * m0 * m1
+        # tiny negative float residue of the discriminant is clamped
+        return np.log(0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))) + top
 
     def eigen_m_plus(self, theta):
         return _safe_exp(self._log_growth(theta))
 
     def k_theta(self, theta: float) -> float:
-        """Weight K = (mean / plus - r) / (1 - r) of the dominant spectral term;
-        the eigenvalues coincide where 1 - r = (plus - minus) / plus <= 1e-7."""
+        """Weight K = (mean - minus) / (plus - minus) of the dominant spectral
+        term; the eigenvalues coincide where 1 - r = gap <= 1e-7."""
         self._require_slow_switching()
-        top, plus, s, mean = self._scaled(theta)
-        r = s - 1.0
-        if not np.isfinite(top) or 1.0 - r <= 1e-7:
+        top, plus, _, gap, _, lead = self._spectrum(theta)
+        if not np.isfinite(top) or gap <= 1e-7:
             raise ValueError("eigenvalues diverge or coincide; spectral weight undefined")
-        return (mean / plus - r) / (1.0 - r)
+        return lead / (gap * plus)
 
     def on_sequence_probability(self, times) -> float:
         """Exact probability of the chain being in state 1 at every listed time."""

@@ -307,7 +307,13 @@ class TestMmoo:
 # 0.125 e^theta, so K tends to 0.125 / 0.3 = 5/12
 STEP_CHAIN = MarkovModulated2Service(0.3, 0.9, DeterministicService(1.0), DeterministicService(2.0))
 FAST_CHAIN = MmooService(0.1, 0.3, 1.0)  # p01 + p10 = 1.6: fast switching
+ZERO_DIAGONAL = MmooService(0.0, 0.5, 1.0)
+ALTERNATING = MmooService(0.0, 0.0, 1.0)
+# the steady state sits in state 0, off the dominant eigenvector at theta > 0
+ABSORBED_OFF = MmooService(1.0, 0.5, 1.0)
 THETA_GRID = np.concatenate([-np.geomspace(1e-4, 1e3, 512), np.geomspace(1e-4, 1e3, 512)])
+GRID_CHAINS = [MMOO, STEP_CHAIN, FAST_CHAIN, ZERO_DIAGONAL, ALTERNATING]
+GRID_IDS = ["mmoo", "step", "fast", "zero-diagonal", "alternating"]
 
 
 class TestScaledSpectralForm:
@@ -320,7 +326,7 @@ class TestScaledSpectralForm:
         if theta <= -100.0:
             assert abs(K - 5.0 / 12.0) <= 1e-12
 
-    @pytest.mark.parametrize("model", [MMOO, STEP_CHAIN, FAST_CHAIN], ids=["mmoo", "step", "fast"])
+    @pytest.mark.parametrize("model", GRID_CHAINS, ids=GRID_IDS)
     def test_path_mgf_raises_no_warning_on_theta_grid(self, model):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for t in range(101):
@@ -333,8 +339,15 @@ class TestScaledSpectralForm:
 
     @pytest.mark.parametrize(
         "model",
-        [MMOO, STEP_CHAIN, FAST_CHAIN, MmooService(0.0, 0.5, 1.0), MmooService(0.0, 0.0, 1.0)],
-        ids=["mmoo", "step", "fast", "zero-diagonal", "alternating"],
+        GRID_CHAINS
+        + [
+            ABSORBED_OFF,
+            MmooService(0.5, 1.0, 1.0),
+            MmooService(0.0, 1.0, 1.0),
+            MmooService(0.999999, 0.5, 1.0),
+            MmooService(0.99999, 0.99999, 1.0),
+        ],
+        ids=GRID_IDS + ["absorbed-off", "absorbed-on", "always-on", "rarely-on", "sticky"],
     )
     def test_path_mgf_matches_chain_enumeration(self, model):
         for theta in (-60.0, -7.0, -1.0, -0.1, 0.0, 0.2, 3.0):
@@ -342,6 +355,28 @@ class TestScaledSpectralForm:
                 exact = enumerate_grouped_mgf(model, theta, range(t)) if t else 1.0
                 assert abs(model.mgf_path(theta, t) - exact) <= 1e-12 * exact
                 assert model.log_mgf_path(theta, t) == pytest.approx(math.log(exact), rel=1e-12, abs=1e-13)
+
+    def test_zero_diagonal_path_mgf_far_from_theta_zero(self):
+        # the smaller state MGF is scaled below the float range here
+        assert ZERO_DIAGONAL.mgf_increment(-800.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert ALTERNATING.mgf_increment(-800.0) == pytest.approx(0.5, rel=1e-14)
+        assert ALTERNATING.log_mgf_path(-800.0, 4) == pytest.approx(-1600.0, rel=1e-14)
+        assert MmooService(0.5, 0.0, 1.0).mgf_path(753.0, 3) == math.inf
+        assert MmooService(0.0, 1.0, 1.0).log_mgf_path(-1400.0, 5) == pytest.approx(-7000.0, rel=1e-14)
+
+    def test_zero_diagonal_path_mgf_is_nan_past_its_span(self):
+        # state log-MGFs 1600 apart: no value, never a finite or infinite one
+        with np.errstate(all="raise"):
+            for model in (ZERO_DIAGONAL, ALTERNATING):
+                assert math.isnan(model.log_mgf_path(-1600.0, 3))
+                assert math.isnan(model.mgf_path(-1600.0, 3))
+
+    def test_path_mgf_of_chain_absorbed_off_the_dominant_eigenvector(self):
+        # the chain never leaves state 0 (served 0), while the dominant
+        # eigenvalue comes from state 1: every path MGF is exactly 1
+        for theta in (1.0, 10.0, 100.0, 700.0):
+            for t in (1, 2, 7, 100):
+                assert ABSORBED_OFF.log_mgf_path(theta, t) == pytest.approx(0.0, abs=1e-14 * t * theta)
 
     def test_path_mgf_rejects_negative_length(self):
         for model in (MMOO, ExponentialVbrService(1.0)):
