@@ -21,12 +21,13 @@ with D(0, j) = 0 for j <= 0, after which A' = min(A, D shifted by d plus w),
 the network queue A' - D and the total backlog A - D are array
 expressions.  The recursion is min-plus linear, and d >= 1 makes it
 causal, so it has exactly one solution.  It is solved exactly in chunks
-of about _CHUNK_SLOTS slots (a multiple of d) by alternating two closed
-forms until nothing changes: a prefix minimum along time and, along each
-residue class mod d, a cumulative-sum scan of the feedback jumps; at
-d = 1 one scan is Lindley's recursion.  Negative capacity increments
-(leftover service) drain nothing physically; bound comparisons use the
-signed sums separately.
+of about _CHUNK_SLOTS slots (a multiple of d).  At d = 1 the window only
+caps the drain at w, and each chunk is one Lindley scan: a cumulative sum
+of min(max(c, 0), w) and a prefix minimum.  At d >= 2 two closed forms
+are alternated until nothing changes: a prefix minimum along time and,
+along each residue class mod d, a cumulative-sum scan of the feedback
+jumps.  Negative capacity increments (leftover service) drain nothing
+physically; bound comparisons use the signed sums separately.
 
 All runs are deterministic functions of the configured seed.  Replications
 use disjoint child seed streams and may execute concurrently.  A run keeps
@@ -132,18 +133,31 @@ def _departures(arrivals_cum: np.ndarray, drain: np.ndarray, w: float, d: int) -
     Solves D_n = min(D_{n-1} + drain_{n-1}, A_n, D_{n-d} + w) with D_j = 0
     for j <= 0 chunk by chunk.  Inside a chunk starting after slot n0, with
     C the cumulative drain restarted at n0 and E = D - C, a unit step is
-    free (E never increases) and the feedback jump from n-d to n costs
-    g_n = w - (C_n - C_{n-d}); jumps that reference slots before the chunk
-    are folded into the source term beta.  A prefix minimum along time and
-    the closed-form scan along each residue class mod d are both exact
-    partial solutions, so alternating them only lowers E until it reaches
-    the unique solution of the recursion.
+    free (E never increases).
+
+    At d = 1 the feedback term only caps the drain at w, so with C summed
+    over min(drain, w) the chunk is one Lindley scan: E is the prefix
+    minimum of A - C, with D(n0) folded into its first entry.
+
+    At d >= 2 the feedback jump from n-d to n costs g_n = w - (C_n -
+    C_{n-d}); jumps that reference slots before the chunk are folded into
+    the source term beta.  A prefix minimum along time and the closed-form
+    scan along each residue class mod d are both exact partial solutions,
+    so alternating them only lowers E until it reaches the unique solution
+    of the recursion.
     """
     T = len(drain)
     departed = np.zeros(T + 1)
     size = d * max(1, round(_CHUNK_SLOTS / d))
     for n0 in range(0, T, size):
         length = min(size, T - n0)
+        if d == 1:
+            cum = np.cumsum(np.minimum(drain[n0 : n0 + length], w))
+            x = arrivals_cum[n0 + 1 : n0 + length + 1] - cum
+            x[0] = min(x[0], departed[n0])
+            np.minimum.accumulate(x, out=x)
+            np.add(x, cum, out=departed[n0 + 1 : n0 + length + 1])
+            continue
         rows = -(-length // d)
         cum = np.zeros(rows * d + 1)
         np.cumsum(drain[n0 : n0 + length], out=cum[1 : length + 1])

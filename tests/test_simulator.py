@@ -20,9 +20,10 @@ from winflow.models import (
     LeftoverService,
     MmooService,
 )
-from winflow.oracle import SamplePath, equivalent_service_closure
+from winflow.oracle import SamplePath, equivalent_service_batch, equivalent_service_closure
 from winflow.simulator import (
     SimConfig,
+    _departures,
     backlog_quantile,
     empirical_equivalent_mgf,
     quantile_estimable,
@@ -255,7 +256,8 @@ LEFTOVER = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4))
 
 
 class TestReferenceLoop:
-    """The chunked departure solver against the per-slot loop it replaces."""
+    """The chunked departure solver against the per-slot loop it replaces, and
+    under saturated arrivals against the batch equivalent-service oracle."""
 
     @pytest.mark.parametrize(
         "T, d, w, service",
@@ -296,6 +298,23 @@ class TestReferenceLoop:
         S = np.concatenate(([0.0], np.cumsum(a - np.minimum(np.maximum(c, 0.0), 0.1))))
         lindley = S - np.minimum.accumulate(np.minimum(S, 0.0))
         assert np.max(np.abs(run.backlog - lindley)) <= 1e-11 * max(1.0, float(np.sum(a)))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 64])
+    @pytest.mark.parametrize(
+        "service",
+        [ExponentialVbrService(1.0), MmooService(p00=0.2, p11=0.9, peak=1.125)],
+        ids=["exponential", "mmoo"],
+    )
+    def test_saturated_departures_are_the_equivalent_service(self, service, d):
+        # arrivals that never bind leave D(0, t) = S_eq(0, t), the exact
+        # equivalent service of the same path, across the chunk edges
+        T = 9000
+        fb = FeedbackParams(w=0.5 * d, d=d)
+        drain = np.maximum(service.sample_increments(np.random.default_rng(d), T, 1), 0.0)
+        departed = _departures(1e9 * np.arange(T + 1.0), drain[0], fb.w, d)
+        for t in (1, 17, 4096, 4097, T):
+            s_eq = equivalent_service_batch(drain, fb, t)[0]
+            assert abs(departed[t] - s_eq) <= 1e-12 * max(1.0, s_eq)
 
 
 class TestDeterminism:
