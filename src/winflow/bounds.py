@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .models import _EXP_OVERFLOW, MarkovModulated2Service, MmooService, _positive_theta
+from .models import MarkovModulated2Service, MmooService, _positive_theta, _safe_exp
 
 INF = float("inf")
 
@@ -262,12 +262,10 @@ def feedback_mgf_blocks_markov(model, params: FeedbackParams, theta: float, t: i
 
 
 def _mgf_value(curve: LogMgfCurve, theta: float, t: int) -> float:
-    """exp of one log_value, with +inf from the float overflow range on and
-    nan kept."""
+    """exp of one log_value by ``models._safe_exp``: +inf from 709 on, nan kept."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    log_value = float(curve.log_value(theta, t))
-    return INF if log_value >= _EXP_OVERFLOW else math.exp(log_value)
+    return float(_safe_exp(curve.log_value(theta, t)))
 
 
 # ---------------------------------------------------------------------------

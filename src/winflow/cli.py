@@ -205,9 +205,11 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
     model = sc.service
     fb = FeedbackParams(w=sc.w_mb[0], d=sc.d_slots[0])
     curve = _curve_family(model, fb)
-    header = ["lambda_mbps"] + [f"bound_eps{eps:.0e}_mb" for eps in sc.epsilons]
+    # shortest round-trip mantissa: distinct epsilons get distinct columns
+    labels = [np.format_float_scientific(eps, trim="-", exp_digits=2) for eps in sc.epsilons]
+    header = ["lambda_mbps"] + [f"bound_eps{label}_mb" for label in labels]
     if sc.simulate:
-        header += [f"sim_eps{eps:.0e}_mb" for eps in sc.epsilons]
+        header += [f"sim_eps{label}_mb" for label in labels]
     epsilons = np.array(sc.epsilons)
     bound_rows, sim_rows = [], []
     for lam in sc.lambdas_mb:

@@ -31,13 +31,13 @@ the constant laws 0 and ``peak`` (On-Off service).
 
 Two-state Markov-modulated models additionally expose the spectral
 quantities of the 2x2 slot operator L(theta) = P_transition * diag(M0, M1):
-its dominant eigenvalue drives the effective capacity, and the mixing
-weight of the spectral decomposition gives an exact two-term form of the
-path MGF.  The path MGF holds for any chain with a steady state, summed
-from nonnegative terms only; a chain with p00 = 0 or p11 = 0 has it while
-its state log-MGFs differ by at most 1400, and nan past that.  The dominant
-eigenvalue, the weight and the capacity, which the bounds use, require slow
-switching, p01 + p10 < 1.
+its dominant eigenvalue, one root free of cancellation, drives the effective
+capacity, and the mixing weight of the spectral decomposition gives an exact
+two-term form of the path MGF.  The path MGF holds for any chain with a
+steady state, summed from nonnegative terms only; a chain with p00 = 0 or
+p11 = 0 has it while its state log-MGFs differ by at most 1400, and nan past
+that.  The dominant eigenvalue, the weight and the capacity, which the
+bounds use, require slow switching, p01 + p10 < 1.
 """
 
 from __future__ import annotations
@@ -533,6 +533,17 @@ class MarkovModulated2Service(_Model):
         top = np.where(finite, np.where(inside, top, np.nan), INF)
         return top, e0, e1, np.exp(e0), np.exp(e1)
 
+    def _dominant(self, theta) -> Tuple:
+        """``_scaled``'s tuple and (trace, h, root_bc, w, plus) over e^top: trace = a + d
+        and h = (a - d) / 2 of the diagonal entries, root_bc = sqrt(p01 p10 m0 m1),
+        w = hypot(h, root_bc) and the one dominant eigenvalue plus = trace / 2 + w."""
+        top, e0, e1, m0, m1 = self._scaled(theta)
+        a, d = self.p00 * m0, self.p11 * m1
+        root_bc = math.sqrt(self.p01 * self.p10) * np.exp(0.5 * (e0 + e1))  # no square underflows
+        h = 0.5 * (a - d)
+        w = np.hypot(h, root_bc)
+        return top, e0, e1, m0, m1, a + d, h, root_bc, w, 0.5 * (a + d) + w
+
     def _spectrum(self, theta) -> Tuple:
         """(top, plus, negative, gap, log_r, lead) of the two-term spectral form.
 
@@ -541,22 +552,16 @@ class MarkovModulated2Service(_Model):
         r >= 0, lead = mean - minus and rest = r^t; for r < 0 (``negative``,
         fast switching), lead = mean and rest = |r| (1 + r + ... + r^(t-2)).
         gap = 1 - |r| and log_r = log |r|, read off the logs of the MGFs so
-        r^t survives where they underflow.  Nothing cancels: with the diagonal
-        entries a, d, h = (a - d) / 2 and w = hypot(h, sqrt(p01 p10 m0 m1)),
-        plus = (a + d) / 2 + w; |h| + w is the larger of a - minus = plus - d
+        r^t survives where they underflow.  Nothing cancels: with the parts of
+        plus from ``_dominant``, |h| + w is the larger of a - minus = plus - d
         and d - minus, whose product is p01 p10 m0 m1; and mean - minus =
         pi0 (p01 m0 + a - minus) + pi1 (p10 m1 + d - minus).  So a steady
         state (nearly) off the dominant eigenvector keeps full precision.
         """
-        top, e0, e1, m0, m1 = self._scaled(theta)
-        p, mu = self.on_probability, self.p00 + self.p11 - 1.0
-        a, d = self.p00 * m0, self.p11 * m1
-        root_bc = math.sqrt(self.p01 * self.p10) * np.exp(0.5 * (e0 + e1))  # no square underflows
-        h = 0.5 * (a - d)
-        w = np.hypot(h, root_bc)
-        plus = 0.5 * (a + d) + w
+        top, e0, e1, m0, m1, trace, h, root_bc, w, plus = self._dominant(theta)
+        p, mu = self.on_probability, self.correlation_eigenvalue
         if mu < 0.0:
-            lead, gap = (1.0 - p) * m0 + p * m1, (a + d) / plus
+            lead, gap = (1.0 - p) * m0 + p * m1, trace / plus
         else:
             big = np.abs(h) + w
             small = root_bc * np.divide(root_bc, big, out=np.zeros_like(big), where=big > 0.0)
@@ -583,15 +588,11 @@ class MarkovModulated2Service(_Model):
         return t * (np.log(plus) + top) + log_value
 
     def _log_growth(self, theta):
-        """log plus of L(theta), +inf where a state MGF diverges, by the
-        closed-form root of the characteristic quadratic: ``_spectrum`` forms
-        the same root without cancellation, but every effective capacity,
-        and so every figure, is computed with this one bit for bit."""
+        """log plus of L(theta), +inf where a state MGF diverges; plus is the
+        root of ``_dominant``, the one the path MGF and ``k_theta`` read."""
         self._require_slow_switching()
-        top, _, _, m0, m1 = self._scaled(theta)
-        tr, det = self.p00 * m0 + self.p11 * m1, (self.p00 + self.p11 - 1.0) * m0 * m1
-        # tiny negative float residue of the discriminant is clamped
-        return np.log(0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))) + top
+        top, *_, plus = self._dominant(theta)
+        return np.log(plus) + top
 
     def eigen_m_plus(self, theta):
         return _safe_exp(self._log_growth(theta))

@@ -44,8 +44,9 @@ __all__ = ["MAX_SLOTS", "Scenario", "ScenarioError", "load_scenarios", "parse_sc
 KINDS = ("service-curve", "effective-capacity", "backlog", "simulate")
 
 # Upper limit on every slot count a scenario names (delays, horizons and
-# slots per replication), checked before anything is allocated.  The canned
-# studies, the tests and the benchmark workloads stay at or below 10**6.
+# simulated slots over all replications), checked before anything is
+# allocated.  The canned studies, the tests and the benchmark workloads stay
+# at or below 10**6.
 MAX_SLOTS = 10**7
 
 
@@ -215,12 +216,27 @@ def _build_arrivals(sec: _Section, slot_ms: float):
 def _check_epsilons(sec: _Section, key: str, values: List[float]) -> None:
     if not all(0.0 < eps < 1.0 for eps in values):
         raise ScenarioError(sec.name, key, "must lie strictly between 0 and 1")
+    # each epsilon labels its own output column
+    if len(set(values)) != len(values):
+        raise ScenarioError(sec.name, key, "epsilons must be distinct")
+
+
+def _replications(sec: _Section, key: str, total_slots: int) -> int:
+    # bounds the simulated slots over all replications; the backlog
+    # quantiles hold them all at once
+    count = sec.integer(key, default=1, minimum=1)
+    if count * total_slots > MAX_SLOTS:
+        raise ScenarioError(sec.name, key, f"slots times replications must be at most {MAX_SLOTS}")
+    return count
 
 
 def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[float]]:
     d_slots = [sec.slots("d_ms", d, slot_ms) for d in sec.reals("d_ms", positive=True)]
     if any(d < 1 for d in d_slots):
         raise ScenarioError(sec.name, "d_ms", "delays must be at least one slot")
+    # each delay names its own output file or column
+    if len(set(d_slots)) != len(d_slots):
+        raise ScenarioError(sec.name, "d_ms", "delays must be distinct")
     if sec.has("w_over_d_mbps") and sec.has("w_mb"):
         raise ScenarioError(sec.name, "w_mb", "give either w_mb or w_over_d_mbps, not both")
     if sec.has("w_over_d_mbps"):
@@ -280,7 +296,7 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
             out.total_slots = sec.integer("sim_slots", minimum=2, maximum=MAX_SLOTS)
             # the drift ratio compares two halves of at least one slot each
             out.warmup_slots = sec.integer("sim_warmup", minimum=0, maximum=out.total_slots - 2)
-            out.replications = sec.integer("sim_replications", default=1, minimum=1)
+            out.replications = _replications(sec, "sim_replications", out.total_slots)
     else:  # simulate
         out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)
         if len(out.d_slots) != 1:
@@ -288,7 +304,7 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
         out.arrivals = _build_arrivals(sec, slot_ms)
         out.total_slots = sec.integer("total_slots", minimum=2, maximum=MAX_SLOTS)
         out.warmup_slots = sec.integer("warmup_slots", minimum=0, maximum=out.total_slots - 2)
-        out.replications = sec.integer("replications", default=1, minimum=1)
+        out.replications = _replications(sec, "replications", out.total_slots)
     sec.reject_unknown()
     return out
 

@@ -373,8 +373,20 @@ class TestScenarioParsing:
                 f"theta_points = 48\nsimulate = true\nsim_slots = {MAX_SLOTS + 1}\nsim_warmup = 10",
                 "sim_slots",
             ),
+            # slots times replications: the backlog quantiles hold them all at once
+            (SIM_INI, "replications = 2", f"replications = {MAX_SLOTS // 5000 + 1}", "replications"),
+            (
+                BACKLOG_INI,
+                "theta_points = 48",
+                f"theta_points = 48\nsimulate = true\nsim_slots = 5000\nsim_warmup = 10\n"
+                f"sim_replications = {MAX_SLOTS // 5000 + 1}",
+                "sim_replications",
+            ),
         ],
-        ids=["horizon_ms", "horizon_ms-overflow", "d_ms", "total_slots", "sim_slots"],
+        ids=[
+            "horizon_ms", "horizon_ms-overflow", "d_ms", "total_slots", "sim_slots",
+            "replications", "sim_replications",
+        ],
     )
     def test_slot_counts_above_the_limit_name_the_key(self, ini, old, new, key):
         text = ini.replace(old, new)
@@ -385,9 +397,41 @@ class TestScenarioParsing:
 
     def test_slot_counts_at_the_limit_parse(self):
         curve_ini = VBR_CURVE_INI.replace("horizon_ms = 40", f"horizon_ms = {MAX_SLOTS}")
-        sim_ini = SIM_INI.replace("total_slots = 5000", f"total_slots = {MAX_SLOTS}")
+        sim_ini = SIM_INI.replace("total_slots = 5000", f"total_slots = {MAX_SLOTS}").replace(
+            "replications = 2", "replications = 1"
+        )
         (curve,), (sim,) = parse_scenario_text(curve_ini), parse_scenario_text(sim_ini)
         assert curve.horizon_slots == sim.total_slots == MAX_SLOTS
+        replicated = SIM_INI.replace("replications = 2", f"replications = {MAX_SLOTS // 5000}")
+        backlog = BACKLOG_INI + (
+            f"simulate = true\nsim_slots = 5000\nsim_warmup = 10\nsim_replications = {MAX_SLOTS // 5000}\n"
+        )
+        for (sc,) in (parse_scenario_text(replicated), parse_scenario_text(backlog)):
+            assert sc.total_slots * sc.replications == MAX_SLOTS
+
+    @pytest.mark.parametrize(
+        "ini, old, new",
+        [
+            (EFFCAP_INI, "w_over_d_mbps = 100\nd_ms = 1 5", "w_mb = 0.1 0.5\nd_ms = 1 1"),
+            (VBR_CURVE_INI, "d_ms = 1 2 5", "d_ms = 1 2 1"),
+            (VBR_CURVE_INI, "d_ms = 1 2 5", "d_ms = 1 2 2.0"),
+        ],
+        ids=["effcap", "curve", "same-float"],
+    )
+    def test_repeated_delays_name_the_key(self, ini, old, new):
+        # each delay names its own output file or column
+        text = ini.replace(old, new)
+        assert text != ini
+        with pytest.raises(ScenarioError, match=r"d_ms: delays must be distinct") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "d_ms"
+
+    @pytest.mark.parametrize("values", ["1e-3 1e-9 1e-3", "1e-3 0.001"])
+    def test_repeated_epsilons_name_the_key(self, values):
+        text = BACKLOG_INI.replace("epsilons = 1e-3 1e-9", f"epsilons = {values}")
+        with pytest.raises(ScenarioError, match=r"\[backlog\] epsilons: epsilons must be distinct") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "epsilons"
 
     @pytest.mark.parametrize("warmup", ["5000", "4999"])
     def test_simulate_warmup_must_leave_two_slots(self, warmup):
@@ -560,8 +604,25 @@ class TestBacklogCommand:
         )
         assert main(["backlog", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "backlog_backlog.csv")
-        assert np.isnan(column(header, rows, "sim_eps3e-01_mb")).all()
+        assert np.isnan(column(header, rows, "sim_eps3.333333333333333e-01_mb")).all()
         assert np.isfinite(column(header, rows, "sim_eps5e-01_mb")).all()
+
+    def test_epsilon_columns_keep_every_digit(self, tmp_path):
+        # one-digit mantissas read as in the figures; longer ones keep every
+        # digit, so 1.2e-3 does not share the column of 1e-3
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            BACKLOG_INI.replace("lambda_mbps = 30 50 70", "lambda_mbps = 30").replace(
+                "epsilons = 1e-3 1e-9", "epsilons = 1e-3 1.2e-3 2.5e-7"
+            )
+        )
+        assert main(["backlog", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "backlog_backlog.csv")
+        assert header == [
+            "lambda_mbps", "bound_eps1e-03_mb", "bound_eps1.2e-03_mb", "bound_eps2.5e-07_mb"
+        ]
+        bounds = [column(header, rows, name)[0] for name in header[1:]]
+        assert bounds[1] < bounds[0] < bounds[2]
 
 
 class TestSimulateCommand:

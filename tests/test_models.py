@@ -13,6 +13,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from conftest import on_off_capacity_reference
 from winflow.models import (
     DeterministicService,
     ExponentialArrivals,
@@ -382,6 +383,25 @@ class TestScaledSpectralForm:
         for model in (MMOO, ExponentialVbrService(1.0)):
             with pytest.raises(ValueError, match="t must be"):
                 model.mgf_path(0.5, -1)
+
+
+STICKY_CHAINS = [MmooService(p, p, 1.0) for p in (0.99, 0.9999, 0.99999, 0.999999)]
+
+
+class TestOneDominantRoot:
+    """The capacity and eigen_m_plus read the cancellation-free root of the
+    spectral form, exact also on sticky chains, whose eigenvalues nearly
+    coincide: there a root through the quadratic's discriminant cancels."""
+
+    @pytest.mark.parametrize("model", STICKY_CHAINS, ids=lambda m: f"p{m.p00}")
+    @pytest.mark.parametrize("theta", [1e-9, 1e-6, 1e-3, 1.0])
+    def test_capacity_of_sticky_chain_matches_50_digit_root(self, model, theta):
+        expected = on_off_capacity_reference(model, theta)
+        assert abs(model.effective_capacity(theta) - expected) <= 1e-6 * expected
+
+    @pytest.mark.parametrize("model", STICKY_CHAINS, ids=lambda m: f"p{m.p00}")
+    def test_dominant_eigenvalue_of_sticky_chain_at_zero_is_one(self, model):
+        assert abs(model.eigen_m_plus(0.0) - 1.0) <= 1e-15
 
 
 class TestMarkovModulated2:
