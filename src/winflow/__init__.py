@@ -25,7 +25,6 @@ from .bounds import (
     effcap_lower_series,
     feedback_mgf_blocks_iid,
     feedback_mgf_blocks_markov,
-    feedback_mgf_series,
     per_slot_curve,
     series_curve,
     statistical_service_curve,

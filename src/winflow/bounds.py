@@ -21,11 +21,12 @@ it is also the family's effective-capacity lower bound, and the
 alone, and the steady-state backlog bound sums a geometric series in closed
 form; it is finite at theta exactly when p log M_A(theta) + log_rate(theta) < 0.
 
-All optimizations over theta use a fixed logarithmic grid followed by
-golden-section refinement; the reported optimum is never worse than the
-best raw grid point.  Service curves refine their t in bounded blocks, and the
-steady-state backlog bound every epsilon of an arrival rate, through one
-helper that runs the golden-section searches in lockstep.
+Every optimization over theta goes through one helper: a fixed logarithmic
+grid, then golden-section refinement around each problem's best grid point,
+with all searches run in lockstep; the reported optimum is never worse than
+the best raw grid point.  Service curves refine their t in bounded blocks,
+the steady-state backlog bound every epsilon of an arrival rate, and the
+finite-horizon backlog bound its one problem, a theta at a time.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ from .models import MarkovModulated2Service, MmooService, _positive_theta, _safe
 
 INF = float("inf")
 
+# the default theta grid (per megabit): geomspace(THETA_MIN, THETA_MAX, THETA_POINTS)
+THETA_MIN, THETA_MAX, THETA_POINTS = 1e-4, 1e3, 64
+
 __all__ = [
     "FeedbackParams",
     "ThetaGrid",
     "BoundResult",
     "LogMgfCurve",
-    "feedback_mgf_series",
     "feedback_mgf_blocks_iid",
     "feedback_mgf_blocks_markov",
     "series_curve",
@@ -98,7 +101,9 @@ class ThetaGrid:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def logspace(cls, minimum: float = 1e-4, maximum: float = 1e3, count: int = 64) -> "ThetaGrid":
+    def logspace(
+        cls, minimum: float = THETA_MIN, maximum: float = THETA_MAX, count: int = THETA_POINTS
+    ) -> "ThetaGrid":
         return cls(np.geomspace(minimum, maximum, count))
 
 
@@ -136,6 +141,11 @@ def golden_section_max(
 
     Assumes fn is unimodal on the bracket; -inf values (infeasible points)
     are treated as arbitrarily bad.  Returns (argmax, max).
+
+    No bound calls it: they all search through ``_refine_grid_max``.  It
+    stays as the tests' independent scalar reference for that helper, and
+    because the benchmark tracer (``perfbench/tracer.py``) counts its calls
+    by name.
     """
     if hi < lo:
         lo, hi = hi, lo
@@ -228,17 +238,6 @@ def _is_markov(model) -> bool:
     return isinstance(model, MarkovModulated2Service)
 
 
-def feedback_mgf_series(model, params: FeedbackParams, theta: float, t: int) -> float:
-    """Geometric-series bound on E[exp(-theta S_eq(0, t))] for i.i.d. service.
-
-    Counts all window placements with a binomial tail, which telescopes to
-    M^t / (1 - M^{-d} e^{-theta w})^{t+2} with M = mgf_increment(-theta).
-    Valid only under the convergence condition M^{-d} e^{-theta w} < 1;
-    returns +inf where that fails (infeasibility is a value, not an error).
-    """
-    return _mgf_value(series_curve(model, params), theta, t)
-
-
 def feedback_mgf_blocks_iid(model, params: FeedbackParams, theta: float, t: int) -> float:
     """Block-counting bound on E[exp(-theta S_eq(0, t))] for i.i.d. service.
 
@@ -246,7 +245,7 @@ def feedback_mgf_blocks_iid(model, params: FeedbackParams, theta: float, t: int)
     contributes its service MGF or one window cost, giving
     (M^d + d e^{-theta w})^{floor(t/d)}.  Always finite.
     """
-    return _mgf_value(block_curve(model, params), theta, t)
+    return block_curve(model, params).mgf(theta, t)
 
 
 def feedback_mgf_blocks_markov(model, params: FeedbackParams, theta: float, t: int) -> float:
@@ -258,14 +257,7 @@ def feedback_mgf_blocks_markov(model, params: FeedbackParams, theta: float, t: i
     """
     if not _is_markov(model):
         raise TypeError("markov block bound needs a two-state Markov-modulated model")
-    return _mgf_value(block_curve(model, params), theta, t)
-
-
-def _mgf_value(curve: LogMgfCurve, theta: float, t: int) -> float:
-    """exp of one log_value by ``models._safe_exp``: +inf from 709 on, nan kept."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return float(_safe_exp(curve.log_value(theta, t)))
+    return block_curve(model, params).mgf(theta, t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +294,14 @@ class LogMgfCurve:
         log_rate, log_offset = self.coefficients(_positive_theta(theta))
         blocks = np.floor(np.asarray(lengths, dtype=float) / self.period)
         return _times_log(blocks, log_rate) + log_offset
+
+    def mgf(self, theta: float, t: int) -> float:
+        """The bound on E[exp(-theta S_eq(0, t))] at one theta and length t:
+        exp of ``log_value`` by ``models._safe_exp``, +inf from log 709 on
+        and nan kept."""
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        return float(_safe_exp(self.log_value(theta, t)))
 
 
 def _times_log(n: np.ndarray, log_base) -> np.ndarray:
@@ -498,11 +498,10 @@ def best_effcap_lower(model, params: FeedbackParams, grid: ThetaGrid) -> BoundRe
 # ===========================================================================
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = np.max(values)
-    if not math.isfinite(top):
-        return float(top)
-    return float(top + math.log(np.sum(np.exp(values - top))))
+def _log_sum_exp(values: np.ndarray):
+    """log of the sum of exp over the last axis of finite values."""
+    top = values.max(axis=-1)
+    return top + np.log(np.exp(values - top[..., None]).sum(axis=-1))
 
 
 def _log_backlog_sum(arrivals, curve: LogMgfCurve, theta: float, t: int) -> float:
@@ -514,7 +513,7 @@ def _log_backlog_sum(arrivals, curve: LogMgfCurve, theta: float, t: int) -> floa
     log_terms = ell * log_ma + curve.log_value(theta, ell)
     if not np.all(np.isfinite(log_terms)):
         return INF
-    return _logsumexp(log_terms)
+    return _log_sum_exp(log_terms)
 
 
 def _log_steady_state_sum(arrivals, curve: LogMgfCurve, theta):
@@ -531,10 +530,8 @@ def _log_steady_state_sum(arrivals, curve: LogMgfCurve, theta):
         r = curve.period * log_ma + log_rate
     converges = (r < 0.0) & np.isfinite(log_ma) & np.isfinite(log_offset)
     phase = np.multiply.outer(np.where(converges, log_ma, 0.0), np.arange(curve.period))
-    top = phase.max(axis=-1)
-    head = top + np.log(np.exp(phase - top[..., None]).sum(axis=-1))
     tail = np.log(-np.expm1(np.where(converges, r, -1.0)))
-    return np.where(converges, head + log_offset - tail, INF)
+    return np.where(converges, _log_sum_exp(phase) + log_offset - tail, INF)
 
 
 def backlog_bound(
@@ -545,7 +542,8 @@ def backlog_bound(
     Minimizes over theta the deconvolution sum of the arrival MGF against the
     service MGF bound, both taken over interval lengths up to t, term by
     term.  Returns +inf when no grid theta is feasible (the system is
-    unstable at this arrival rate for every usable theta).
+    unstable at this arrival rate for every usable theta).  The objective is
+    evaluated one theta at a time, so memory stays O(t).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -553,21 +551,12 @@ def backlog_bound(
         raise ValueError("t must be >= 1")
     log_eps = math.log(eps)
 
-    def objective(theta: float) -> float:
-        s = _log_backlog_sum(arrivals, curve, theta, t)
-        return (s - log_eps) / theta if math.isfinite(s) else INF
+    def negated(thetas, _):
+        return np.array([(log_eps - _log_backlog_sum(arrivals, curve, th, t)) / th for th in thetas])
 
-    # grid argmin, then golden-section refinement on the neighbouring
-    # bracket; never worse than the best grid point, +inf if all are
     thetas = grid.values
-    grid_values = [objective(th) for th in thetas]
-    k = int(np.argmin(grid_values))
-    if grid_values[k] == INF:
-        return INF
-    _, fx = golden_section_max(
-        lambda th: -objective(th), thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
-    )
-    return float(min(grid_values[k], -fx))
+    best = _refine_grid_max(negated, thetas, negated(thetas, None)[:, None])[0]
+    return float(-best[0])
 
 
 def steady_state_backlog_bound(arrivals, curve: LogMgfCurve, eps, grid: ThetaGrid):

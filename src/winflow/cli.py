@@ -98,6 +98,12 @@ def _grid(sc: Scenario) -> ThetaGrid:
     return ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
 
 
+def _delay_label(sc: Scenario, d: int) -> str:
+    # 15 significant digits tell every two delays apart that MAX_SLOTS
+    # allows, and print what :g prints for delays of up to 6 digits
+    return f"{units.slots_to_ms(d, sc.slot_ms):.15g}"
+
+
 def _sim_config(sc: Scenario, arrivals) -> SimConfig:
     return SimConfig(
         seed=sc.seed, total_slots=sc.total_slots, warmup_slots=sc.warmup_slots, arrivals=arrivals,
@@ -117,31 +123,32 @@ def cmd_service_curve(sc: Scenario, out_dir: str) -> List[str]:
     model = sc.service
     horizon = sc.horizon_slots
     ts = np.arange(horizon + 1)
-    pairs = list(zip(sc.w_mb, sc.d_slots))
-    ratios = {round(w / d, 12) for w, d in pairs}
-    shared_ratio = len(ratios) == 1
+    fbs = [FeedbackParams(w=w, d=d) for w, d in zip(sc.w_mb, sc.d_slots)]
+    shared_ratio = len({round(fb.rate_cap, 12) for fb in fbs}) == 1
+
+    def invert(family) -> np.ndarray:
+        return statistical_service_curve(family, sc.epsilon, grid, horizon).value
+
+    # the per-slot curve depends on w/d alone: one inversion per exact cap
+    per_slot = {}
+
+    def lower(fb: FeedbackParams) -> np.ndarray:
+        if fb.rate_cap not in per_slot:
+            per_slot[fb.rate_cap] = invert(per_slot_curve(model, fb))
+        return per_slot[fb.rate_cap]
 
     header = ["t_ms"]
     columns = [units.slots_to_ms(ts, sc.slot_ms)]
-    for w, d in pairs:
-        fb = FeedbackParams(w=w, d=d)
-        res = statistical_service_curve(_curve_family(model, fb), sc.epsilon, grid, horizon)
-        header.append(f"curve_d{units.slots_to_ms(d, sc.slot_ms):g}ms_mb")
-        columns.append(res.value)
-    lower_cols = []
-    for w, d in pairs:
-        fb = FeedbackParams(w=w, d=d)
-        lower = statistical_service_curve(per_slot_curve(model, fb), sc.epsilon, grid, horizon)
-        lower_cols.append(lower.value)
-        if shared_ratio:
-            break
+    for fb in fbs:  # _curve_family's choice, with the d = 1 inversion shared
+        header.append(f"curve_d{_delay_label(sc, fb.d)}ms_mb")
+        columns.append(lower(fb) if fb.d == 1 else invert(block_curve(model, fb)))
     if shared_ratio:
         header.append("lower_mb")
-        columns.append(lower_cols[0])
+        columns.append(lower(fbs[0]))
     else:
-        for (w, d), col in zip(pairs, lower_cols):
-            header.append(f"lower_d{units.slots_to_ms(d, sc.slot_ms):g}ms_mb")
-            columns.append(col)
+        for fb in fbs:
+            header.append(f"lower_d{_delay_label(sc, fb.d)}ms_mb")
+            columns.append(lower(fb))
     # the raw-service epsilon-quantile bounds any service envelope from
     # above, where the path distribution is known: Erlang sums for the
     # exponential server, a point mass for the constant server; otherwise
@@ -151,10 +158,9 @@ def cmd_service_curve(sc: Scenario, out_dir: str) -> List[str]:
         quantiles = np.concatenate(([0.0], erlang_quantile(sc.epsilon, ts[1:], model.mean_rate)))
     elif isinstance(model, DeterministicService):
         quantiles = model.rate * ts.astype(float)
-    for w, d in pairs:
-        upper = np.minimum(quantiles, np.ceil(ts / d) * w)
-        header.append(f"upper_d{units.slots_to_ms(d, sc.slot_ms):g}ms_mb")
-        columns.append(upper)
+    for fb in fbs:
+        header.append(f"upper_d{_delay_label(sc, fb.d)}ms_mb")
+        columns.append(np.minimum(quantiles, np.ceil(ts / fb.d) * fb.w))
     path = os.path.join(out_dir, f"{sc.name}_service_curve.csv")
     return [write_csv(path, header, columns)]
 
@@ -194,8 +200,7 @@ def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
             "best_lower_mbps",
             "best_family",
         ]
-        d_ms = units.slots_to_ms(d, sc.slot_ms)
-        path = os.path.join(out_dir, f"{sc.name}_effcap_d{d_ms:g}ms.csv")
+        path = os.path.join(out_dir, f"{sc.name}_effcap_d{_delay_label(sc, d)}ms.csv")
         paths.append(write_csv(path, header, columns))
     return paths
 

@@ -169,9 +169,7 @@ def equivalent_service_batch(
     return out
 
 
-def equivalent_service_closure(
-    path: SamplePath, params: FeedbackParams, horizon: int | None = None
-) -> BivariateFunction:
+def equivalent_service_closure(path: SamplePath, params: FeedbackParams) -> BivariateFunction:
     """Equivalent service as a full bivariate table via the dioid closure.
 
     Builds the additive service table, forms the feedback operand
@@ -180,14 +178,11 @@ def equivalent_service_closure(
     horizons; the final convolution and the closure cost O(T^3), the
     operand (``_feedback_operand``) O(d T^2).
     """
-    T = path.horizon if horizon is None else horizon
-    if T > _CLOSURE_HORIZON_GUARD:
+    if path.horizon > _CLOSURE_HORIZON_GUARD:
         raise ValueError(
-            f"closure oracle limited to horizon {_CLOSURE_HORIZON_GUARD}, got {T}"
+            f"closure oracle limited to horizon {_CLOSURE_HORIZON_GUARD}, got {path.horizon}"
         )
-    if T > path.horizon:
-        raise ValueError("horizon exceeds path length")
-    service = BivariateFunction.from_increments(path.increments[:T], check=False)
+    service = BivariateFunction.from_increments(path.increments, check=False)
     operand = BivariateFunction(_feedback_operand(service.table, params), check=False)
     return convolve(subadditive_closure(operand), service)
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import units
+from .bounds import THETA_MAX, THETA_MIN, THETA_POINTS
 from .models import (
     DeterministicService,
     ExponentialArrivals,
@@ -73,9 +74,9 @@ class Scenario:
     epsilon: float = 1e-6
     epsilons: List[float] = field(default_factory=list)
     horizon_slots: int = 0
-    theta_min: float = 1e-4
-    theta_max: float = 1e3
-    theta_points: int = 64
+    theta_min: float = THETA_MIN
+    theta_max: float = THETA_MAX
+    theta_points: int = THETA_POINTS
     arrivals: Optional[object] = None
     lambdas_mb: List[float] = field(default_factory=list)
     total_slots: int = 0
@@ -250,9 +251,9 @@ def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[floa
 
 
 def _theta_spec(sec: _Section) -> tuple[float, float, int]:
-    tmin = sec.real("theta_min_per_mb", default=1e-4, positive=True)
-    tmax = sec.real("theta_max_per_mb", default=1e3, positive=True)
-    points = sec.integer("theta_points", default=64, minimum=2)
+    tmin = sec.real("theta_min_per_mb", default=THETA_MIN, positive=True)
+    tmax = sec.real("theta_max_per_mb", default=THETA_MAX, positive=True)
+    points = sec.integer("theta_points", default=THETA_POINTS, minimum=2)
     if tmax <= tmin:
         raise ScenarioError(sec.name, "theta_max_per_mb", "must exceed theta_min_per_mb")
     return tmin, tmax, points

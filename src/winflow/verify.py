@@ -27,8 +27,7 @@ from .algebra import (
 from .bounds import (
     FeedbackParams,
     ThetaGrid,
-    feedback_mgf_blocks_iid,
-    feedback_mgf_blocks_markov,
+    block_curve,
     per_slot_curve,
     statistical_service_curve,
 )
@@ -230,10 +229,7 @@ def suite_mgf_dominance(seed: int = 2, n_paths: int = 4000) -> SuiteResult:
                 emp = np.exp(-theta * values)
                 mean = float(np.mean(emp))
                 se = float(np.std(emp, ddof=1) / math.sqrt(n_paths))
-                if name == "exp":
-                    bound = feedback_mgf_blocks_iid(model, fb, theta, t)
-                else:
-                    bound = feedback_mgf_blocks_markov(model, fb, theta, t)
+                bound = block_curve(model, fb).mgf(theta, t)
                 out.record(
                     mean <= bound + 3.0 * se,
                     f"{name} d={d} theta={theta}: mean {mean:.4g} vs bound {bound:.4g}",

@@ -18,8 +18,6 @@ from winflow.bounds import (
     best_effcap_lower,
     block_curve,
     effcap_apriori,
-    feedback_mgf_blocks_iid,
-    feedback_mgf_blocks_markov,
     per_slot_curve,
     statistical_service_curve,
     steady_state_backlog_bound,
@@ -166,10 +164,7 @@ def test_05_mgf_bound_dominance(mc_samples):
                 emp = np.exp(-theta * values[t])
                 mean = float(emp.mean())
                 se = float(emp.std(ddof=1) / math.sqrt(N_PATHS))
-                if kind == "exp":
-                    bound = feedback_mgf_blocks_iid(model, fb, theta, t)
-                else:
-                    bound = feedback_mgf_blocks_markov(model, fb, theta, t)
+                bound = block_curve(model, fb).mgf(theta, t)
                 assert mean <= bound + 3.0 * se, (kind, d, ratio, theta, t, mean, bound)
     report(5, "MGF bound dominance, 12 configurations x 6 points", started, 600.0)
 

@@ -16,6 +16,7 @@ from conftest import on_off_capacity_reference
 from winflow import bounds
 from winflow.bounds import (
     FeedbackParams,
+    LogMgfCurve,
     ThetaGrid,
     backlog_bound,
     best_effcap_lower,
@@ -25,7 +26,6 @@ from winflow.bounds import (
     effcap_lower_series,
     feedback_mgf_blocks_iid,
     feedback_mgf_blocks_markov,
-    feedback_mgf_series,
     golden_section_max,
     per_slot_curve,
     series_curve,
@@ -86,6 +86,33 @@ def scalar_steady_state_backlog_bound(arrivals, curve, eps, grid):
         return (_log_steady_state_sum(arrivals, curve, theta) - log_eps) / theta
 
     col = objective(thetas)
+    k = int(np.argmin(col))
+    if col[k] == math.inf:
+        return math.inf
+    lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
+    _, fx = golden_section_max(lambda th: -objective(th), lo, hi)
+    return float(min(col[k], -fx))
+
+
+def scalar_backlog_bound(arrivals, curve, eps, grid, t):
+    """Reference: a Python loop over the grid, one golden-section search and
+    a math.log log-sum over the lengths 0..t, for the finite-horizon bound."""
+    log_eps = math.log(eps)
+    ell = np.arange(t + 1, dtype=float)
+
+    def objective(theta):
+        log_ma = arrivals.log_mgf_increment(theta)
+        if log_ma == math.inf:
+            return math.inf
+        log_terms = ell * log_ma + curve.log_value(theta, ell)
+        if not np.all(np.isfinite(log_terms)):
+            return math.inf
+        top = np.max(log_terms)
+        s = float(top + math.log(np.sum(np.exp(log_terms - top))))
+        return (s - log_eps) / theta
+
+    thetas = grid.values
+    col = [objective(theta) for theta in thetas]
     k = int(np.argmin(col))
     if col[k] == math.inf:
         return math.inf
@@ -173,17 +200,15 @@ class TestSeriesMgfBound:
         fb = FeedbackParams(w=500.0, d=2)
         for t in (1, 4, 9):
             plain = VBR.mgf_increment(-1.0) ** t
-            assert feedback_mgf_series(VBR, fb, 1.0, t) == pytest.approx(plain, rel=1e-9)
+            assert series_curve(VBR, fb).mgf(1.0, t) == pytest.approx(plain, rel=1e-9)
 
     def test_convergence_boundary_is_infeasible(self):
         theta, d = 1.0, 2
         # window tuned so the geometric ratio is exactly one
         w = d * math.log1p(1.0 * theta) / theta
-        assert feedback_mgf_series(VBR, FeedbackParams(w=w, d=d), theta, 5) == math.inf
-        assert feedback_mgf_series(VBR, FeedbackParams(w=w * 0.9, d=d), theta, 5) == math.inf
-        assert math.isfinite(
-            feedback_mgf_series(VBR, FeedbackParams(w=w * 1.1, d=d), theta, 5)
-        )
+        assert series_curve(VBR, FeedbackParams(w=w, d=d)).mgf(theta, 5) == math.inf
+        assert series_curve(VBR, FeedbackParams(w=w * 0.9, d=d)).mgf(theta, 5) == math.inf
+        assert math.isfinite(series_curve(VBR, FeedbackParams(w=w * 1.1, d=d)).mgf(theta, 5))
 
     def test_dominates_empirical_mgf(self):
         fb = FeedbackParams(w=0.5, d=2)
@@ -192,16 +217,36 @@ class TestSeriesMgfBound:
         values = equivalent_service_batch(VBR.sample_increments(rng, t, n), fb, t)
         emp = np.exp(-theta * values)
         mean, se = float(emp.mean()), float(emp.std(ddof=1) / math.sqrt(n))
-        bound = feedback_mgf_series(VBR, fb, theta, t)
+        bound = series_curve(VBR, fb).mgf(theta, t)
         assert mean <= bound + 3 * se
 
     def test_curve_object_matches_scalar(self):
         fb = FeedbackParams(w=1.0, d=2)
         curve = series_curve(VBR, fb)
         for t in (0, 3, 7):
-            scalar = feedback_mgf_series(VBR, fb, 0.8, t)
+            scalar = curve.mgf(0.8, t)
             from_curve = math.exp(curve.log_value(0.8, np.array([t]))[0])
             assert from_curve == pytest.approx(scalar, rel=1e-12)
+
+
+class TestCurveMgf:
+    # log bound(theta, ell) = floor(ell) * theta: the MGF is e^{theta t}
+    GROWTH = LogMgfCurve("growth", 1, lambda theta: (-1.0, 0.0), True)
+
+    def test_negative_length_raises(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            self.GROWTH.mgf(1.0, -1)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            block_curve(VBR, FeedbackParams(w=1.0, d=2)).mgf(1.0, -1)
+
+    def test_infinite_from_log_709_on(self):
+        assert self.GROWTH.mgf(1.0, 708) == pytest.approx(math.exp(708.0), rel=1e-15)
+        assert self.GROWTH.mgf(1.0, 709) == math.inf
+        assert self.GROWTH.mgf(2.0, 400) == math.inf
+
+    def test_nan_stays_nan(self):
+        curve = LogMgfCurve("nan", 1, lambda theta: (math.nan, 0.0), True)
+        assert math.isnan(curve.mgf(1.0, 3))
 
 
 class TestBlockMgfBounds:
@@ -752,6 +797,24 @@ class TestBacklogBound:
             finite = backlog_bound(arrivals, curve, 1e-3, GRID, 1 << 16)
             assert math.isfinite(closed)
             assert closed == pytest.approx(finite, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "curve, saturation",
+        [
+            (per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)), 0.0952),
+            (block_curve(VBR, FeedbackParams(w=0.5, d=5)), 0.0492),
+            (block_curve(MMOO, FeedbackParams(w=0.5, d=5)), 0.0491),
+            (series_curve(VBR, FeedbackParams(w=2.0, d=1)), 0.3657),
+        ],
+        ids=["per-slot-d1", "block-iid-d5", "block-markov-d5", "series-d1"],
+    )
+    def test_equals_scalar_reference(self, curve, saturation):
+        # light, heavy and unstable loads
+        for lam in (0.1 * saturation, 0.9 * saturation, 1.5 * saturation):
+            arrivals = ExponentialArrivals(lam)
+            for t in (1, 300, 4096):
+                value = backlog_bound(arrivals, curve, 1e-3, GRID, t)
+                assert value == scalar_backlog_bound(arrivals, curve, 1e-3, GRID, t), (lam, t)
 
     def test_divergence_condition_is_exact(self):
         fb = FeedbackParams(w=0.1, d=1)

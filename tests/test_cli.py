@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from winflow import units
+from winflow import cli, units
+from winflow.bounds import ThetaGrid
 from winflow.cli import _fmt, main, write_csv
 from winflow.scenarios import (
     CANNED,
@@ -218,6 +219,11 @@ class TestScenarioParsing:
         assert sc.w_mb == pytest.approx([0.1, 0.2, 0.5])
         assert sc.horizon_slots == 40
         assert sc.service.mean_rate == pytest.approx(1.0)
+
+    def test_theta_grid_defaults_to_the_bounds_grid(self):
+        (sc,) = parse_scenario_text(VBR_CURVE_INI)
+        grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
+        assert np.array_equal(grid.values, ThetaGrid.logspace().values)
 
     def test_missing_required_key_names_section_and_key(self):
         with pytest.raises(ScenarioError, match=r"\[curves\] epsilon"):
@@ -495,6 +501,35 @@ class TestServiceCurveCommand:
             col = column(header, rows, name)
             assert np.all(np.diff(col) >= -1e-9), name
 
+    def test_one_inversion_per_per_slot_curve(self, tmp_path, monkeypatch):
+        families = []
+        invert = cli.statistical_service_curve
+
+        def counting(curve, *args):
+            families.append(curve.family)
+            return invert(curve, *args)
+
+        monkeypatch.setattr(cli, "statistical_service_curve", counting)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(VBR_CURVE_INI.replace("d_ms = 1 2 5", "d_ms = 1 2 5 10"))
+        assert main(["service-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        # d = 1 and the shared lower envelope are one per-slot inversion
+        assert sorted(families) == ["block-iid"] * 3 + ["per-slot"]
+
+    def test_delays_beyond_six_digits_get_distinct_columns(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(VBR_CURVE_INI.replace("d_ms = 1 2 5", "d_ms = 1000000 1000001"))
+        assert main(["service-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, _ = read_csv(tmp_path / "curves_service_curve.csv")
+        assert header == [
+            "t_ms",
+            "curve_d1000000ms_mb",
+            "curve_d1000001ms_mb",
+            "lower_mb",
+            "upper_d1000000ms_mb",
+            "upper_d1000001ms_mb",
+        ]
+
     def test_upper_columns_combine_quantile_and_window_terms(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(VBR_CURVE_INI)
@@ -551,6 +586,16 @@ class TestEffcapCommand:
             theta = column(header, rows, "theta_per_bit")
             assert np.all(np.diff(theta) > 0)
             assert theta[0] == pytest.approx(1e-4 * 1e-6)
+
+    def test_delays_beyond_six_digits_get_distinct_files(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(EFFCAP_INI.replace("d_ms = 1 5", "d_ms = 1000000 1000001"))
+        assert main(["effective-capacity", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "cfg.ini",
+            "effcap_effcap_d1000000ms.csv",
+            "effcap_effcap_d1000001ms.csv",
+        ]
 
     def test_markov_series_column_is_nan(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -281,9 +281,9 @@ class TestDualOracle:
         with pytest.raises(ValueError, match="horizon"):
             equivalent_service_closure(path, FeedbackParams(w=1.0, d=1))
 
-    def test_closure_accepts_explicit_shorter_horizon(self):
+    def test_closure_accepts_a_shorter_prefix(self):
         path = SamplePath(np.ones(80))
-        table = equivalent_service_closure(path, FeedbackParams(w=0.5, d=1), horizon=10)
+        table = equivalent_service_closure(SamplePath(path.increments[:10]), FeedbackParams(w=0.5, d=1))
         assert table.horizon == 10
         assert table.value(0, 10) == pytest.approx(5.0)  # min(1, 0.5) per slot
 
