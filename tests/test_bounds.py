@@ -96,7 +96,9 @@ def scalar_steady_state_backlog_bound(arrivals, curve, eps, grid):
 
 def scalar_backlog_bound(arrivals, curve, eps, grid, t):
     """Reference: a Python loop over the grid, one golden-section search and
-    a math.log log-sum over the lengths 0..t, for the finite-horizon bound."""
+    a log-sum over the lengths 0..t, for the finite-horizon bound.  The
+    log-sum takes np.log, as ``bounds._log_sum_exp`` does, so the exact
+    equality does not depend on which log kernel numpy dispatches."""
     log_eps = math.log(eps)
     ell = np.arange(t + 1, dtype=float)
 
@@ -108,7 +110,7 @@ def scalar_backlog_bound(arrivals, curve, eps, grid, t):
         if not np.all(np.isfinite(log_terms)):
             return math.inf
         top = np.max(log_terms)
-        s = float(top + math.log(np.sum(np.exp(log_terms - top))))
+        s = float(top + np.log(np.sum(np.exp(log_terms - top))))
         return (s - log_eps) / theta
 
     thetas = grid.values

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import winflow.simulator as simulator
 from winflow.algebra import BivariateFunction, convolve
 from winflow.bounds import FeedbackParams, ThetaGrid, backlog_bound, per_slot_curve
 from winflow.models import (
@@ -255,6 +256,34 @@ def reference_loop(config, replication=0):
 LEFTOVER = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4))
 
 
+class SparseDrain:
+    """Service of 20 Mb in a slot with probability 0.05, else nothing."""
+
+    def sample_increments(self, rng, t, n):
+        return np.where(rng.random((n, t)) < 0.05, 20.0, 0.0)
+
+
+class SparseThenExponential:
+    """Sparse drain up to slot ``switch``, Exp(1) service after it."""
+
+    def __init__(self, switch):
+        self.switch = switch
+
+    def sample_increments(self, rng, t, n):
+        paths = ExponentialVbrService(1.0).sample_increments(rng, t, n)
+        paths[:, : self.switch] = SparseDrain().sample_increments(rng, self.switch, n)
+        return paths
+
+
+# regimes whose unit-step paths defeat the column pass; the load against
+# the window rate w/d is 0.8 for the drain-bound two and 5 for overload
+STRESS = {
+    "sticky": (MmooService(p00=0.99, p11=0.99, peak=2.0), 0.375),
+    "sparse": (SparseDrain(), 0.375),
+    "overload": (ExponentialVbrService(1.0), 0.06),
+}
+
+
 class TestReferenceLoop:
     """The chunked departure solver against the per-slot loop it replaces, and
     under saturated arrivals against the batch equivalent-service oracle."""
@@ -270,6 +299,18 @@ class TestReferenceLoop:
             (9000, 1, 0.5, LEFTOVER),
             (9000, 5, 2.5, LEFTOVER),
             (9000, 10, 5.0, MmooService(p00=0.2, p11=0.9, peak=1.125)),
+        ]
+        # horizons across the column-pass block, and the regimes that fall
+        # back from it to the sweeps
+        + [
+            pytest.param(T, d, 0.5 * d, ExponentialVbrService(1.0), id=f"block-{T}-d{d}")
+            for T in (16383, 16384, 16385, 40000)
+            for d in (2, 7)
+        ]
+        + [
+            pytest.param(20000, d, share * d, service, id=f"{name}-d{d}")
+            for name, (service, share) in STRESS.items()
+            for d in (2, 3, 7, 10, 64)
         ],
     )
     def test_matches_per_slot_loop(self, T, d, w, service):
@@ -286,6 +327,32 @@ class TestReferenceLoop:
         assert np.max(np.abs(arrivals_cum - run.backlog - departed)) <= tol
         assert np.max(np.abs(run.queue - queue)) <= tol
         assert np.max(np.abs(run.backlog - backlog)) <= tol
+
+    def test_column_pass_and_sweeps_both_run(self, monkeypatch):
+        # the sparse first block falls back to the sweeps, the next one goes
+        # to them directly, and the Exp(1) block after it settles by columns
+        settled = []
+        column_pass = simulator._column_pass
+
+        def counted(*args):
+            settled.append(column_pass(*args))
+            return settled[-1]
+
+        monkeypatch.setattr(simulator, "_column_pass", counted)
+        d = 10
+        block = simulator._BLOCK_CHUNKS * d * round(simulator._CHUNK_SLOTS / d)
+        config = small_config(
+            arrivals=ExponentialArrivals(0.3),
+            service=SparseThenExponential(block),
+            feedback=FeedbackParams(w=0.5 * d, d=d),
+            total_slots=3 * block,
+            warmup_slots=1,
+        )
+        run = run_flow_control(config)
+        arrivals_cum, departed, _, _ = reference_loop(config)
+        assert settled == [False, True]
+        tol = 1e-11 * max(1.0, arrivals_cum[-1])
+        assert np.max(np.abs(arrivals_cum - run.backlog - departed)) <= tol
 
     def test_lindley_identity_at_delay_one(self):
         # at d = 1 the loop is a queue served by min(max(c, 0), w) per slot,
@@ -307,14 +374,15 @@ class TestReferenceLoop:
     )
     def test_saturated_departures_are_the_equivalent_service(self, service, d):
         # arrivals that never bind leave D(0, t) = S_eq(0, t), the exact
-        # equivalent service of the same path, across the chunk edges
-        T = 9000
+        # equivalent service of the same path, across the chunk and block
+        # edges; this is the overload regime, where most blocks fall back
         fb = FeedbackParams(w=0.5 * d, d=d)
-        drain = np.maximum(service.sample_increments(np.random.default_rng(d), T, 1), 0.0)
-        departed = _departures(1e9 * np.arange(T + 1.0), drain[0], fb.w, d)
-        for t in (1, 17, 4096, 4097, T):
-            s_eq = equivalent_service_batch(drain, fb, t)[0]
-            assert abs(departed[t] - s_eq) <= 1e-12 * max(1.0, s_eq)
+        for T, times in ((9000, (1, 17, 4096, 4097, 9000)), (20000, (16384, 16385, 20000))):
+            drain = np.maximum(service.sample_increments(np.random.default_rng(d), T, 1), 0.0)
+            departed = _departures(1e9 * np.arange(T + 1.0), drain[0], fb.w, d)
+            for t in times:
+                s_eq = equivalent_service_batch(drain, fb, t)[0]
+                assert abs(departed[t] - s_eq) <= 1e-12 * max(1.0, s_eq), (T, t)
 
 
 class TestDeterminism:
@@ -378,8 +446,6 @@ class TestBacklogQuantile:
         assert backlog_quantile(config, eps[1:]).shape == (2,)
 
     def test_pooled_quantiles_equal_scalar_calls(self, monkeypatch):
-        import winflow.simulator as simulator
-
         config = small_config(
             arrivals=ExponentialArrivals(0.3),
             service=MmooService(p00=0.2, p11=0.9, peak=1.125),
