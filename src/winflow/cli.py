@@ -42,7 +42,7 @@ from .models import (
     ExponentialVbrService,
     erlang_quantile,
 )
-from .scenarios import CANNED, Scenario, canned_scenarios, load_scenarios
+from .scenarios import CANNED, Scenario, ScenarioError, canned_scenarios, load_scenarios
 from .simulator import SimConfig, backlog_quantile, quantile_estimable, run_flow_control
 
 __all__ = ["main"]
@@ -320,7 +320,10 @@ def main(argv=None) -> int:
     if args.verb == "reproduce":
         scenarios = canned_scenarios(args.figure)
     else:
-        scenarios = [sc for sc in load_scenarios(args.config) if sc.kind == args.verb]
+        try:
+            scenarios = [sc for sc in load_scenarios(args.config) if sc.kind == args.verb]
+        except ScenarioError as exc:
+            parser.error(str(exc))
         if not scenarios:
             raise SystemExit(f"no scenarios of kind {args.verb!r} in the config")
     for sc in scenarios:

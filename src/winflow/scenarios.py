@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import units
-from .bounds import THETA_MAX, THETA_MIN, THETA_POINTS
+from .bounds import _CURVE_BLOCK_ENTRIES, THETA_MAX, THETA_MIN, THETA_POINTS
 from .models import (
     DeterministicService,
     ExponentialArrivals,
@@ -52,10 +52,12 @@ MAX_SLOTS = 10**7
 
 
 class ScenarioError(ValueError):
-    """Configuration error carrying the section and key that caused it."""
+    """Configuration error carrying the section and key that caused it; either
+    is empty where the INI structure error names none."""
 
     def __init__(self, section: str, key: str, message: str):
-        super().__init__(f"[{section}] {key}: {message}")
+        where = f"[{section}] {key}".rstrip() if section else key
+        super().__init__(f"{where}: {message}" if where else message)
         self.section = section
         self.key = key
 
@@ -148,9 +150,19 @@ class _Section:
             raise ScenarioError(self.name, key, "empty list")
         return [self._number(key, tok, positive) for tok in tokens]
 
+    def rates(self, key: str, slot_ms: float, single: bool = False) -> List[float]:
+        """Positive rates in Mbps (a list, or ``single`` value), in megabits per slot."""
+        mbps = [self.real(key, positive=True)] if single else self.reals(key, positive=True)
+        return self.converted(key, [units.mbps_to_mb_per_slot(r, slot_ms) for r in mbps])
+
     def rate(self, key: str, slot_ms: float) -> float:
-        """A positive rate in Mbps, in megabits per slot."""
-        return units.mbps_to_mb_per_slot(self.real(key, positive=True), slot_ms)
+        return self.rates(key, slot_ms, single=True)[0]
+
+    def converted(self, key: str, values: List[float]) -> List[float]:
+        # a conversion can underflow to 0 or overflow to inf
+        if not all(0.0 < value < math.inf for value in values):
+            raise ScenarioError(self.name, key, "must be finite and > 0 after unit conversion")
+        return values
 
     def slots(self, key: str, duration_ms: float, slot_ms: float) -> int:
         """A duration in ms as a whole number of slots, at most MAX_SLOTS."""
@@ -165,11 +177,9 @@ class _Section:
         if key not in self.raw:
             return default
         value = self._fetch(key).strip().lower()
-        if value in ("true", "yes", "1", "on"):
-            return True
-        if value in ("false", "no", "0", "off"):
-            return False
-        raise ScenarioError(self.name, key, f"not a boolean: {value!r}")
+        if value not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ScenarioError(self.name, key, f"not a boolean: {value!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[value]
 
     def reject_unknown(self):
         unknown = set(self.raw) - self.used
@@ -177,7 +187,7 @@ class _Section:
             raise ScenarioError(self.name, sorted(unknown)[0], "unknown key")
 
 
-_MMOO_KEYS = {"p00": "mmoo_p00", "p11": "mmoo_p11", "peak": "mmoo_peak_mbps"}
+_MMOO_KEYS = {"p00": "mmoo_p00", "p11": "mmoo_p11"}
 
 
 def _build_service(sec: _Section, slot_ms: float):
@@ -222,13 +232,15 @@ def _check_epsilons(sec: _Section, key: str, values: List[float]) -> None:
         raise ScenarioError(sec.name, key, "epsilons must be distinct")
 
 
-def _replications(sec: _Section, key: str, total_slots: int) -> int:
+def _run_keys(sec: _Section, out: Scenario, slots_key: str, warmup_key: str, count_key: str) -> None:
+    out.total_slots = sec.integer(slots_key, minimum=2, maximum=MAX_SLOTS)
+    # the drift ratio compares two halves of at least one slot each
+    out.warmup_slots = sec.integer(warmup_key, minimum=0, maximum=out.total_slots - 2)
     # bounds the simulated slots over all replications; the backlog
     # quantiles hold them all at once
-    count = sec.integer(key, default=1, minimum=1)
-    if count * total_slots > MAX_SLOTS:
-        raise ScenarioError(sec.name, key, f"slots times replications must be at most {MAX_SLOTS}")
-    return count
+    out.replications = sec.integer(count_key, default=1, minimum=1)
+    if out.replications * out.total_slots > MAX_SLOTS:
+        raise ScenarioError(sec.name, count_key, f"slots times replications must be at most {MAX_SLOTS}")
 
 
 def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[float]]:
@@ -242,7 +254,7 @@ def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[floa
         raise ScenarioError(sec.name, "w_mb", "give either w_mb or w_over_d_mbps, not both")
     if sec.has("w_over_d_mbps"):
         ratio = sec.rate("w_over_d_mbps", slot_ms)
-        w_mb = [ratio * d for d in d_slots]
+        w_mb = sec.converted("w_over_d_mbps", [ratio * d for d in d_slots])
     else:
         w_mb = sec.reals("w_mb", positive=True)
         if len(w_mb) != len(d_slots):
@@ -253,7 +265,8 @@ def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[floa
 def _theta_spec(sec: _Section) -> tuple[float, float, int]:
     tmin = sec.real("theta_min_per_mb", default=THETA_MIN, positive=True)
     tmax = sec.real("theta_max_per_mb", default=THETA_MAX, positive=True)
-    points = sec.integer("theta_points", default=THETA_POINTS, minimum=2)
+    # a wider grid would overrun the memory bound of one service-curve block
+    points = sec.integer("theta_points", default=THETA_POINTS, minimum=2, maximum=_CURVE_BLOCK_ENTRIES)
     if tmax <= tmin:
         raise ScenarioError(sec.name, "theta_max_per_mb", "must exceed theta_min_per_mb")
     return tmin, tmax, points
@@ -273,46 +286,40 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
             name, "mmoo_p11", "mmoo_p00 + mmoo_p11 must exceed 1 (p01 + p10 < 1)"
         )
 
-    if kind in ("service-curve", "effective-capacity"):
-        out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)
+    out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)
+    if kind in ("backlog", "simulate") and len(out.d_slots) != 1:
+        raise ScenarioError(name, "d_ms", f"{kind} scenarios take one (w, d) pair")
+    if kind != "simulate":
         out.theta_min, out.theta_max, out.theta_points = _theta_spec(sec)
-        if kind == "service-curve":
-            out.epsilon = sec.real("epsilon")
-            _check_epsilons(sec, "epsilon", [out.epsilon])
-            out.horizon_slots = sec.slots("horizon_ms", sec.real("horizon_ms", positive=True), slot_ms)
+    if kind == "service-curve":
+        out.epsilon = sec.real("epsilon")
+        _check_epsilons(sec, "epsilon", [out.epsilon])
+        out.horizon_slots = sec.slots("horizon_ms", sec.real("horizon_ms", positive=True), slot_ms)
     elif kind == "backlog":
-        d_slots, w_mb = _feedback_lists(sec, slot_ms)
-        if len(d_slots) != 1:
-            raise ScenarioError(name, "d_ms", "backlog scenarios take one (w, d) pair")
-        out.d_slots, out.w_mb = d_slots, w_mb
         out.epsilons = sec.reals("epsilons")
         _check_epsilons(sec, "epsilons", out.epsilons)
-        out.lambdas_mb = [
-            units.mbps_to_mb_per_slot(lam, slot_ms)
-            for lam in sec.reals("lambda_mbps", positive=True)
-        ]
-        out.theta_min, out.theta_max, out.theta_points = _theta_spec(sec)
+        out.lambdas_mb = sec.rates("lambda_mbps", slot_ms)
         out.simulate = sec.flag("simulate", default=False)
         if out.simulate:
-            out.total_slots = sec.integer("sim_slots", minimum=2, maximum=MAX_SLOTS)
-            # the drift ratio compares two halves of at least one slot each
-            out.warmup_slots = sec.integer("sim_warmup", minimum=0, maximum=out.total_slots - 2)
-            out.replications = _replications(sec, "sim_replications", out.total_slots)
-    else:  # simulate
-        out.d_slots, out.w_mb = _feedback_lists(sec, slot_ms)
-        if len(out.d_slots) != 1:
-            raise ScenarioError(name, "d_ms", "simulate scenarios take one (w, d) pair")
+            _run_keys(sec, out, "sim_slots", "sim_warmup", "sim_replications")
+    elif kind == "simulate":
         out.arrivals = _build_arrivals(sec, slot_ms)
-        out.total_slots = sec.integer("total_slots", minimum=2, maximum=MAX_SLOTS)
-        out.warmup_slots = sec.integer("warmup_slots", minimum=0, maximum=out.total_slots - 2)
-        out.replications = _replications(sec, "replications", out.total_slots)
+        _run_keys(sec, out, "total_slots", "warmup_slots", "replications")
     sec.reject_unknown()
     return out
 
 
 def parse_scenario_text(text: str) -> List[Scenario]:
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.DuplicateOptionError as exc:
+        raise ScenarioError(exc.section, exc.option, f"repeated key on line {exc.lineno}") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ScenarioError(exc.section, "", f"repeated section on line {exc.lineno}") from exc
+    except configparser.Error as exc:
+        # text before the first section header, or a line that is not key = value
+        raise ScenarioError("", "", " ".join(exc.message.split())) from exc
     return [_parse_section(name, dict(parser[name])) for name in parser.sections()]
 
 

@@ -7,10 +7,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from winflow import cli, units
-from winflow.bounds import ThetaGrid
+from winflow.bounds import _CURVE_BLOCK_ENTRIES, ThetaGrid
 from winflow.cli import _fmt, main, write_csv
+from winflow.models import LeftoverService, MmooService
 from winflow.scenarios import (
     CANNED,
     MAX_SLOTS,
@@ -197,6 +200,45 @@ epsilons = 1e-3 1e-6 1e-9
 }
 
 
+# (key, value, scenario text): a value the parser must refuse by its key
+NAMED_VALUE_CASES = [
+    ("service_rate_mbps", "nan", VBR_CURVE_INI),
+    ("service_rate_mbps", "inf", VBR_CURVE_INI),
+    ("w_over_d_mbps", "nan", VBR_CURVE_INI),
+    ("w_over_d_mbps", "inf", VBR_CURVE_INI),
+    ("w_over_d_mbps", "-inf", VBR_CURVE_INI),
+    ("d_ms", "0.3", VBR_CURVE_INI),
+    ("d_ms", "nan", VBR_CURVE_INI),
+    ("d_ms", "1 inf", VBR_CURVE_INI),
+    ("horizon_ms", "nan", VBR_CURVE_INI),
+    ("horizon_ms", "2.5", VBR_CURVE_INI),
+    ("horizon_ms", "1e12", VBR_CURVE_INI),
+    ("mmoo_p00", "nan", MMOO_CURVE_INI),
+    ("mmoo_p00", "abc", MMOO_CURVE_INI),
+    ("mmoo_peak_mbps", "inf", MMOO_CURVE_INI),
+    ("mmoo_peak_mbps", "-1", MMOO_CURVE_INI),
+    # finite Mbps that convert to 0 or inf Mb per slot
+    ("service_rate_mbps", "1e-322", VBR_CURVE_INI),
+    ("arrival_rate_mbps", "1e-322", SIM_INI),
+    ("mmoo_peak_mbps", "1e-322", MMOO_CURVE_INI),
+    (
+        "cross_rate_mbps",
+        "1e-322",
+        VBR_CURVE_INI.replace("service = exponential", "service = leftover\ncross_rate_mbps = 100"),
+    ),
+    ("lambda_mbps", "30 1e-322", BACKLOG_INI),
+    (
+        "service_rate_mbps",
+        "1e308",
+        VBR_CURVE_INI.replace("d_ms = 1 2 5", "slot_ms = 1e10\nd_ms = 1e10 2e10 5e10").replace(
+            "horizon_ms = 40", "horizon_ms = 4e11"
+        ),
+    ),
+    # a window w = (w/d) * d that overflows
+    ("w_over_d_mbps", "1e308", VBR_CURVE_INI.replace("d_ms = 1 2 5", "d_ms = 1 1000000")),
+]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -324,6 +366,54 @@ class TestScenarioParsing:
         assert "--seed" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "text, section, key",
+        [
+            (SIM_INI + "seed = 12\n", "sat", "seed"),
+            (SIM_INI + SIM_INI, "sat", ""),
+            ("kind = simulate\n" + SIM_INI, "", ""),
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header"],
+    )
+    def test_ini_structure_errors_name_the_section_and_key(self, text, section, key):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario_text(text)
+        assert (info.value.section, info.value.key) == (section, key)
+        if section:
+            assert str(info.value).startswith(f"[{section}] {key}".rstrip() + ":")
+
+    @pytest.mark.parametrize(
+        "ini, old, new",
+        [
+            (SIM_INI, "seed = 11", "seed = -1"),
+            (SIM_INI, "arrival_rate_mbps = 10000", "arrival_rate_mbps = 1e-322"),
+            (SIM_INI, "seed = 11", "seed = 11\nseed = 12"),
+        ],
+        ids=["negative-seed", "rate-underflow", "repeated-key"],
+    )
+    def test_bad_config_is_a_usage_error(self, ini, old, new, tmp_path, capsys):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(ini.replace(old, new))
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: [sat] " in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("points", [str(_CURVE_BLOCK_ENTRIES + 1), "100000000000"])
+    def test_theta_points_above_one_curve_block_names_the_key(self, points):
+        # parsed only: a grid this wide is never allocated
+        text = EFFCAP_INI.replace("theta_points = 24", f"theta_points = {points}")
+        with pytest.raises(ScenarioError, match=r"\[effcap\] theta_points: must be <=") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "theta_points"
+
+    def test_theta_points_at_one_curve_block_parse(self):
+        text = EFFCAP_INI.replace("theta_points = 24", f"theta_points = {_CURVE_BLOCK_ENTRIES}")
+        (sc,) = parse_scenario_text(text)
+        assert sc.theta_points == _CURVE_BLOCK_ENTRIES
+
     @pytest.mark.parametrize("value", ["1", "0", "1.5", "-1e-6", "nan"])
     def test_epsilon_outside_unit_interval_names_the_key(self, value):
         text = VBR_CURVE_INI.replace("epsilon = 1e-6", f"epsilon = {value}")
@@ -339,27 +429,11 @@ class TestScenarioParsing:
         assert info.value.key == "epsilons"
 
     @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("service_rate_mbps", "nan"),
-            ("service_rate_mbps", "inf"),
-            ("w_over_d_mbps", "nan"),
-            ("w_over_d_mbps", "inf"),
-            ("w_over_d_mbps", "-inf"),
-            ("d_ms", "0.3"),
-            ("d_ms", "nan"),
-            ("d_ms", "1 inf"),
-            ("horizon_ms", "nan"),
-            ("horizon_ms", "2.5"),
-            ("horizon_ms", "1e12"),
-            ("mmoo_p00", "nan"),
-            ("mmoo_p00", "abc"),
-            ("mmoo_peak_mbps", "inf"),
-            ("mmoo_peak_mbps", "-1"),
-        ],
+        "key, value, ini",
+        NAMED_VALUE_CASES,
+        ids=[f"{key}-{value}" for key, value, _ in NAMED_VALUE_CASES],
     )
-    def test_non_finite_or_fractional_value_names_the_key(self, key, value):
-        ini = MMOO_CURVE_INI if key.startswith("mmoo") else VBR_CURVE_INI
+    def test_non_finite_or_fractional_value_names_the_key(self, key, value, ini):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", ini, flags=re.M)
         assert text != ini
         with pytest.raises(ScenarioError, match=rf"{key}:") as info:
@@ -459,6 +533,91 @@ class TestScenarioParsing:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "sat_summary.csv")
         assert np.all(np.isfinite(column(header, rows, "drift_ratio")))
+
+
+# the keys each server and each kind reads, with valid values; every kind
+# also reads kind, seed and slot_ms, and any one of the four servers
+SERVER_KEYS = {
+    "deterministic": {"service_rate_mbps": "1000"},
+    "exponential": {"service_rate_mbps": "1000"},
+    "mmoo": {"mmoo_p00": "0.2", "mmoo_p11": "0.9", "mmoo_peak_mbps": "1125"},
+    "leftover": {"service_rate_mbps": "1000", "cross_rate_mbps": "100"},
+}
+KIND_KEYS = {
+    "service-curve": {"w_over_d_mbps": "100", "d_ms": "1 2 5", "epsilon": "1e-6", "horizon_ms": "40"},
+    "effective-capacity": {
+        "w_mb": "0.1 0.5", "d_ms": "1 5", "theta_min_per_mb": "1e-3", "theta_max_per_mb": "100",
+        "theta_points": "24",
+    },
+    "backlog": {
+        "w_mb": "0.1", "d_ms": "1", "lambda_mbps": "30 50", "epsilons": "1e-3 1e-9",
+        "simulate": "true", "sim_slots": "5000", "sim_warmup": "10", "sim_replications": "2",
+    },
+    "simulate": {
+        "w_mb": "0.2", "d_ms": "2", "arrival": "exponential", "arrival_rate_mbps": "500",
+        "total_slots": "5000", "warmup_slots": "100", "replications": "2",
+    },
+}
+_SHARED_KEYS = {"kind", "seed", "slot_ms", "service", "w_mb", "w_over_d_mbps", "d_ms"}
+_SERVER_KEY_SET = {key for keys in SERVER_KEYS.values() for key in keys}
+_THETA_KEYS = {"theta_min_per_mb", "theta_max_per_mb", "theta_points"}
+SCHEMA = {
+    kind: _SHARED_KEYS | _SERVER_KEY_SET | set(KIND_KEYS[kind]) | (set() if kind == "simulate" else _THETA_KEYS)
+    for kind in KIND_KEYS
+}
+
+_ATOMS = st.one_of(
+    st.integers(-(10**12), 10**12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions(max_denominator=9).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "+inf", "1e-322", "1e308", "-1e308", "0", "-0", "+2", "0.5", "-2.5"]),
+    st.text(alphabet="abe019.+-_ /", max_size=8),
+)
+_VALUES = st.lists(_ATOMS, min_size=1, max_size=2).map(" ".join)
+
+
+def _configured_rates(model):
+    if isinstance(model, LeftoverService):
+        return _configured_rates(model.base) + _configured_rates(model.cross)
+    return [model.peak if isinstance(model, MmooService) else model.mean_rate]
+
+
+_ANY_KEY = sorted(set().union(*SCHEMA.values(), {"typo_key"}))
+
+
+@settings(max_examples=200)
+@given(
+    kind=st.sampled_from(sorted(KIND_KEYS)),
+    server=st.sampled_from(sorted(SERVER_KEYS)),
+    values=st.dictionaries(st.sampled_from([key for key in _ANY_KEY if key != "kind"]), _VALUES, max_size=2),
+    dropped=st.none() | st.sampled_from(_ANY_KEY),
+)
+@example(kind="service-curve", server="exponential", values={"service_rate_mbps": "1e-322"}, dropped=None)
+@example(kind="backlog", server="leftover", values={"lambda_mbps": "30 1e-322"}, dropped=None)
+@example(kind="effective-capacity", server="mmoo", values={"theta_points": "100000000000"}, dropped=None)
+def test_parse_returns_bounded_scenarios_or_names_a_key(kind, server, values, dropped):
+    """A section of one kind's known keys with some values replaced, a key
+    dropped or an unknown key added: parsing gives scenarios in range or a
+    ScenarioError that names a key of that section."""
+    keys = {"kind": kind, "seed": "3", "slot_ms": "1", "service": server, **SERVER_KEYS[server], **KIND_KEYS[kind]}
+    added = set(values) - set(keys)
+    keys.update(values)
+    keys.pop(dropped, None)
+    text = "[prop]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+    try:
+        (sc,) = parse_scenario_text(text)
+    except ScenarioError as exc:
+        assert exc.section == "prop"
+        assert exc.key in SCHEMA[kind] | added
+        return
+    for rate in _configured_rates(sc.service) + sc.lambdas_mb + sc.w_mb:
+        assert 0.0 < rate < math.inf
+    if sc.arrivals is not None:
+        assert 0.0 < sc.arrivals.mean_rate < math.inf
+    assert all(0.0 < eps < 1.0 for eps in sc.epsilons + [sc.epsilon])
+    assert all(1 <= d <= MAX_SLOTS for d in sc.d_slots)
+    assert sc.horizon_slots <= MAX_SLOTS and sc.total_slots * sc.replications <= MAX_SLOTS
+    assert 2 <= sc.theta_points <= _CURVE_BLOCK_ENTRIES
 
 
 class TestUnitConversions:
