@@ -305,7 +305,6 @@ def main(argv=None) -> int:
     rep.add_argument("figure", choices=list(CANNED))
     add_common(rep, needs_config=False)
     ver = sub.add_parser("verify", help="run the invariant suite")
-    ver.add_argument("--fast", action="store_true", help="smaller sample sizes")
     ver.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
     if args.verb == "verify":
         from .verify import run_report
 
-        return run_report(fast=args.fast, seed=args.seed, stream=sys.stdout)
+        return run_report(args.seed)
 
     if args.verb == "reproduce":
         scenarios = canned_scenarios(args.figure)
@@ -324,6 +323,10 @@ def main(argv=None) -> int:
             scenarios = [sc for sc in load_scenarios(args.config) if sc.kind == args.verb]
         except ScenarioError as exc:
             parser.error(str(exc))
+        except OSError as exc:
+            parser.error(f"cannot read --config {args.config}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            parser.error(f"--config {args.config} is not UTF-8 text: {exc.reason}")
         if not scenarios:
             raise SystemExit(f"no scenarios of kind {args.verb!r} in the config")
     for sc in scenarios:

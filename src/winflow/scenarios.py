@@ -165,13 +165,22 @@ class _Section:
         return values
 
     def slots(self, key: str, duration_ms: float, slot_ms: float) -> int:
-        """A duration in ms as a whole number of slots, at most MAX_SLOTS."""
+        """A duration in ms as a whole number of slots, from 1 to MAX_SLOTS."""
         if duration_ms / slot_ms > MAX_SLOTS:
             raise ScenarioError(self.name, key, f"must be at most {MAX_SLOTS} slots")
         try:
-            return units.ms_to_slots(duration_ms, slot_ms)
+            slots = units.ms_to_slots(duration_ms, slot_ms)
         except ValueError as exc:
             raise ScenarioError(self.name, key, str(exc)) from exc
+        if slots < 1:
+            raise ScenarioError(self.name, key, "must be at least one slot")
+        return slots
+
+    def probability(self, key: str) -> float:
+        value = self.real(key)
+        if not 0.0 <= value <= 1.0:
+            raise ScenarioError(self.name, key, "must lie in [0, 1]")
+        return value
 
     def flag(self, key: str, default: bool = False) -> bool:
         if key not in self.raw:
@@ -187,9 +196,6 @@ class _Section:
             raise ScenarioError(self.name, sorted(unknown)[0], "unknown key")
 
 
-_MMOO_KEYS = {"p00": "mmoo_p00", "p11": "mmoo_p11"}
-
-
 def _build_service(sec: _Section, slot_ms: float):
     kind = sec.text("service", choices={"deterministic", "exponential", "mmoo", "leftover"})
     if kind == "deterministic":
@@ -197,13 +203,8 @@ def _build_service(sec: _Section, slot_ms: float):
     if kind == "exponential":
         return ExponentialVbrService(sec.rate("service_rate_mbps", slot_ms))
     if kind == "mmoo":
-        p00, p11 = sec.real("mmoo_p00"), sec.real("mmoo_p11")
-        peak = sec.rate("mmoo_peak_mbps", slot_ms)
-        try:
-            service = MmooService(p00=p00, p11=p11, peak=peak)
-        except ValueError as exc:
-            # the model's message starts with the field it rejects
-            raise ScenarioError(sec.name, _MMOO_KEYS[str(exc).split()[0]], str(exc)) from exc
+        p00, p11 = sec.probability("mmoo_p00"), sec.probability("mmoo_p11")
+        service = MmooService(p00=p00, p11=p11, peak=sec.rate("mmoo_peak_mbps", slot_ms))
         if not service.has_steady_state:
             raise ScenarioError(
                 sec.name, "mmoo_p11", "mmoo_p00 = mmoo_p11 = 1 leaves no unique steady state"
@@ -245,8 +246,6 @@ def _run_keys(sec: _Section, out: Scenario, slots_key: str, warmup_key: str, cou
 
 def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[float]]:
     d_slots = [sec.slots("d_ms", d, slot_ms) for d in sec.reals("d_ms", positive=True)]
-    if any(d < 1 for d in d_slots):
-        raise ScenarioError(sec.name, "d_ms", "delays must be at least one slot")
     # each delay names its own output file or column
     if len(set(d_slots)) != len(d_slots):
         raise ScenarioError(sec.name, "d_ms", "delays must be distinct")

@@ -1,15 +1,17 @@
 """Self-contained invariant suite behind `winflow verify`.
 
-Each suite runs a batch of randomized or exhaustive checks and reports
-(checks, failures, elapsed seconds).  A fresh checkout passes everything;
-the exit status of the report is nonzero as soon as a single check fails.
-All randomness is seeded, so a report is reproducible.
+Each suite runs a batch of randomized or exhaustive checks and counts
+checks and failures; ``run_all`` runs every suite at one size and times it.
+A fresh checkout passes everything; the exit status of the report is
+nonzero as soon as a single check fails.  All randomness is seeded, so a
+report is reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, TextIO
@@ -57,7 +59,7 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: int = 0
-    seconds: float = 0.0
+    seconds: float = 0.0  # set by run_all
     notes: List[str] = field(default_factory=list)
 
     def record(self, ok: bool, note: str = ""):
@@ -100,7 +102,6 @@ def _random_causal_table(rng: np.random.Generator, horizon: int) -> BivariateFun
 
 def suite_dioid_laws(seed: int = 0, instances: int = 200) -> SuiteResult:
     out = SuiteResult("dioid-laws")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     for _ in range(instances):
         T = int(rng.integers(1, 9))
@@ -151,7 +152,6 @@ def suite_dioid_laws(seed: int = 0, instances: int = 200) -> SuiteResult:
     f = BivariateFunction.from_increments([1.0, 5.0])
     g = BivariateFunction.from_increments([5.0, 1.0])
     out.record(not convolve(f, g).equals(convolve(g, f)), "non-commutativity witness")
-    out.seconds = time.perf_counter() - start
     return out
 
 
@@ -186,7 +186,6 @@ def suite_dual_oracle(
     shown to trip the checks (mutation testing of the suite itself).
     """
     out = SuiteResult("dual-oracle")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     for _ in range(instances):
         path, fb = random_feedback_instance(rng)
@@ -209,13 +208,11 @@ def suite_dual_oracle(
         if fb.d == 1:
             direct = float(np.minimum(path.increments, fb.w).sum())
             out.record(abs(dp_fn(path, fb, 0, T) - direct) <= 1e-9, "d=1 closed form")
-    out.seconds = time.perf_counter() - start
     return out
 
 
 def suite_mgf_dominance(seed: int = 2, n_paths: int = 4000) -> SuiteResult:
     out = SuiteResult("mgf-dominance")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     vbr = ExponentialVbrService(1.0)
     mmoo = MMOO_REFERENCE
@@ -244,13 +241,11 @@ def suite_mgf_dominance(seed: int = 2, n_paths: int = 4000) -> SuiteResult:
                 frac <= eps + 3.0 * math.sqrt(eps / n_paths),
                 f"{name} d={d}: envelope violation {frac:.4f}",
             )
-    out.seconds = time.perf_counter() - start
     return out
 
 
-def suite_markov_structure(seed: int = 3) -> SuiteResult:
+def suite_markov_structure() -> SuiteResult:
     out = SuiteResult("markov-structure")
-    start = time.perf_counter()
     m = MMOO_REFERENCE
     # probability of staying ON is non-increasing in every gap
     for times in itertools.combinations(range(9), 3):
@@ -296,7 +291,6 @@ def suite_markov_structure(seed: int = 3) -> SuiteResult:
                     f"supermultiplicative s={s} t={t}",
                 )
         out.record(0.0 < m.k_theta(theta) < 1.0, f"weight in (0,1) theta={theta}")
-    out.seconds = time.perf_counter() - start
     return out
 
 
@@ -316,9 +310,8 @@ def enumerate_grouped_mgf(model: MarkovModulated2Service, theta: float, taus) ->
     return total
 
 
-def suite_constants(seed: int = 4) -> SuiteResult:
+def suite_constants() -> SuiteResult:
     out = SuiteResult("constants-and-units")
-    start = time.perf_counter()
     vbr = ExponentialVbrService(1.0)
     out.record(
         abs(vbr.effective_capacity(1.0) - math.log(2.0)) <= 1e-12,
@@ -355,26 +348,29 @@ def suite_constants(seed: int = 4) -> SuiteResult:
             units.mb_per_slot_to_mbps(units.mbps_to_mb_per_slot(rate)) == rate,
             f"unit round trip {rate} Mbps",
         )
-    out.seconds = time.perf_counter() - start
     return out
 
 
-def run_all(fast: bool = False, seed: int = 0) -> List[SuiteResult]:
-    scale = 4 if fast else 1
-    return [
-        suite_dioid_laws(seed, instances=200 // scale),
-        suite_dual_oracle(seed + 1, instances=60 // scale),
-        suite_mgf_dominance(seed + 2, n_paths=4000 // scale),
-        suite_markov_structure(seed + 3),
-        suite_constants(seed + 4),
-    ]
+def run_all(seed: int = 0) -> List[SuiteResult]:
+    """Every suite at its own size, in report order, each one timed."""
+    results = []
+    for suite, args in (
+        (suite_dioid_laws, (seed,)),
+        (suite_dual_oracle, (seed + 1,)),
+        (suite_mgf_dominance, (seed + 2,)),
+        (suite_markov_structure, ()),
+        (suite_constants, ()),
+    ):
+        start = time.perf_counter()
+        result = suite(*args)
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results
 
 
-def run_report(fast: bool = False, seed: int = 0, stream: TextIO = None) -> int:
-    import sys
-
+def run_report(seed: int = 0, stream: TextIO = None) -> int:
     stream = stream or sys.stdout
-    results = run_all(fast=fast, seed=seed)
+    results = run_all(seed)
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

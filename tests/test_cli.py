@@ -213,6 +213,8 @@ NAMED_VALUE_CASES = [
     ("horizon_ms", "nan", VBR_CURVE_INI),
     ("horizon_ms", "2.5", VBR_CURVE_INI),
     ("horizon_ms", "1e12", VBR_CURVE_INI),
+    # positive, but under one slot: it would parse as 0 slots
+    ("horizon_ms", "1e-12", VBR_CURVE_INI),
     ("mmoo_p00", "nan", MMOO_CURVE_INI),
     ("mmoo_p00", "abc", MMOO_CURVE_INI),
     ("mmoo_peak_mbps", "inf", MMOO_CURVE_INI),
@@ -305,8 +307,12 @@ class TestScenarioParsing:
             ("0.5", "0.5", "mmoo_p11"),
             ("1.0", "1.0", "mmoo_p11"),
             ("1.5", "0.9", "mmoo_p00"),
+            ("0.2", "-0.1", "mmoo_p11"),
         ],
-        ids=["fast-switching", "switching-sum-one", "no-steady-state", "not-a-probability"],
+        ids=[
+            "fast-switching", "switching-sum-one", "no-steady-state", "not-a-probability",
+            "p11-not-a-probability",
+        ],
     )
     def test_mmoo_without_slow_switching_names_the_key(self, p00, p11, key):
         text = MMOO_CURVE_INI.replace("mmoo_p00 = 0.2", f"mmoo_p00 = {p00}").replace(
@@ -400,6 +406,21 @@ class TestScenarioParsing:
         err = capsys.readouterr().err
         assert "error: [sat] " in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_a_usage_error(self, case, tmp_path, capsys):
+        cfg = tmp_path / "sim.ini"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf8":
+            cfg.write_bytes(SIM_INI.encode() + b"; caf\xe9\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config {cfg}" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", [str(_CURVE_BLOCK_ENTRIES + 1), "100000000000"])
     def test_theta_points_above_one_curve_block_names_the_key(self, points):
@@ -850,6 +871,33 @@ class TestReproduce:
             "fig4b-vbr-curves-500_service_curve.csv",
         ]
 
+    def test_fig8_bounds_dominate_the_exact_backlog_tail(self, tmp_path):
+        # both fig8 panels have d = 1 and exponential arrivals of mean lam, so
+        # the backlog B' = max(B + a - min(c, w), 0) has the exact tail
+        # P(B > b) = sigma exp(-eta b), where eta > 0 solves
+        # log1p(-lam eta) = log E[exp(-eta min(c, w))] and sigma = 1 - lam eta
+        assert main(["reproduce", "fig8", "--out", str(tmp_path)]) == 0
+        checked = 0
+        for sc in canned_scenarios("fig8"):
+            assert sc.d_slots == [1]
+            w = sc.w_mb[0]
+            header, rows = read_csv(tmp_path / f"{sc.name}_backlog.csv")
+            for i, lam in enumerate(sc.lambdas_mb):
+                lo, hi = 0.0, 1.0 / lam  # the root is the one sign change in between
+                for _ in range(200):
+                    eta = 0.5 * (lo + hi)
+                    if math.log1p(-lam * eta) > sc.service.log_censored_mgf(-eta, w):
+                        lo = eta
+                    else:
+                        hi = eta
+                sigma = 1.0 - lam * eta
+                for eps in sc.epsilons:
+                    label = np.format_float_scientific(eps, trim="-", exp_digits=2)
+                    bound = column(header, rows, f"bound_eps{label}_mb")[i]
+                    assert bound >= math.log(sigma / eps) / eta, (sc.name, lam, eps)
+                    checked += 1
+        assert checked == 66
+
 
 def _row_wise_fmt(value) -> str:
     """The per-value formatting of the former row-wise writer."""
@@ -910,7 +958,7 @@ class TestCsvWriter:
 
 class TestVerifySuite:
     def test_fresh_checkout_passes(self, capsys):
-        assert run_report(fast=True, seed=0) == 0
+        assert run_report(seed=0) == 0
         out = capsys.readouterr().out
         assert "dioid-laws" in out and "OK" in out
         assert "(" in out  # per-suite timing present
@@ -926,8 +974,15 @@ class TestVerifySuite:
         result = suite_dual_oracle(seed=1, instances=12, dp_fn=corrupted)
         assert result.failures > 0
 
+    def test_fast_option_is_refused(self, capsys):
+        # one configuration: every suite runs at its own size
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--fast"])
+        assert info.value.code == 2
+        assert "--fast" in capsys.readouterr().err
+
     def test_all_suites_report_counts(self):
-        results = run_all(fast=True, seed=3)
+        results = run_all(seed=3)
         assert {r.name for r in results} == {
             "dioid-laws",
             "dual-oracle",
@@ -935,5 +990,5 @@ class TestVerifySuite:
             "markov-structure",
             "constants-and-units",
         }
-        assert all(r.checks > 0 for r in results)
+        assert all(r.checks > 0 and r.seconds > 0 for r in results)
         assert all(r.passed for r in results)
