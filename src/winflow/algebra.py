@@ -254,7 +254,8 @@ def subadditive_closure(f: BivariateFunction) -> BivariateFunction:
     one drives the powers to minus infinity and raises ClosureNonConvergence.
     """
     horizon = f.horizon
-    closure = np.minimum(f.table, make_delta(horizon).table)
+    closure = f.table.copy()
+    np.fill_diagonal(closure, np.minimum(np.diagonal(closure), 0.0))
     negative = np.flatnonzero(np.diag(closure) < 0.0)
     if negative.size:
         raise ClosureNonConvergence(f"closure diverges: f(k, k) < 0 at k = {negative.tolist()}")

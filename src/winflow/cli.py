@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         except UnicodeDecodeError as exc:
             parser.error(f"--config {args.config} is not UTF-8 text: {exc.reason}")
         if not scenarios:
-            raise SystemExit(f"no scenarios of kind {args.verb!r} in the config")
+            parser.error(f"no scenarios of kind {args.verb!r} in --config {args.config}")
     for sc in scenarios:
         if args.seed is not None:
             sc.seed = args.seed

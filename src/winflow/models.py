@@ -8,7 +8,9 @@ Each model is an immutable dataclass exposing, where meaningful:
 * ``effective_capacity(theta)`` long-run decay rate of the service MGF at
   -theta (theta > 0), whose theta -> 0 limit is the mean rate,
 * ``sample_path(seed, T)`` and ``sample_increments(rng, T, n)`` seeded
-  deterministic sample path generators.
+  deterministic sample path generators.  A batch has shape (n, T); the
+  i.i.d. laws fill it path by path (C order), the two-state chain slot by
+  slot (F order), each in the order of its draws.
 
 An i.i.d. law states one transform, ``log_mgf_increment(theta)``.  The
 two-state model states one scaled spectral form of its slot operator,
@@ -423,21 +425,23 @@ def _sample_two_state_chain(
 ) -> np.ndarray:
     """States in {0, 1}, shape (n, T), chain started in steady state.
 
-    Batches iterate slot by slot across all paths; a single long path is
-    generated from geometric sojourn runs, which is equivalent in
+    Batches iterate slot by slot across all paths, drawing ``rng.random(n)``
+    per slot.  Each slot is one contiguous row of a (T, n) table, and the
+    result is its transpose: an F-contiguous (n, T) view.  A single long
+    path is generated from geometric sojourn runs, which is equivalent in
     distribution because sojourn times are memoryless given the state.
     """
     if n == 1 and T > 4096:
         return _sample_sojourns(rng, p00, p11, p_on, T)[None, :]
-    states = np.empty((n, T), dtype=np.int8)
+    states = np.empty((T, n), dtype=np.int8)
     stay = np.array([p00, p11])
     x = (rng.random(n) < p_on).astype(np.int8)
     for k in range(T):
-        states[:, k] = x
+        states[k] = x
         if k == T - 1:
             break
         x ^= rng.random(n) >= stay[x]
-    return states
+    return states.T
 
 
 @dataclass(frozen=True)
@@ -628,6 +632,7 @@ class MarkovModulated2Service(_Model):
             float(law.rate) if isinstance(law, DeterministicService) else law.sample_increments(rng, T, n)
             for law in (self.law0, self.law1)
         )
+        # with two constant laws the result keeps the chain's F order
         return np.where(states == 1, inc1, inc0)
 
 

@@ -28,7 +28,8 @@ closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
 minima; the batch evaluator is t time-major row steps per block of
 ``_PATH_BLOCK`` paths, in O(t * _PATH_BLOCK) working memory whatever the
-number of paths.
+number of paths.  It reads time-major (F-order) input in place and copies
+each block of any other layout once, transposing it.
 """
 
 from __future__ import annotations
@@ -119,8 +120,12 @@ def equivalent_service_batch(
     Vectorization of the scalar dynamic program across paths; used by the
     Monte Carlo harness.  Paths are taken in blocks of ``_PATH_BLOCK``; each
     block's state is stored time-major, one row per slot, so every step reads
-    and writes contiguous rows.  The working buffers are reused across blocks
-    and hold O(t * _PATH_BLOCK) floats whatever the number of paths.  Raises
+    and writes contiguous rows.  Any memory layout is accepted and gives the
+    same result bit for bit.  When the slot rows of the input are contiguous,
+    as in an F-order array such as the On-Off batch sampler returns, each
+    block is read in place; otherwise it is first copied time-major into a
+    buffer.  The working buffers are reused across blocks and hold
+    O(t * _PATH_BLOCK) floats whatever the number of paths.  Raises
     ValueError when a path carries a non-finite increment before t, which
     would otherwise come out as NaN.
     """
@@ -135,18 +140,23 @@ def equivalent_service_batch(
     d, w = params.d, params.w
     out = np.empty(n)
     width = min(n, _PATH_BLOCK)
+    # the slot rows inc[b : b + k, j] are contiguous when this holds (F order)
+    in_place = inc.strides[0] == inc.itemsize
     # flat buffers, viewed per block as contiguous (rows, paths) tables
-    inc_buf = np.empty(t * width)
+    inc_buf = None if in_place else np.empty(t * width)
     h_buf = np.empty((t + 1) * width)
     cum_buf, g_buf, m_buf = np.empty((3, width))
     # a NaN or an infinity anywhere in the first t slots reaches cum + g
     with np.errstate(invalid="ignore"):
         for b in range(0, n, _PATH_BLOCK):
             k = min(_PATH_BLOCK, n - b)
-            slots = inc_buf[: t * k].reshape(t, k)
             h = h_buf[: (t + 1) * k].reshape(t + 1, k)
             cum, g, m = cum_buf[:k], g_buf[:k], m_buf[:k]
-            np.copyto(slots, inc[b : b + k, :t].T)
+            slots = inc[b : b + k, :t].T
+            if not in_place:
+                copy = inc_buf[: t * k].reshape(t, k)
+                np.copyto(copy, slots)
+                slots = copy
             # cum runs through the same additions as np.cumsum along the path
             cum[:] = slots[0]
             g[:] = 0.0

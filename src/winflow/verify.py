@@ -32,6 +32,7 @@ from .bounds import (
     block_curve,
     per_slot_curve,
     statistical_service_curve,
+    steady_state_backlog_bound,
 )
 from .models import ExponentialVbrService, MarkovModulated2Service, MmooService, erlang_quantile
 from .oracle import (
@@ -41,11 +42,13 @@ from .oracle import (
     equivalent_service_closure,
     equivalent_service_dp,
 )
+from .scenarios import canned_scenarios
 from . import units
 
 __all__ = [
     "SuiteResult",
     "enumerate_grouped_mgf",
+    "exact_backlog_tail",
     "random_feedback_instance",
     "run_all",
     "run_report",
@@ -61,6 +64,7 @@ class SuiteResult:
     failures: int = 0
     seconds: float = 0.0  # set by run_all
     notes: List[str] = field(default_factory=list)
+    summary: str = ""
 
     def record(self, ok: bool, note: str = ""):
         self.checks += 1
@@ -351,6 +355,56 @@ def suite_constants() -> SuiteResult:
     return out
 
 
+def exact_backlog_tail(arrivals, model, w: float) -> tuple[float, float]:
+    """(eta, sigma) of the exact backlog tail P(B > b) = sigma exp(-eta b)
+    of the loop at one slot of feedback delay; the caller refuses d != 1.
+
+    There the backlog is B' = max(B + a - min(c, w), 0).  With exponential
+    arrivals of mean lam its up-jumps are memoryless, eta > 0 solves
+    log1p(-lam eta) = log E[exp(-eta min(c, w))] and sigma = 1 - lam eta.
+    The left side minus the right is concave in eta, zero at 0 and falls to
+    -inf at 1/lam, so the root is its one sign change, found by 200
+    bisection steps.  Other arrival laws are refused, and so is an arrival
+    rate with no positive root: then the backlog has no steady state.
+    """
+    if not isinstance(arrivals, ExponentialVbrService):
+        raise TypeError("the exact backlog tail needs exponential arrivals")
+    lam = arrivals.mean_rate
+    lo, hi = 0.0, 1.0 / lam
+    for _ in range(200):
+        eta = 0.5 * (lo + hi)
+        if math.log1p(-lam * eta) > model.log_censored_mgf(-eta, w):
+            lo = eta
+        else:
+            hi = eta
+    if lo == 0.0:
+        raise ValueError(f"arrivals of mean {lam:g} Mb per slot leave the backlog unstable")
+    return eta, 1.0 - lam * eta
+
+
+def suite_exact_backlog() -> SuiteResult:
+    """Every fig8 backlog bound against the exact quantile log(sigma/eps)/eta."""
+    out = SuiteResult("exact-backlog")
+    ratios = []
+    for sc in canned_scenarios("fig8"):
+        if sc.d_slots != [1]:
+            raise ValueError(f"{sc.name}: the exact backlog tail needs d = 1")
+        fb = FeedbackParams(w=sc.w_mb[0], d=1)
+        curve = per_slot_curve(sc.service, fb)
+        grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
+        epsilons = np.array(sc.epsilons)
+        for lam in sc.lambdas_mb:
+            arrivals = ExponentialVbrService(lam)
+            bound = steady_state_backlog_bound(arrivals, curve, epsilons, grid)
+            eta, sigma = exact_backlog_tail(arrivals, sc.service, fb.w)
+            exact = np.log(sigma / epsilons) / eta
+            ratios.extend(bound / exact)
+            for eps, b, x in zip(epsilons, bound, exact):
+                out.record(b >= x, f"{sc.name} lambda={lam:g} eps={eps:g}: bound {b:.4g} < exact {x:.4g}")
+    out.summary = f"bound / exact quantile from {min(ratios):.3f} to {max(ratios):.3f}"
+    return out
+
+
 def run_all(seed: int = 0) -> List[SuiteResult]:
     """Every suite at its own size, in report order, each one timed."""
     results = []
@@ -360,6 +414,7 @@ def run_all(seed: int = 0) -> List[SuiteResult]:
         (suite_mgf_dominance, (seed + 2,)),
         (suite_markov_structure, ()),
         (suite_constants, ()),
+        (suite_exact_backlog, ()),
     ):
         start = time.perf_counter()
         result = suite(*args)
@@ -378,6 +433,8 @@ def run_report(seed: int = 0, stream: TextIO = None) -> int:
             f"{status}  {res.name:<22} {res.checks - res.failures}/{res.checks} checks"
             f"  ({res.seconds:.2f} s)\n"
         )
+        if res.summary:
+            stream.write(f"      {res.summary}\n")
         for note in res.notes:
             stream.write(f"      failed: {note}\n")
         failures += res.failures

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from winflow import cli, units
 from winflow.bounds import _CURVE_BLOCK_ENTRIES, ThetaGrid
 from winflow.cli import _fmt, main, write_csv
-from winflow.models import LeftoverService, MmooService
+from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
 from winflow.scenarios import (
     CANNED,
     MAX_SLOTS,
@@ -21,7 +21,13 @@ from winflow.scenarios import (
     canned_scenarios,
     parse_scenario_text,
 )
-from winflow.verify import run_all, run_report, suite_dual_oracle
+from winflow.verify import (
+    exact_backlog_tail,
+    run_all,
+    run_report,
+    suite_dual_oracle,
+    suite_exact_backlog,
+)
 
 VBR_CURVE_INI = """
 [curves]
@@ -420,6 +426,18 @@ class TestScenarioParsing:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert f"--config {cfg}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_without_the_verbs_kind_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_INI)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["backlog", "--config", str(cfg), "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"no scenarios of kind 'backlog' in --config {cfg}" in err
+        assert "usage:" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("points", [str(_CURVE_BLOCK_ENTRIES + 1), "100000000000"])
@@ -883,14 +901,7 @@ class TestReproduce:
             w = sc.w_mb[0]
             header, rows = read_csv(tmp_path / f"{sc.name}_backlog.csv")
             for i, lam in enumerate(sc.lambdas_mb):
-                lo, hi = 0.0, 1.0 / lam  # the root is the one sign change in between
-                for _ in range(200):
-                    eta = 0.5 * (lo + hi)
-                    if math.log1p(-lam * eta) > sc.service.log_censored_mgf(-eta, w):
-                        lo = eta
-                    else:
-                        hi = eta
-                sigma = 1.0 - lam * eta
+                eta, sigma = exact_backlog_tail(ExponentialArrivals(lam), sc.service, w)
                 for eps in sc.epsilons:
                     label = np.format_float_scientific(eps, trim="-", exp_digits=2)
                     bound = column(header, rows, f"bound_eps{label}_mb")[i]
@@ -956,6 +967,32 @@ class TestCsvWriter:
         assert not os.path.exists(path)
 
 
+class TestExactBacklogTail:
+    def test_root_solves_the_tail_equation(self):
+        # service of at least w: every slot drains exactly w
+        model, w = DeterministicService(1.0), 0.4
+        for lam in (0.05, 0.2, 0.39):
+            eta, sigma = exact_backlog_tail(ExponentialArrivals(lam), model, w)
+            assert 0.0 < eta < 1.0 / lam
+            assert math.log1p(-lam * eta) == pytest.approx(-eta * w, rel=1e-12, abs=1e-15)
+            assert sigma == 1.0 - lam * eta
+
+    def test_refuses_other_arrival_laws(self):
+        with pytest.raises(TypeError, match="exponential arrivals"):
+            exact_backlog_tail(DeterministicService(0.1), DeterministicService(1.0), 0.4)
+
+    @pytest.mark.parametrize("lam", [0.4, 0.5])
+    def test_refuses_an_unstable_arrival_rate(self, lam):
+        # the mean drain is min(c, w) = 0.4 per slot
+        with pytest.raises(ValueError, match="unstable"):
+            exact_backlog_tail(ExponentialArrivals(lam), DeterministicService(1.0), 0.4)
+
+    def test_suite_reports_the_fig8_ratio_range(self):
+        result = suite_exact_backlog()
+        assert result.passed and result.checks == 66
+        assert result.summary == "bound / exact quantile from 1.253 to 3.221"
+
+
 class TestVerifySuite:
     def test_fresh_checkout_passes(self, capsys):
         assert run_report(seed=0) == 0
@@ -989,6 +1026,7 @@ class TestVerifySuite:
             "mgf-dominance",
             "markov-structure",
             "constants-and-units",
+            "exact-backlog",
         }
         assert all(r.checks > 0 and r.seconds > 0 for r in results)
         assert all(r.passed for r in results)

@@ -366,9 +366,46 @@ class TestPathBlocks:
             equivalent_service_batch(paths, fb, 10)
         assert np.all(np.isfinite(equivalent_service_batch(paths, fb, 9)))
 
-    def test_working_memory_does_not_grow_with_paths(self):
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_any_layout_gives_the_same_bits(self, family, d):
+        # F-order input and F column slices are read in place, the others
+        # copied block by block; both must equal the C-order result
+        T = 64
+        rng = np.random.default_rng([d, 23, len(family)])
+        paths = np.ascontiguousarray(
+            PATH_FAMILIES[family].sample_increments(rng, T, 2 * BLOCK_EDGES[-1])
+        )
+        wide = np.zeros((len(paths), T + 7), order="F")
+        wide[:, 3 : 3 + T] = paths
+        fb = FeedbackParams(w=0.4 * d, d=d)
+        for n in BLOCK_EDGES:
+            layouts = {
+                "fortran": np.asfortranarray(paths[:n]),
+                "fortran column slice": wide[:n, 3 : 3 + T],
+                "every other path": paths[: 2 * n : 2],
+                "every other fortran path": np.asfortranarray(paths[: 2 * n])[::2],
+            }
+            for t in sorted({0, 1, d, T}):
+                for name, view in layouts.items():
+                    expected = equivalent_service_batch(np.ascontiguousarray(view), fb, t)
+                    assert np.array_equal(equivalent_service_batch(view, fb, t), expected), (
+                        name,
+                        n,
+                        t,
+                    )
+
+    @pytest.mark.parametrize("T, n", [(7, 3), (50, 1000), (64, BLOCK_EDGES[-1])])
+    def test_on_off_batch_samples_are_time_major(self, T, n):
+        paths = PATH_FAMILIES["on-off"].sample_increments(np.random.default_rng(T), T, n)
+        assert paths.shape == (n, T)
+        assert paths.flags.f_contiguous and not paths.flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_working_memory_does_not_grow_with_paths(self, order):
         # the two (t + 1, n) tables of the unblocked program took 80 MiB here
         paths = np.random.default_rng(3).exponential(1.0, size=(100_000, 50))
+        paths = np.asarray(paths, order=order)
         tracemalloc.start()
         try:
             equivalent_service_batch(paths, FeedbackParams(w=2.5, d=5), 50)
