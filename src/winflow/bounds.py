@@ -477,19 +477,27 @@ def best_effcap_lower(model, params: FeedbackParams, grid: ThetaGrid) -> BoundRe
     simply do not compete; ties go to the family listed first.
     """
     thetas = grid.values
-    candidates = {"blocks": effcap_lower_blocks(model, params, thetas)}
+    families = {"blocks": effcap_lower_blocks(model, params, thetas)}
     if not _is_markov(model):
-        candidates["series"] = effcap_lower_series(model, params, thetas)
+        families["series"] = effcap_lower_series(model, params, thetas)
     try:
-        candidates["apriori"] = effcap_apriori(model, params, thetas)[0]
+        families["apriori"] = effcap_apriori(model, params, thetas)[0]
     except NotImplementedError:
         pass
-    names = list(candidates)
-    stacked = np.vstack(list(candidates.values()))
+    return _best_lower(thetas, families)
+
+
+def _best_lower(thetas: np.ndarray, families: dict) -> BoundResult:
+    """Pointwise maximum of the lower-bound arrays in ``families`` (name ->
+    values on ``thetas``).  Ties go to the family listed first; a theta
+    whose best value is not finite (a nan in any family, or -inf in all)
+    has provenance "none".  Each value is bitwise that of its family."""
+    names = list(families)
+    stacked = np.vstack(list(families.values()))
     pick = np.argmax(stacked, axis=0)
     values = stacked[pick, np.arange(len(thetas))]
     feasible = np.isfinite(values)
-    provenance = [names[i] if ok else "none" for i, ok in zip(pick, feasible)]
+    provenance = [names[i] if ok else "none" for i, ok in zip(pick.tolist(), feasible.tolist())]
     return BoundResult("best-lower", thetas, values, thetas.copy(), feasible, provenance)
 
 

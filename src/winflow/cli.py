@@ -6,9 +6,13 @@ an INI config file (see scenarios.py for the schema); every verb emits CSV
 only.  Identical config and seed produce byte-identical files: floats are
 written with shortest round-trip formatting and rows in deterministic order.
 The verbs work on whole columns: each one hands ``write_csv`` its columns,
-which formats a block of rows of a numeric array column in one pass, and the
-backlog verb bounds all epsilons of an arrival rate in one call (and, with
-simulation, reads all their quantiles from one set of runs).
+which formats a block of rows of a numeric array column in one pass and
+writes a column that is already a list of str as it is, and the backlog verb
+bounds all epsilons of an arrival rate in one call (and, with simulation,
+reads all their quantiles from one set of runs).  The effective-capacity
+verb formats each distinct column once per call: theta for all delays, the
+a-priori pair once per exact w/d, and the best lower bound row by row from
+the text of the family that won the row.  No text outlives the call.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from . import units
 from .bounds import (
     FeedbackParams,
     ThetaGrid,
+    _best_lower,
     _is_markov,
-    best_effcap_lower,
+    best_effcap_lower,  # noqa: F401 -- a name of this module that perfbench/tracer.py wraps
     block_curve,
     effcap_apriori,
     effcap_lower_blocks,
@@ -60,9 +65,12 @@ def _fmt(value) -> str:
 
 def _column_text(column) -> List[str]:
     # a numeric array converts to Python ints or floats in one pass, and
-    # repr of those is exactly _fmt's text; booleans and objects go by value
+    # repr of those is exactly _fmt's text; a list of str is text already;
+    # booleans and objects go by value
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         return list(map(repr, column.tolist()))
+    if isinstance(column, list) and set(map(type, column)) == {str}:
+        return column
     return list(map(_fmt, column))
 
 
@@ -85,7 +93,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> 
             handle.write(",".join(header) + "\n")
             for start in range(0, n_rows, _BLOCK_ROWS):
                 block = [_column_text(col[start : start + _BLOCK_ROWS]) for col in columns]
-                handle.write("".join([",".join(row) + "\n" for row in zip(*block)]))
+                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -166,39 +174,52 @@ def cmd_service_curve(sc: Scenario, out_dir: str) -> List[str]:
 
 
 def cmd_effective_capacity(sc: Scenario, out_dir: str) -> List[str]:
-    grid = _grid(sc)
+    thetas = _grid(sc).values
     model = sc.service
     iid = not _is_markov(model)
+    header = [
+        "theta_per_bit",
+        "lower_series_mbps",
+        "lower_blocks_mbps",
+        "apriori_lower_mbps",
+        "apriori_upper_mbps",
+        "best_lower_mbps",
+        "best_family",
+    ]
+
+    def mbps_text(values: np.ndarray) -> List[str]:
+        mbps = units.mb_per_slot_to_mbps(values, sc.slot_ms)
+        return _column_text(np.where(np.isfinite(values), mbps, math.nan))
+
+    # every column is formatted once per call: theta is shared by all
+    # delays, the a-priori pair depends on w/d alone, and the best column
+    # takes each row's text from the family that won it
+    theta_text = _column_text(units.theta_per_mb_to_per_bit(thetas))
+    nan_text = ["nan"] * len(thetas)
+    apriori = {}  # exact w/d -> (lower values, lower text, upper text)
     paths = []
-
-    def to_mbps(values: np.ndarray) -> np.ndarray:
-        finite = np.isfinite(values)
-        return np.where(finite, units.mb_per_slot_to_mbps(values, sc.slot_ms), math.nan)
-
-    thetas = grid.values
     for w, d in zip(sc.w_mb, sc.d_slots):
         fb = FeedbackParams(w=w, d=d)
-        best = best_effcap_lower(model, fb, grid)
-        series = effcap_lower_series(model, fb, thetas) if iid else np.full(len(thetas), math.nan)
-        blocks = effcap_lower_blocks(model, fb, thetas)
-        apriori_lo, apriori_up = effcap_apriori(model, fb, thetas)
+        if fb.rate_cap not in apriori:
+            lower, upper = effcap_apriori(model, fb, thetas)
+            apriori[fb.rate_cap] = lower, mbps_text(lower), mbps_text(upper)
+        apriori_lower, apriori_lower_text, apriori_upper_text = apriori[fb.rate_cap]
+        # the families of best_effcap_lower, in its order, and their text
+        families = {"blocks": effcap_lower_blocks(model, fb, thetas)}
+        text = {"blocks": mbps_text(families["blocks"]), "series": nan_text, "none": nan_text}
+        if iid:
+            families["series"] = effcap_lower_series(model, fb, thetas)
+            text["series"] = mbps_text(families["series"])
+        families["apriori"], text["apriori"] = apriori_lower, apriori_lower_text
+        best = _best_lower(thetas, families)
         columns = [
-            units.theta_per_mb_to_per_bit(thetas),
-            to_mbps(series),
-            to_mbps(blocks),
-            to_mbps(apriori_lo),
-            to_mbps(apriori_up),
-            to_mbps(best.value),
+            theta_text,
+            text["series"],
+            text["blocks"],
+            apriori_lower_text,
+            apriori_upper_text,
+            [text[name][i] for i, name in enumerate(best.provenance)],
             best.provenance,
-        ]
-        header = [
-            "theta_per_bit",
-            "lower_series_mbps",
-            "lower_blocks_mbps",
-            "apriori_lower_mbps",
-            "apriori_upper_mbps",
-            "best_lower_mbps",
-            "best_family",
         ]
         path = os.path.join(out_dir, f"{sc.name}_effcap_d{_delay_label(sc, d)}ms.csv")
         paths.append(write_csv(path, header, columns))

@@ -8,9 +8,11 @@ Each model is an immutable dataclass exposing, where meaningful:
 * ``effective_capacity(theta)`` long-run decay rate of the service MGF at
   -theta (theta > 0), whose theta -> 0 limit is the mean rate,
 * ``sample_path(seed, T)`` and ``sample_increments(rng, T, n)`` seeded
-  deterministic sample path generators.  A batch has shape (n, T); the
-  i.i.d. laws fill it path by path (C order), the two-state chain slot by
-  slot (F order), each in the order of its draws.
+  deterministic sample path generators.  A batch has shape (n, T).  The
+  exponential law draws it path by path and the two-state chain slot by
+  slot, each in the order of its draws; both store it time-major (F order),
+  one contiguous row per slot, and so do the laws composed of them.  Only
+  the constant law's batch is in C order.
 
 An i.i.d. law states one transform, ``log_mgf_increment(theta)``.  The
 two-state model states one scaled spectral form of its slot operator,
@@ -51,6 +53,10 @@ from typing import Tuple
 import numpy as np
 
 INF = float("inf")
+
+# floats of uniform draws (512 KiB) an i.i.d. batch sampler holds at once;
+# measured a little faster than 2^14 or 2^18 at 5e4 paths x 50 slots
+_IID_BLOCK_FLOATS = 1 << 16
 
 __all__ = [
     "DeterministicService",
@@ -300,8 +306,23 @@ class ExponentialVbrService(_IidModel):
         return np.log(np.where(singular, 1.0 + cap / c, numer / np.where(singular, 1.0, denom)))[()]
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        # inverse CDF keeps the draw count per path exactly T
-        u = rng.random((n, T))
+        """Inverse-CDF draws, exactly T per path, path by path as
+        ``rng.random((n, T))`` draws them.  A batch (n > 1) is drawn a block
+        of paths at a time into one reused buffer and stored one slot row at
+        a time: the result is the F-contiguous transpose of a (T, n) table."""
+        if n == 1:
+            return self._from_uniform(rng.random((1, T)))
+        table = np.empty((T, n))
+        paths = max(1, _IID_BLOCK_FLOATS // max(T, 1))
+        buf = np.empty(min(n, paths) * T)
+        for b in range(0, n, paths):
+            k = min(paths, n - b)
+            block = buf[: k * T]
+            rng.random(out=block)
+            table[:, b : b + k] = self._from_uniform(block).reshape(k, T).T
+        return table.T
+
+    def _from_uniform(self, u: np.ndarray) -> np.ndarray:
         np.log1p(np.negative(u, out=u), out=u)
         u *= -self.mean_rate
         return u

@@ -28,13 +28,15 @@ closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
 minima; the batch evaluator is t time-major row steps per block of
 ``_PATH_BLOCK`` paths, in O(t * _PATH_BLOCK) working memory whatever the
-number of paths.  It reads time-major (F-order) input in place and copies
-each block of any other layout once, transposing it.
+number of paths.  It reads time-major (F-order) input, which the random
+batch samplers return, in place and copies each block of any other layout
+once, transposing it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +95,8 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
 
     G(j) is the cheapest total window cost on [s, s + j); a step either
     leaves the next slot uncovered or ends a window of length <= d at it.
-    The predecessor scan is a sliding-window minimum of G(k) + cum(k).
+    The predecessor scan is the minimum of G(k) + cum(k) over the last d
+    positions, kept in a deque of length d.
     Runs on Python floats, one path and one interval at a time.
     """
     if not 0 <= s <= t <= path.horizon:
@@ -103,9 +106,9 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
     d, w = params.d, params.w
     cum = path.cumulative[s : t + 1].tolist()
     g = 0.0
-    H = [cum[0]]  # H(j) = G(j) + cum(s + j)
-    for j, c in enumerate(cum[1:], 1):
-        v = w - c + min(H[j - d : j] if j > d else H)
+    H = deque([cum[0]], maxlen=d)  # the last d of H(j) = G(j) + cum(s + j)
+    for c in cum[1:]:
+        v = w - c + min(H)
         if v < g:
             g = v
         H.append(g + c)
@@ -122,7 +125,7 @@ def equivalent_service_batch(
     block's state is stored time-major, one row per slot, so every step reads
     and writes contiguous rows.  Any memory layout is accepted and gives the
     same result bit for bit.  When the slot rows of the input are contiguous,
-    as in an F-order array such as the On-Off batch sampler returns, each
+    as in an F-order array such as the random batch samplers return, each
     block is read in place; otherwise it is first copied time-major into a
     buffer.  The working buffers are reused across blocks and hold
     O(t * _PATH_BLOCK) floats whatever the number of paths.  Raises

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from winflow import cli, units
-from winflow.bounds import _CURVE_BLOCK_ENTRIES, ThetaGrid
+from winflow.bounds import (
+    _CURVE_BLOCK_ENTRIES,
+    FeedbackParams,
+    ThetaGrid,
+    _is_markov,
+    effcap_apriori,
+    effcap_lower_blocks,
+    effcap_lower_series,
+)
 from winflow.cli import _fmt, main, write_csv
 from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
 from winflow.scenarios import (
@@ -768,6 +776,89 @@ class TestServiceCurveCommand:
         assert np.all(lower[t_ms >= 11] > 0.0)
 
 
+# one exponential section with six delays at one w/d, and one On-Off
+# section whose windows give the caps 100, 100 and 500 Mbps; in both, the
+# block and a-priori bounds tie exactly at some theta, so the tie rule
+# shows in best_family
+EFFCAP_BYTES_INI = """
+[vbr-six]
+kind = effective-capacity
+seed = 1
+service = exponential
+service_rate_mbps = 1000
+w_over_d_mbps = 100
+d_ms = 1 2 5 10 20 50
+theta_points = 128
+
+[mmoo-mixed]
+kind = effective-capacity
+seed = 1
+service = mmoo
+mmoo_p00 = 0.2
+mmoo_p11 = 0.9
+mmoo_peak_mbps = 1125
+w_mb = 0.1 0.2 2.5
+d_ms = 1 2 5
+theta_points = 128
+"""
+
+
+def previous_effcap_files(sc):
+    """The effective-capacity verb's per-delay column build before columns
+    were shared, a literal copy with ``best_effcap_lower``'s body inlined
+    (without its fallback for a model with no a-priori route): every
+    family computed and every column formatted for each delay.  Returns
+    file name -> bytes."""
+    grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
+    model = sc.service
+    iid = not _is_markov(model)
+    files = {}
+
+    def to_mbps(values: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(values)
+        return np.where(finite, units.mb_per_slot_to_mbps(values, sc.slot_ms), math.nan)
+
+    thetas = grid.values
+    for w, d in zip(sc.w_mb, sc.d_slots):
+        fb = FeedbackParams(w=w, d=d)
+        candidates = {"blocks": effcap_lower_blocks(model, fb, thetas)}
+        if iid:
+            candidates["series"] = effcap_lower_series(model, fb, thetas)
+        candidates["apriori"] = effcap_apriori(model, fb, thetas)[0]
+        names = list(candidates)
+        stacked = np.vstack(list(candidates.values()))
+        pick = np.argmax(stacked, axis=0)
+        best_value = stacked[pick, np.arange(len(thetas))]
+        provenance = [names[i] if ok else "none" for i, ok in zip(pick, np.isfinite(best_value))]
+        series = effcap_lower_series(model, fb, thetas) if iid else np.full(len(thetas), math.nan)
+        blocks = effcap_lower_blocks(model, fb, thetas)
+        apriori_lo, apriori_up = effcap_apriori(model, fb, thetas)
+        columns = [
+            units.theta_per_mb_to_per_bit(thetas),
+            to_mbps(series),
+            to_mbps(blocks),
+            to_mbps(apriori_lo),
+            to_mbps(apriori_up),
+            to_mbps(best_value),
+            provenance,
+        ]
+        header = [
+            "theta_per_bit",
+            "lower_series_mbps",
+            "lower_blocks_mbps",
+            "apriori_lower_mbps",
+            "apriori_upper_mbps",
+            "best_lower_mbps",
+            "best_family",
+        ]
+        text = ",".join(header) + "\n" + "".join(
+            ",".join(v if isinstance(v, str) else _row_wise_fmt(v) for v in row) + "\n"
+            for row in zip(*columns)
+        )
+        files[f"{sc.name}_effcap_d{units.slots_to_ms(d, sc.slot_ms):.15g}ms.csv"] = text.encode()
+    return files
+
+
 class TestEffcapCommand:
     def test_columns_and_orderings(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -808,6 +899,44 @@ class TestEffcapCommand:
         assert np.all(np.isnan(series))
         blocks = column(header, rows, "lower_blocks_mbps")
         assert np.any(np.isfinite(blocks))
+
+    def test_files_are_byte_identical_to_the_per_delay_build(self, tmp_path, monkeypatch):
+        caps = []
+
+        def counted(model, fb, theta):
+            caps.append(fb.rate_cap)
+            return effcap_apriori(model, fb, theta)
+
+        monkeypatch.setattr(cli, "effcap_apriori", counted)
+        for sc in parse_scenario_text(EFFCAP_BYTES_INI):
+            caps.clear()
+            expected = previous_effcap_files(sc)
+            paths = cli.cmd_effective_capacity(sc, str(tmp_path))
+            assert sorted(os.path.basename(p) for p in paths) == sorted(expected)
+            for name, content in expected.items():
+                assert (tmp_path / name).read_bytes() == content, name
+            # the a-priori pair is computed once per distinct w/d
+            rate_caps = [w / d for w, d in zip(sc.w_mb, sc.d_slots)]
+            assert caps == list(dict.fromkeys(rate_caps))
+        assert len(caps) == 2  # the On-Off section repeats one cap
+
+    def test_best_text_is_the_text_of_its_family(self, tmp_path):
+        family_column = {
+            "blocks": "lower_blocks_mbps",
+            "series": "lower_series_mbps",
+            "apriori": "apriori_lower_mbps",
+        }
+        winners = set()
+        for sc in parse_scenario_text(EFFCAP_BYTES_INI):
+            for path in cli.cmd_effective_capacity(sc, str(tmp_path)):
+                header, rows = read_csv(path)
+                best, family = header.index("best_lower_mbps"), header.index("best_family")
+                for row in rows:
+                    name = row[family]
+                    winners.add(name)
+                    expected = "nan" if name == "none" else row[header.index(family_column[name])]
+                    assert row[best] == expected, (path, row)
+        assert winners >= {"blocks", "apriori"}
 
 
 class TestBacklogCommand:

@@ -21,6 +21,7 @@ from winflow.models import (
     LeftoverService,
     MarkovModulated2Service,
     MmooService,
+    _IID_BLOCK_FLOATS,
     erlang_quantile,
     leftover_two_state,
     regularized_lower_gamma,
@@ -526,6 +527,14 @@ class TestSamplersBitIdenticalToPreviousExpressions:
 
     @pytest.mark.parametrize("T, n", SAMPLER_SHAPES)
     def test_exponential(self, T, n):
+        rng, rng_ref = np.random.default_rng(T + n), np.random.default_rng(T + n)
+        expected = -0.7 * np.log1p(-rng_ref.random((n, T)))
+        assert np.array_equal(ExponentialVbrService(0.7).sample_increments(rng, T, n), expected)
+        assert np.array_equal(rng.random(5), rng_ref.random(5))
+
+    @pytest.mark.parametrize("T, n", [(1000, 700), (_IID_BLOCK_FLOATS + 5, 3)])
+    def test_exponential_over_several_sample_blocks(self, T, n):
+        # several blocks of paths, and a path longer than one block
         rng, rng_ref = np.random.default_rng(T + n), np.random.default_rng(T + n)
         expected = -0.7 * np.log1p(-rng_ref.random((n, T)))
         assert np.array_equal(ExponentialVbrService(0.7).sample_increments(rng, T, n), expected)

@@ -395,9 +395,10 @@ class TestPathBlocks:
                         t,
                     )
 
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
     @pytest.mark.parametrize("T, n", [(7, 3), (50, 1000), (64, BLOCK_EDGES[-1])])
-    def test_on_off_batch_samples_are_time_major(self, T, n):
-        paths = PATH_FAMILIES["on-off"].sample_increments(np.random.default_rng(T), T, n)
+    def test_batch_samples_are_time_major(self, family, T, n):
+        paths = PATH_FAMILIES[family].sample_increments(np.random.default_rng(T), T, n)
         assert paths.shape == (n, T)
         assert paths.flags.f_contiguous and not paths.flags.c_contiguous
 
