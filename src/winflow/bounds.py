@@ -25,13 +25,15 @@ Every optimization over theta goes through one helper: a fixed logarithmic
 grid, then golden-section refinement around each problem's best grid point,
 with all searches run in lockstep; the reported optimum is never worse than
 the best raw grid point.  Service curves refine their t in bounded blocks,
-the steady-state backlog bound every epsilon of an arrival rate, and the
-finite-horizon backlog bound its one problem, a theta at a time.
+the steady-state backlog bound every (arrival model, epsilon) pair of a
+call, and the finite-horizon backlog bound its one problem, a theta at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -524,15 +526,16 @@ def _log_backlog_sum(arrivals, curve: LogMgfCurve, theta: float, t: int) -> floa
     return _log_sum_exp(log_terms)
 
 
-def _log_steady_state_sum(arrivals, curve: LogMgfCurve, theta):
-    """log sum over all lengths ell >= 0 of M_A(theta)^ell * bound(theta, ell).
+def _log_steady_state_sum(log_ma, curve: LogMgfCurve, theta):
+    """log sum over all lengths ell >= 0 of M_A(theta)^ell * bound(theta, ell),
+    from log_ma = log M_A(theta).
 
     Writing ell = k p + j with j < p, the sum is e^{log_offset} times the
     phase sum over j of M_A^j times a geometric series in k with ratio e^r,
     r = p log M_A + log_rate.  It converges exactly when r < 0 and is +inf
-    otherwise.  Scalar or array theta.
+    otherwise.  Scalar or array theta; log_ma broadcasts against it, so one
+    evaluation of the curve's coefficients serves several arrival models.
     """
-    log_ma = arrivals.log_mgf_increment(theta)
     log_rate, log_offset = curve.coefficients(theta)
     with np.errstate(invalid="ignore"):
         r = curve.period * log_ma + log_rate
@@ -575,19 +578,40 @@ def steady_state_backlog_bound(arrivals, curve: LogMgfCurve, eps, grid: ThetaGri
     r = p log M_A(theta) + log_rate(theta).  A theta with r >= 0 is
     infeasible; the bound is +inf exactly when every grid theta is.
 
-    eps is a scalar (the bound is a float) or an array (one bound per
-    entry).  All entries share one evaluation of log S on the grid, and the
-    golden-section refinements around their best grid points run in lockstep.
+    arrivals is one arrival model or a sequence of them, and eps a scalar
+    or an array.  One model gives a float for a scalar eps and an array of
+    eps's shape otherwise; a sequence gives an array of shape
+    (len(arrivals),) + eps.shape.  Every (model, eps) pair is one problem of
+    one search: the curve's coefficients and each model's log M_A are
+    evaluated once on the grid, and the golden-section refinements around
+    the best grid points run in lockstep, so every entry is bitwise the
+    bound of its pair alone.
     """
+    single = not isinstance(arrivals, Sequence)
+    models = [arrivals] if single else list(arrivals)
+    if not models:
+        raise ValueError("steady_state_backlog_bound needs at least one arrival model")
     eps = np.asarray(eps, dtype=float)
     flat = eps.ravel()
     if not np.all((flat > 0.0) & (flat < 1.0)):
         raise ValueError("eps must lie strictly between 0 and 1")
-    log_eps = np.array([math.log(e) for e in flat.tolist()])
-    thetas = grid.values
+    # problem i is model i // len(flat) at eps i % len(flat): model-major,
+    # so the problems of one model form one run of any sorted subset
+    model_of = np.repeat(np.arange(len(models)), len(flat))
+    log_eps = np.tile([math.log(e) for e in flat.tolist()], len(models))
+    thetas = grid.values[:, None]
+    log_ma = np.hstack([model.log_mgf_increment(thetas) for model in models])
+    on_grid = (log_eps - _log_steady_state_sum(log_ma, curve, thetas)[:, model_of]) / thetas
 
-    def negated(theta, i):
-        return (log_eps[i] - _log_steady_state_sum(arrivals, curve, theta)) / theta
+    def negated(theta, which):  # which is sorted, as the lockstep search keeps it
+        runs = np.searchsorted(model_of[which], np.arange(len(models) + 1)).tolist()
+        log_ma = np.empty(len(which))
+        for model, lo, hi in zip(models, runs, runs[1:]):
+            if hi > lo:
+                log_ma[lo:hi] = model.log_mgf_increment(theta[lo:hi])
+        return (log_eps[which] - _log_steady_state_sum(log_ma, curve, theta)) / theta
 
-    best = -_refine_grid_max(negated, thetas, negated(thetas[:, None], np.arange(len(flat))))[0]
-    return float(best[0]) if eps.ndim == 0 else best.reshape(eps.shape)
+    best = -_refine_grid_max(negated, grid.values, on_grid)[0]
+    if single:
+        return float(best[0]) if eps.ndim == 0 else best.reshape(eps.shape)
+    return best.reshape((len(models),) + eps.shape)

@@ -8,11 +8,12 @@ written with shortest round-trip formatting and rows in deterministic order.
 The verbs work on whole columns: each one hands ``write_csv`` its columns,
 which formats a block of rows of a numeric array column in one pass and
 writes a column that is already a list of str as it is, and the backlog verb
-bounds all epsilons of an arrival rate in one call (and, with simulation,
-reads all their quantiles from one set of runs).  The effective-capacity
-verb formats each distinct column once per call: theta for all delays, the
-a-priori pair once per exact w/d, and the best lower bound row by row from
-the text of the family that won the row.  No text outlives the call.
+bounds every arrival rate and epsilon of a section in one call (and, with
+simulation, reads all the epsilons of a rate from one set of runs).  The
+effective-capacity verb formats each distinct column once per call: theta
+for all delays, the a-priori pair once per exact w/d, and the best lower
+bound row by row from the text of the family that won the row.  No text
+outlives the call.
 """
 
 from __future__ import annotations
@@ -237,20 +238,19 @@ def cmd_backlog(sc: Scenario, out_dir: str) -> List[str]:
     if sc.simulate:
         header += [f"sim_eps{label}_mb" for label in labels]
     epsilons = np.array(sc.epsilons)
-    bound_rows, sim_rows = [], []
-    for lam in sc.lambdas_mb:
-        arrivals = ExponentialArrivals(lam)
-        bound_rows.append(steady_state_backlog_bound(arrivals, curve, epsilons, grid))
-        if sc.simulate:
-            config = _sim_config(sc, arrivals)
+    arrivals = [ExponentialArrivals(lam) for lam in sc.lambdas_mb]
+    bounds = steady_state_backlog_bound(arrivals, curve, epsilons, grid)  # (lambda, eps)
+    lambdas = units.mb_per_slot_to_mbps(np.array(sc.lambdas_mb), sc.slot_ms)
+    columns = [lambdas, *bounds.T]
+    if sc.simulate:
+        sim_rows = []
+        for process in arrivals:
+            config = _sim_config(sc, process)
             estimable = quantile_estimable(config, epsilons)
             row = np.full(len(epsilons), math.nan)
             if estimable.any():
                 row[estimable] = backlog_quantile(config, epsilons[estimable])
             sim_rows.append(row)
-    lambdas = units.mb_per_slot_to_mbps(np.array(sc.lambdas_mb), sc.slot_ms)
-    columns = [lambdas, *np.array(bound_rows).T]
-    if sc.simulate:
         columns.extend(np.array(sim_rows, dtype=float).T)
     path = os.path.join(out_dir, f"{sc.name}_backlog.csv")
     return [write_csv(path, header, columns)]

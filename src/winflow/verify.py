@@ -393,9 +393,9 @@ def suite_exact_backlog() -> SuiteResult:
         curve = per_slot_curve(sc.service, fb)
         grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
         epsilons = np.array(sc.epsilons)
-        for lam in sc.lambdas_mb:
-            arrivals = ExponentialVbrService(lam)
-            bound = steady_state_backlog_bound(arrivals, curve, epsilons, grid)
+        panel = [ExponentialVbrService(lam) for lam in sc.lambdas_mb]
+        bounds = steady_state_backlog_bound(panel, curve, epsilons, grid)
+        for lam, arrivals, bound in zip(sc.lambdas_mb, panel, bounds):
             eta, sigma = exact_backlog_tail(arrivals, sc.service, fb.w)
             exact = np.log(sigma / epsilons) / eta
             ratios.extend(bound / exact)

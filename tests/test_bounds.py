@@ -83,7 +83,8 @@ def scalar_steady_state_backlog_bound(arrivals, curve, eps, grid):
     thetas = grid.values
 
     def objective(theta):
-        return (_log_steady_state_sum(arrivals, curve, theta) - log_eps) / theta
+        log_ma = arrivals.log_mgf_increment(theta)
+        return (_log_steady_state_sum(log_ma, curve, theta) - log_eps) / theta
 
     col = objective(thetas)
     k = int(np.argmin(col))
@@ -853,6 +854,41 @@ class TestBacklogBound:
             assert all(math.isfinite(v) for v in scalars)
         grid = steady_state_backlog_bound(arrivals, curve, eps.reshape(2, 3), GRID)
         assert grid.tolist() == [scalars[:3], scalars[3:]]
+
+    @pytest.mark.parametrize(
+        "curve, saturation",
+        [
+            (per_slot_curve(VBR, FeedbackParams(w=0.1, d=1)), 0.0952),
+            (block_curve(VBR, FeedbackParams(w=0.5, d=5)), 0.0492),
+            (block_curve(MMOO, FeedbackParams(w=0.5, d=5)), 0.0491),
+            (series_curve(VBR, FeedbackParams(w=2.0, d=1)), 0.3657),
+        ],
+        ids=["per-slot-d1", "block-iid-d5", "block-markov-d5", "series-d1"],
+    )
+    def test_arrival_sequence_equals_single_model_calls_exactly(self, curve, saturation):
+        # light, heavy, unstable and heavy again, then the same rates reversed
+        loads = [0.1, 0.9, 1.5, 0.9, 0.5]
+        lams = [f * saturation for f in loads + loads[::-1]]
+        arrivals = [ExponentialArrivals(lam) for lam in lams]
+        eps = np.array([[1e-3, 0.5, 1e-9], [1e-6, 1e-3, 0.999]])
+        values = steady_state_backlog_bound(arrivals, curve, eps, GRID)
+        assert values.shape == (len(arrivals), 2, 3)
+        for load, model, rows in zip(loads + loads[::-1], arrivals, values):
+            single = steady_state_backlog_bound(model, curve, eps, GRID)
+            reference = [
+                [scalar_steady_state_backlog_bound(model, curve, e, GRID) for e in row]
+                for row in eps.tolist()
+            ]
+            assert rows.tolist() == single.tolist() == reference, load
+            if load > 1.0:
+                assert np.all(rows == math.inf)
+            else:
+                assert np.all(np.isfinite(rows))
+        # a tuple is a sequence too, and a scalar eps gives one bound per model
+        by_model = steady_state_backlog_bound(tuple(arrivals), curve, 1e-3, GRID)
+        assert by_model.tolist() == values[:, 0, 0].tolist()
+        with pytest.raises(ValueError, match="at least one arrival model"):
+            steady_state_backlog_bound([], curve, eps, GRID)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 1.5, math.nan])
     def test_epsilon_array_with_one_entry_outside_unit_interval_raises(self, bad):

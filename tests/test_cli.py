@@ -16,9 +16,12 @@ from winflow.bounds import (
     FeedbackParams,
     ThetaGrid,
     _is_markov,
+    block_curve,
     effcap_apriori,
     effcap_lower_blocks,
     effcap_lower_series,
+    per_slot_curve,
+    steady_state_backlog_bound,
 )
 from winflow.cli import _fmt, main, write_csv
 from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
@@ -937,6 +940,81 @@ class TestEffcapCommand:
                     expected = "nan" if name == "none" else row[header.index(family_column[name])]
                     assert row[best] == expected, (path, row)
         assert winners >= {"blocks", "apriori"}
+
+
+# a section at d = 1 (the per-slot curve of exponential service, stable
+# below 95.2 Mbps) and one at d = 5 (the block curve of On-Off service,
+# stable below 49.1 Mbps); each has an unstable rate, so writes inf cells,
+# and repeats a rate
+BACKLOG_BYTES_INI = """
+[vbr-d1]
+kind = backlog
+seed = 1
+service = exponential
+service_rate_mbps = 1000
+w_over_d_mbps = 100
+d_ms = 1
+lambda_mbps = 10 50 90 120 50
+epsilons = 1e-3 1e-6 1e-9
+
+[mmoo-d5]
+kind = backlog
+seed = 1
+service = mmoo
+mmoo_p00 = 0.2
+mmoo_p11 = 0.9
+mmoo_peak_mbps = 1125
+w_over_d_mbps = 100
+d_ms = 5
+lambda_mbps = 45 5 60 20 45
+epsilons = 1e-3 1e-9
+"""
+
+
+def previous_backlog_file(sc):
+    """The backlog verb's per-rate build before one call bounded a whole
+    section, a literal copy without its simulation columns: one
+    ``steady_state_backlog_bound`` call per arrival rate, the rows stacked
+    and transposed into columns.  Returns (file name, bytes)."""
+    grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
+    model = sc.service
+    fb = FeedbackParams(w=sc.w_mb[0], d=sc.d_slots[0])
+    curve = per_slot_curve(model, fb) if fb.d == 1 else block_curve(model, fb)
+    labels = [np.format_float_scientific(eps, trim="-", exp_digits=2) for eps in sc.epsilons]
+    header = ["lambda_mbps"] + [f"bound_eps{label}_mb" for label in labels]
+    epsilons = np.array(sc.epsilons)
+    bound_rows = []
+    for lam in sc.lambdas_mb:
+        arrivals = ExponentialArrivals(lam)
+        bound_rows.append(steady_state_backlog_bound(arrivals, curve, epsilons, grid))
+    lambdas = units.mb_per_slot_to_mbps(np.array(sc.lambdas_mb), sc.slot_ms)
+    columns = [lambdas, *np.array(bound_rows).T]
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(_row_wise_fmt(v) for v in row) + "\n" for row in zip(*columns)
+    )
+    return f"{sc.name}_backlog.csv", text.encode()
+
+
+def test_backlog_files_are_byte_identical_to_the_per_rate_build(tmp_path, monkeypatch):
+    calls = []
+    bound = cli.steady_state_backlog_bound
+
+    def counted(arrivals, *args):
+        calls.append(arrivals)
+        return bound(arrivals, *args)
+
+    monkeypatch.setattr(cli, "steady_state_backlog_bound", counted)
+    sections = parse_scenario_text(BACKLOG_BYTES_INI)
+    assert [sc.d_slots for sc in sections] == [[1], [5]]
+    for sc in sections:
+        name, content = previous_backlog_file(sc)
+        assert b"inf" in content
+        assert cli.cmd_backlog(sc, str(tmp_path)) == [str(tmp_path / name)]
+        assert (tmp_path / name).read_bytes() == content, name
+    # one call per section, with every arrival rate of the section
+    assert [[a.mean_rate for a in arrivals] for arrivals in calls] == [
+        sc.lambdas_mb for sc in sections
+    ]
 
 
 class TestBacklogCommand:
