@@ -4,12 +4,9 @@ from .algebra import (
     BivariateFunction,
     ClosureNonConvergence,
     convolve,
-    deconvolve,
     make_delta,
     make_delta_plus_w,
-    make_delta_shift,
     pointwise_min,
-    self_convolve,
     subadditive_closure,
 )
 from .bounds import (
@@ -38,7 +35,6 @@ from .models import (
     MarkovModulated2Service,
     MmooService,
     erlang_quantile,
-    leftover_two_state,
 )
 from .oracle import (
     SamplePath,
@@ -51,7 +47,6 @@ from .simulator import (
     SimConfig,
     SimRun,
     backlog_quantile,
-    empirical_equivalent_mgf,
     run_flow_control,
 )
 

@@ -32,11 +32,8 @@ __all__ = [
     "ClosureNonConvergence",
     "make_delta",
     "make_delta_plus_w",
-    "make_delta_shift",
     "pointwise_min",
     "convolve",
-    "deconvolve",
-    "self_convolve",
     "subadditive_closure",
 ]
 
@@ -115,11 +112,6 @@ class BivariateFunction:
     def horizon(self) -> int:
         return self._table.shape[0] - 1
 
-    @property
-    def is_causal(self) -> bool:
-        """True iff f(t, t) = 0 for every t."""
-        return bool(np.all(np.diag(self._table) == 0.0))
-
     def value(self, s: int, t: int) -> float:
         if not 0 <= s <= t <= self.horizon:
             raise IndexError(f"need 0 <= s <= t <= {self.horizon}, got ({s}, {t})")
@@ -132,10 +124,10 @@ class BivariateFunction:
         )
 
     def __repr__(self) -> str:
-        return f"BivariateFunction(horizon={self.horizon}, causal={self.is_causal})"
+        return f"BivariateFunction(horizon={self.horizon})"
 
 
-# -- neutral and shift elements ----------------------------------------------
+# -- neutral and offset elements -----------------------------------------------
 
 
 def make_delta(horizon: int) -> BivariateFunction:
@@ -160,20 +152,6 @@ def make_delta_plus_w(horizon: int, w: float) -> BivariateFunction:
     n = horizon + 1
     table = np.full((n, n), INF)
     np.fill_diagonal(table, float(w))
-    return BivariateFunction(table, check=False)
-
-
-def make_delta_shift(horizon: int, d: int) -> BivariateFunction:
-    """Pure delay element: 0 where t - s <= d, +inf where t - s > d.
-
-    Convolving f with it yields f(s, max(t - d, s)), which for causal f
-    realizes a time shift by d slots.
-    """
-    if d < 0:
-        raise ValueError("delay d must be >= 0")
-    n = horizon + 1
-    s, t = np.indices((n, n))
-    table = np.where(t - s <= d, 0.0, INF)
     return BivariateFunction(table, check=False)
 
 
@@ -208,39 +186,6 @@ def convolve(f: BivariateFunction, g: BivariateFunction) -> BivariateFunction:
     """Min-plus convolution h(s, t) = min over tau in [s, t] of f(s, tau) + g(tau, t)."""
     _require_same_horizon(f, g)
     return BivariateFunction(_min_plus_product(f.table, g.table), check=False)
-
-
-def deconvolve(f: BivariateFunction, g: BivariateFunction) -> BivariateFunction:
-    """Min-plus deconvolution h(s, t) = max over tau in [0, s] of f(tau, t) - g(tau, s).
-
-    f must be finite on its whole upper triangle.  +inf entries of g make the
-    corresponding tau drop out of the maximum; the diagonal of g must be
-    finite so that at least the tau = s candidate survives.
-    """
-    _require_same_horizon(f, g)
-    n = f.horizon + 1
-    rows, cols = np.indices((n, n))
-    if not np.all(np.isfinite(f.table[cols >= rows])):
-        raise ValueError("deconvolve requires a finite-valued left operand")
-    if not np.all(np.isfinite(np.diag(g.table))):
-        raise ValueError("deconvolve requires finite g(s, s) for every s")
-    out = np.full((n, n), INF)
-    with np.errstate(invalid="ignore"):
-        for s in range(n):
-            cand = f.table[: s + 1, :] - g.table[: s + 1, s][:, None]
-            out[s] = np.max(cand, axis=0)
-    out[cols < rows] = INF
-    return BivariateFunction(out, check=False)
-
-
-def self_convolve(f: BivariateFunction, n: int) -> BivariateFunction:
-    """n-fold self convolution, with the zeroth power equal to the neutral element."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = make_delta(f.horizon)
-    for _ in range(n):
-        acc = convolve(acc, f)
-    return acc
 
 
 def subadditive_closure(f: BivariateFunction) -> BivariateFunction:

@@ -406,11 +406,15 @@ def statistical_service_curve(
     Chernoff inversion of the MGF bound: the best (largest) envelope over
     theta of (log eps - log bound(theta, t)) / theta.  Envelopes of
     non-negative service are floored at zero; signed service keeps negative
-    values.  A t where every grid theta is infeasible gets the trivial
-    envelope (0, or -inf for signed service) with the feasibility flag
-    cleared.  Each t is its own problem, refined in blocks of t under
-    ``_CURVE_BLOCK_ENTRIES`` grid entries, so memory stays bounded at any
-    horizon and the result does not depend on the blocking.
+    values.  Where the floor applies, only the strict event is promised,
+    P(service(0, t) < S_eps(t)) <= eps, which a zero envelope meets
+    trivially: a law with an atom at 0, such as On-Off service, can have
+    P(service(0, t) = 0) > eps at small t.  A t where every grid theta is
+    infeasible gets the trivial envelope (0, or -inf for signed service)
+    with the feasibility flag cleared.  Each t is its own problem, refined
+    in blocks of t under ``_CURVE_BLOCK_ENTRIES`` grid entries, so memory
+    stays bounded at any horizon and the result does not depend on the
+    blocking.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")

@@ -350,6 +350,10 @@ def main(argv=None) -> int:
             parser.error(f"--config {args.config} is not UTF-8 text: {exc.reason}")
         if not scenarios:
             parser.error(f"no scenarios of kind {args.verb!r} in --config {args.config}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot use --out {args.out} as a directory: {exc.strerror}")
     for sc in scenarios:
         if args.seed is not None:
             sc.seed = args.seed

@@ -7,8 +7,8 @@ Each model is an immutable dataclass exposing, where meaningful:
   ``log_mgf_path(theta, t)``,
 * ``effective_capacity(theta)`` long-run decay rate of the service MGF at
   -theta (theta > 0), whose theta -> 0 limit is the mean rate,
-* ``sample_path(seed, T)`` and ``sample_increments(rng, T, n)`` seeded
-  deterministic sample path generators.  A batch has shape (n, T).  The
+* ``sample_increments(rng, T, n)`` a batch of n sample paths of T slots,
+  shape (n, T), a deterministic function of the generator's state.  The
   exponential law draws it path by path and the two-state chain slot by
   slot, each in the order of its draws; both store it time-major (F order),
   one contiguous row per slot, and so do the laws composed of them.  Only
@@ -65,7 +65,6 @@ __all__ = [
     "LeftoverService",
     "MmooService",
     "MarkovModulated2Service",
-    "leftover_two_state",
     "erlang_quantile",
     "regularized_lower_gamma",
 ]
@@ -205,7 +204,7 @@ def erlang_quantile(eps: float, n, mean_per_slot: float):
 
 class _Model:
     """MGFs and capacity from a family's ``_log_path(theta, t >= 1)`` and
-    per-slot log growth rate ``_log_growth``; seeded single paths."""
+    per-slot log growth rate ``_log_growth``."""
 
     def log_mgf_path(self, theta, t: int):
         """log E[exp(theta S(0, t))]: 0 at t = 0, +inf where it diverges."""
@@ -223,10 +222,6 @@ class _Model:
     def effective_capacity(self, theta):
         theta = _positive_theta(theta)
         return (-self._log_growth(-theta) / theta)[()]
-
-    def sample_path(self, seed: int, T: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return self.sample_increments(rng, T, 1)[0]
 
 
 class _IidModel(_Model):
@@ -672,20 +667,3 @@ class MmooService(MarkovModulated2Service):
 
     # its own class attribute: perfbench/tracer.py wraps each class's sampler
     sample_increments = MarkovModulated2Service.sample_increments
-
-
-def leftover_two_state(base_rate: float, cross: MarkovModulated2Service) -> MarkovModulated2Service:
-    """Leftover service of a constant-rate server under two-state cross traffic.
-
-    The per-state leftover laws are base - cross_law, so the composition is
-    itself a two-state Markov-modulated service and all spectral bounds
-    apply, provided E[cross] < base_rate.
-    """
-    base = DeterministicService(base_rate)
-    return MarkovModulated2Service(
-        p00=cross.p00,
-        p11=cross.p11,
-        law0=LeftoverService(base, cross.law0),
-        law1=LeftoverService(base, cross.law1),
-    )
-

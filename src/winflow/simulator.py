@@ -37,7 +37,7 @@ service) drain nothing physically; bound comparisons use the signed sums
 separately.
 
 All runs are deterministic functions of the configured seed.  Replications
-use disjoint child seed streams and may execute concurrently.  A run keeps
+use disjoint child seed streams and run one after another.  A run keeps
 the per-slot total backlog and network queue, from which D and A' follow.
 ``backlog_quantile`` pools the post-warmup tails of all replications, and
 ``quantile_estimable`` is the one statement of the tail-sample floor that
@@ -46,19 +46,17 @@ such a quantile needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import FeedbackParams
-from .oracle import equivalent_service_batch
+from .oracle import equivalent_service_batch  # noqa: F401 -- a name of this module that perfbench/tracer.py wraps
 
 __all__ = [
     "SimConfig",
     "SimRun",
     "run_flow_control",
-    "empirical_equivalent_mgf",
     "backlog_quantile",
     "quantile_estimable",
 ]
@@ -344,35 +342,6 @@ def run_flow_control(config: SimConfig, replication: int = 0) -> SimRun:
     step = max(1, T // (_CHECKPOINTS - 1))
     checkpoints = np.unique(np.concatenate((np.arange(0, T + 1, step), [T])))
     return SimRun(config, backlog, queue, checkpoints, float(departed[-1]) / T)
-
-
-def empirical_equivalent_mgf(
-    service_model,
-    params: FeedbackParams,
-    theta: float,
-    t: int,
-    n_paths: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Sample mean and standard error of exp(-theta S_eq(0, t)).
-
-    Draws n_paths service paths, evaluates the exact equivalent service on
-    each with the batch oracle, and averages the transform.  Guarded to
-    t <= 200 where the exact oracle is practical.
-    """
-    if t > 200:
-        raise ValueError("empirical equivalent-service MGF is guarded to t <= 200")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    paths = service_model.sample_increments(rng, t, n_paths)
-    values = equivalent_service_batch(paths, params, t)
-    transformed = np.exp(-theta * values)
-    mean = float(np.mean(transformed))
-    if n_paths == 1:
-        return mean, 0.0
-    stderr = float(np.std(transformed, ddof=1) / math.sqrt(n_paths))
-    return mean, stderr
 
 
 def quantile_estimable(config: SimConfig, eps) -> np.ndarray:

@@ -8,7 +8,6 @@ exactly once, here.  The default slot length is one millisecond, which makes
 
 from __future__ import annotations
 
-MBPS_PER_MB_SLOT_AT_1MS = 1000.0
 BITS_PER_MEGABIT = 1e6
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "ms_to_slots",
     "slots_to_ms",
     "theta_per_mb_to_per_bit",
-    "theta_per_bit_to_per_mb",
 ]
 
 
@@ -43,7 +41,3 @@ def slots_to_ms(slots: int, slot_ms: float = 1.0) -> float:
 
 def theta_per_mb_to_per_bit(theta: float) -> float:
     return theta / BITS_PER_MEGABIT
-
-
-def theta_per_bit_to_per_mb(theta: float) -> float:
-    return theta * BITS_PER_MEGABIT

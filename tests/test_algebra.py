@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
+from conftest import make_delta_shift
 from winflow.algebra import (
     INF,
     BivariateFunction,
     ClosureNonConvergence,
     convolve,
-    deconvolve,
     make_delta,
     make_delta_plus_w,
-    make_delta_shift,
     pointwise_min,
-    self_convolve,
     subadditive_closure,
 )
 from winflow.verify import random_feedback_instance
@@ -29,15 +27,6 @@ def naive_convolve(f, g):
     for s in range(n):
         for t in range(s, n):
             out[s, t] = min(f.table[s, tau] + g.table[tau, t] for tau in range(s, t + 1))
-    return out
-
-
-def naive_deconvolve(f, g):
-    n = f.horizon + 1
-    out = np.full((n, n), INF)
-    for s in range(n):
-        for t in range(s, n):
-            out[s, t] = max(f.table[tau, t] - g.table[tau, s] for tau in range(s + 1))
     return out
 
 
@@ -127,7 +116,6 @@ class TestBivariateFunction:
     def test_additive_table_and_accessors(self):
         f = additive([2.0, 5.0, 1.0])
         assert f.horizon == 3
-        assert f.is_causal
         assert f.value(0, 3) == 8.0
         assert f.value(1, 2) == 5.0
         with pytest.raises(IndexError):
@@ -144,7 +132,6 @@ class TestDeltaElements:
         d = make_delta(3)
         assert d.value(1, 1) == 0.0
         assert d.value(1, 2) == INF
-        assert d.is_causal
 
     def test_delta_is_neutral_both_sides(self, rng):
         # exhaustive over every horizon up to 10
@@ -158,7 +145,6 @@ class TestDeltaElements:
         dw = make_delta_plus_w(4, 2.0)
         assert dw.value(2, 2) == 2.0
         assert dw.value(1, 3) == INF
-        assert not dw.is_causal
 
     def test_offset_element_rejects_nonpositive_w(self):
         with pytest.raises(ValueError):
@@ -263,79 +249,6 @@ class TestConvolve:
                 f = random_table(rng, horizon, dyadic=dyadic)
                 g = random_table(rng, horizon, dyadic=dyadic)
                 assert np.array_equal(convolve(f, g).table, row_loop_product(f.table, g.table))
-
-
-class TestDeconvolve:
-    def test_matches_naive_reference(self, rng):
-        for _ in range(30):
-            f = random_table(rng, 7, inf_prob=0.0)
-            g = random_table(rng, 7, inf_prob=0.3)
-            mine = deconvolve(f, g).table
-            ref = naive_deconvolve(f, g)
-            n = f.horizon + 1
-            for s in range(n):
-                for t in range(s, n):
-                    assert mine[s, t] == ref[s, t]
-
-    def test_against_delta(self, rng):
-        # deconvolving by the neutral element keeps only the tau = s term
-        f = random_table(rng, 6, inf_prob=0.0)
-        out = deconvolve(f, make_delta(6))
-        for s in range(7):
-            for t in range(s, 7):
-                assert out.value(s, t) == f.value(s, t)
-
-    def test_self_deconvolution_diagonal_is_zero(self):
-        f = additive([2.0, 2.0, 2.0])
-        out = deconvolve(f, f)
-        assert all(out.value(t, t) == 0.0 for t in range(4))
-
-    def test_backlog_identity(self, rng):
-        # for an exact server D = A o S the backlog never exceeds the
-        # deconvolution of arrivals by service on the diagonal
-        for _ in range(20):
-            T = 8
-            A = additive(rng.uniform(0, 2, size=T))
-            S = additive(rng.uniform(0, 2, size=T))
-            D = convolve(A, S)
-            dec = deconvolve(A, S)
-            for t in range(T + 1):
-                backlog = A.value(0, t) - D.value(0, t)
-                assert backlog <= dec.value(t, t) + 1e-12
-
-    def test_rejects_infinite_left_operand(self, rng):
-        f = random_table(rng, 4, inf_prob=0.0)
-        with pytest.raises(ValueError, match="finite"):
-            deconvolve(make_delta(4), f)
-
-    def test_rejects_infinite_right_diagonal(self, rng):
-        f = random_table(rng, 2, inf_prob=0.0)
-        bad = BivariateFunction(np.full((3, 3), INF), check=False)
-        with pytest.raises(ValueError, match="finite"):
-            deconvolve(f, bad)
-
-
-class TestSelfConvolve:
-    def test_zeroth_power_is_delta(self, rng):
-        f = random_table(rng, 5)
-        assert self_convolve(f, 0).equals(make_delta(5))
-
-    def test_first_power_is_identity(self, rng):
-        f = random_table(rng, 5)
-        assert self_convolve(f, 1).equals(f)
-
-    def test_rejects_negative_power(self, rng):
-        with pytest.raises(ValueError):
-            self_convolve(random_table(rng, 3), -1)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_delay_window_factorization(self, d):
-        # d-fold power of (unit delay, w/d offset) equals (delay d, offset w)
-        T, w = 9, 1.5
-        once = convolve(make_delta_shift(T, 1), make_delta_plus_w(T, w / d))
-        repeated = self_convolve(once, d)
-        combined = convolve(make_delta_shift(T, d), make_delta_plus_w(T, w))
-        assert np.allclose(repeated.table, combined.table)
 
 
 class TestSubadditiveClosure:

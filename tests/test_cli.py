@@ -451,7 +451,25 @@ class TestScenarioParsing:
         assert "usage:" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("points", [str(_CURVE_BLOCK_ENTRIES + 1), "100000000000"])
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    @pytest.mark.parametrize("verb", ["reproduce", "simulate"])
+    def test_out_that_is_not_a_directory_is_a_usage_error(self, verb, where, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "sub"
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_INI)
+        argv = ["reproduce", "fig5"] if verb == "reproduce" else ["simulate", "--config", str(cfg)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot use --out {out} as a directory" in err
+        assert "usage:" in err and "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("points",[str(_CURVE_BLOCK_ENTRIES + 1), "100000000000"])
     def test_theta_points_above_one_curve_block_names_the_key(self, points):
         # parsed only: a grid this wide is never allocated
         text = EFFCAP_INI.replace("theta_points = 24", f"theta_points = {points}")
@@ -680,7 +698,6 @@ class TestUnitConversions:
 
     def test_theta_per_bit(self):
         assert units.theta_per_mb_to_per_bit(1.0) == 1e-6
-        assert units.theta_per_bit_to_per_mb(units.theta_per_mb_to_per_bit(3.7)) == pytest.approx(3.7)
 
     def test_ms_to_slots_validation(self):
         assert units.ms_to_slots(10.0, 2.0) == 5

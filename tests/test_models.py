@@ -13,7 +13,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from conftest import on_off_capacity_reference
+from conftest import leftover_two_state, on_off_capacity_reference, sample_path
 from winflow.models import (
     DeterministicService,
     ExponentialArrivals,
@@ -23,7 +23,6 @@ from winflow.models import (
     MmooService,
     _IID_BLOCK_FLOATS,
     erlang_quantile,
-    leftover_two_state,
     regularized_lower_gamma,
 )
 from winflow.verify import enumerate_grouped_mgf
@@ -90,15 +89,15 @@ class TestExponentialVbr:
         assert near == pytest.approx(at, rel=1e-6)
 
     def test_sample_mean_matches_rate(self):
-        path = ExponentialVbrService(1.0).sample_path(seed=42, T=1_000_000)
+        path = sample_path(ExponentialVbrService(1.0), seed=42, T=1_000_000)
         assert np.mean(path) == pytest.approx(1.0, rel=5e-3)
 
     def test_sampling_is_deterministic(self):
         m = ExponentialVbrService(1.0)
-        a = m.sample_path(seed=7, T=500)
-        b = m.sample_path(seed=7, T=500)
+        a = sample_path(m, seed=7, T=500)
+        b = sample_path(m, seed=7, T=500)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, m.sample_path(seed=8, T=500))
+        assert not np.array_equal(a, sample_path(m, seed=8, T=500))
 
 
 class TestDeterministic:
@@ -111,7 +110,7 @@ class TestDeterministic:
     def test_zero_rate_acts_as_empty_process(self):
         m = DeterministicService(0.0)
         assert m.mgf_increment(5.0) == 1.0
-        assert np.all(m.sample_path(seed=1, T=10) == 0.0)
+        assert np.all(sample_path(m, seed=1, T=10) == 0.0)
 
 
 class TestExponentialArrivals:
@@ -148,7 +147,7 @@ class TestOneClassPerFamily:
         for seed in (0, 7, 123):
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             expected = model.sample_increments(rng, T, 1)[0]
-            assert np.array_equal(model.sample_path(seed, T), expected)
+            assert np.array_equal(sample_path(model, seed, T), expected)
 
 
 class TestLeftover:
@@ -173,7 +172,7 @@ class TestLeftover:
 
     def test_paths_may_go_negative_and_average_out(self):
         left = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.5))
-        path = left.sample_path(seed=11, T=200_000)
+        path = sample_path(left, seed=11, T=200_000)
         assert np.min(path) < 0.0
         assert np.mean(path) == pytest.approx(0.5, abs=0.01)
 
@@ -269,16 +268,16 @@ class TestMmoo:
             frozen.eigen_m_plus(-1.0)
 
     def test_steady_state_on_fraction(self):
-        path = MMOO.sample_path(seed=2024, T=1_000_000)
+        path = sample_path(MMOO, seed=2024, T=1_000_000)
         on_fraction = float(np.mean(path > 0))
         assert on_fraction == pytest.approx(8.0 / 9.0, rel=0.01)
 
     def test_long_path_sampler_is_deterministic(self):
         # long single paths use the sojourn-run branch of the chain sampler
-        a = MMOO.sample_path(seed=6, T=50_000)
-        b = MMOO.sample_path(seed=6, T=50_000)
+        a = sample_path(MMOO, seed=6, T=50_000)
+        b = sample_path(MMOO, seed=6, T=50_000)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, MMOO.sample_path(seed=7, T=50_000))
+        assert not np.array_equal(a, sample_path(MMOO, seed=7, T=50_000))
 
     def test_batch_sampler_matches_steady_state(self):
         rng = np.random.default_rng(5)

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_delta_shift
 from winflow.algebra import (
     BivariateFunction,
     convolve,
     make_delta_plus_w,
-    make_delta_shift,
     subadditive_closure,
 )
 from winflow.bounds import FeedbackParams
@@ -451,6 +451,19 @@ class TestStructure:
             assert equivalent_service_dp(path, FeedbackParams(w=w, d=1), 0, T) == pytest.approx(
                 expected, abs=1e-12
             )
+
+    def test_delay_one_mgf_matches_the_censored_closed_form(self):
+        # at d = 1, S_eq(0, t) sums min(c, w), so E[exp(-theta S_eq)] is the
+        # censored MGF to the power t
+        model = ExponentialVbrService(1.0)
+        fb = FeedbackParams(w=0.5, d=1)
+        theta, t, n = 1.0, 20, 100_000
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        paths = model.sample_increments(rng, t, n)
+        transformed = np.exp(-theta * equivalent_service_batch(paths, fb, t))
+        se = float(np.std(transformed, ddof=1) / math.sqrt(n))
+        exact = np.exp(model.log_censored_mgf(-theta, fb.w)) ** t
+        assert abs(float(np.mean(transformed)) - exact) <= 3 * se
 
     def test_huge_window_restores_raw_service(self, rng):
         inc = rng.exponential(1.0, 12)

@@ -22,14 +22,15 @@ from winflow.models import (
     MmooService,
 )
 from winflow.oracle import SamplePath, equivalent_service_batch, equivalent_service_closure
+from winflow.scenarios import canned_scenarios
 from winflow.simulator import (
     SimConfig,
     _departures,
     backlog_quantile,
-    empirical_equivalent_mgf,
     quantile_estimable,
     run_flow_control,
 )
+from winflow.verify import exact_backlog_tail
 
 
 def small_config(**overrides):
@@ -403,29 +404,6 @@ class TestDeterminism:
             run_flow_control(small_config(), replication=1)
 
 
-class TestEmpiricalMgf:
-    def test_zero_theta_is_exactly_one(self):
-        mean, se = empirical_equivalent_mgf(
-            ExponentialVbrService(1.0), FeedbackParams(w=0.5, d=1), 0.0, 10, 200, seed=3
-        )
-        assert mean == 1.0
-        assert se == 0.0
-
-    def test_matches_closed_form_at_delay_one(self):
-        model = ExponentialVbrService(1.0)
-        fb = FeedbackParams(w=0.5, d=1)
-        theta, t, n = 1.0, 20, 100_000
-        mean, se = empirical_equivalent_mgf(model, fb, theta, t, n, seed=5)
-        exact = np.exp(model.log_censored_mgf(-theta, fb.w)) ** t
-        assert abs(mean - exact) <= 3 * se
-
-    def test_horizon_guard(self):
-        with pytest.raises(ValueError, match="t <= 200"):
-            empirical_equivalent_mgf(
-                ExponentialVbrService(1.0), FeedbackParams(w=0.5, d=1), 1.0, 500, 10, seed=1
-            )
-
-
 class TestBacklogQuantile:
     def test_single_run_quantile_is_the_order_statistic_of_its_tail(self):
         config = small_config(total_slots=150_000, warmup_slots=1_000)
@@ -512,6 +490,36 @@ class TestBacklogQuantile:
         assert q_long > 2.0 * q_short
         run = run_flow_control(longer)
         assert run.backlog_drift() > 2.0
+
+
+class TestExactLawAtDelayOne:
+    def test_exceedance_of_the_exact_quantile_is_eps(self):
+        # fig8a at 50 Mbps: at d = 1 the backlog B' = max(B + a - min(c, w), 0)
+        # has the exact tail P(B > b) = sigma exp(-eta b), so the pooled
+        # frequency of B > log(sigma/eps)/eta must be eps up to sampling
+        # error.  The replications are independent, so the standard error is
+        # the spread of their frequencies; two-sided alpha = 1e-3, from the
+        # Student t quantile with 19 degrees of freedom.  The seed is the
+        # panel's own.
+        sc = canned_scenarios("fig8")[0]
+        lam, eps, t_crit = 0.05, 1e-3, 3.883
+        assert sc.d_slots == [1] and lam in sc.lambdas_mb
+        config = SimConfig(
+            seed=sc.seed,
+            total_slots=1_000_000,
+            warmup_slots=10_000,
+            arrivals=ExponentialArrivals(lam),
+            service=sc.service,
+            feedback=FeedbackParams(w=sc.w_mb[0], d=1),
+            replications=20,
+        )
+        eta, sigma = exact_backlog_tail(config.arrivals, config.service, config.feedback.w)
+        quantile = math.log(sigma / eps) / eta
+        freqs = np.array(
+            [np.mean(run_flow_control(config, r).tail > quantile) for r in range(20)]
+        )
+        z = (freqs.mean() - eps) / (freqs.std(ddof=1) / math.sqrt(len(freqs)))
+        assert abs(z) <= t_crit, (freqs.mean() / eps, z)
 
 
 class TestConfigValidation:
