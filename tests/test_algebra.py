@@ -250,6 +250,30 @@ class TestConvolve:
                 g = random_table(rng, horizon, dyadic=dyadic)
                 assert np.array_equal(convolve(f, g).table, row_loop_product(f.table, g.table))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_delay_window_factorization(self, d):
+        # d-fold product of (unit delay, w/d offset) equals (delay d, offset w)
+        T, w = 9, 1.5
+        once = convolve(make_delta_shift(T, 1), make_delta_plus_w(T, w / d))
+        repeated = once
+        for _ in range(d - 1):
+            repeated = convolve(repeated, once)
+        combined = convolve(make_delta_shift(T, d), make_delta_plus_w(T, w))
+        assert np.allclose(repeated.table, combined.table)
+
+    def test_exact_server_backlog_is_the_diagonal_sup(self, rng):
+        # for an exact server D = A o S the backlog at t is
+        # max over tau <= t of A(tau, t) - S(tau, t)
+        for _ in range(20):
+            T = 8
+            A = additive(rng.uniform(0, 2, size=T))
+            S = additive(rng.uniform(0, 2, size=T))
+            D = convolve(A, S)
+            for t in range(T + 1):
+                backlog = A.value(0, t) - D.value(0, t)
+                sup = max(A.value(tau, t) - S.value(tau, t) for tau in range(t + 1))
+                assert backlog == pytest.approx(sup, abs=1e-12)
+
 
 class TestSubadditiveClosure:
     def test_closure_of_delta_is_delta(self):

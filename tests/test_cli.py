@@ -452,14 +452,23 @@ class TestScenarioParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["file", "under-a-file"])
-    @pytest.mark.parametrize("verb", ["reproduce", "simulate"])
+    @pytest.mark.parametrize(
+        "verb", ["reproduce", "simulate", "service-curve", "effective-capacity", "backlog"]
+    )
     def test_out_that_is_not_a_directory_is_a_usage_error(self, verb, where, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory\n")
         out = blocker if where == "file" else blocker / "sub"
-        cfg = tmp_path / "sim.ini"
-        cfg.write_text(SIM_INI)
-        argv = ["reproduce", "fig5"] if verb == "reproduce" else ["simulate", "--config", str(cfg)]
+        cfg = tmp_path / "scenarios.ini"
+        cfg.write_text(
+            {
+                "simulate": SIM_INI,
+                "service-curve": VBR_CURVE_INI,
+                "effective-capacity": EFFCAP_INI,
+                "backlog": BACKLOG_INI,
+            }.get(verb, "")
+        )
+        argv = ["reproduce", "fig5"] if verb == "reproduce" else [verb, "--config", str(cfg)]
         with pytest.raises(SystemExit) as info:
             main(argv + ["--out", str(out)])
         assert info.value.code == 2
