@@ -26,11 +26,11 @@ evaluator vectorizes the dynamic program across many paths.
 Costs: the scalar program is O(span * d) Python float operations; the
 closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
-minima; the batch evaluator is t time-major row steps per block of
-``_PATH_BLOCK`` paths, in O(t * _PATH_BLOCK) working memory whatever the
-number of paths.  It reads time-major (F-order) input, which the random
-batch samplers return, in place and copies each block of any other layout
-once, transposing it.
+minima; the batch evaluator is one pass of t time-major row steps over all
+paths, in O(min(d, t) * n_paths) working memory.  It reads each slot's
+column of the input in place, whatever the layout; time-major (F-order)
+input, which the random batch samplers return, makes those columns
+contiguous.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 _CLOSURE_HORIZON_GUARD = 64
-
-# bytes of one slot row of a batch-oracle path block (4096 float paths)
-_BLOCK_ROW_BYTES = 1 << 15
-_PATH_BLOCK = _BLOCK_ROW_BYTES // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -121,16 +117,13 @@ def equivalent_service_batch(
     """Equivalent service over [0, t) for a batch of paths, shape (n_paths, T >= t).
 
     Vectorization of the scalar dynamic program across paths; used by the
-    Monte Carlo harness.  Paths are taken in blocks of ``_PATH_BLOCK``; each
-    block's state is stored time-major, one row per slot, so every step reads
-    and writes contiguous rows.  Any memory layout is accepted and gives the
-    same result bit for bit.  When the slot rows of the input are contiguous,
-    as in an F-order array such as the random batch samplers return, each
-    block is read in place; otherwise it is first copied time-major into a
-    buffer.  The working buffers are reused across blocks and hold
-    O(t * _PATH_BLOCK) floats whatever the number of paths.  Raises
-    ValueError when a path carries a non-finite increment before t, which
-    would otherwise come out as NaN.
+    Monte Carlo harness.  One time-major pass over all paths: step j reads
+    slot j - 1 as the column ``increments[:, j - 1]`` in place, whatever the
+    memory layout, and the window minimum reads a ring of the last
+    min(d, t) rows of H(i) = G(i) + cum(i), row i % min(d, t).  Working
+    memory is O(min(d, t) * n_paths) floats, no more than the t slots read
+    plus a few rows.  Raises ValueError when a path carries a non-finite
+    increment before t, which would otherwise come out as NaN.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 2:
@@ -140,43 +133,25 @@ def equivalent_service_batch(
     n = inc.shape[0]
     if t == 0:
         return np.zeros(n)
-    d, w = params.d, params.w
-    out = np.empty(n)
-    width = min(n, _PATH_BLOCK)
-    # the slot rows inc[b : b + k, j] are contiguous when this holds (F order)
-    in_place = inc.strides[0] == inc.itemsize
-    # flat buffers, viewed per block as contiguous (rows, paths) tables
-    inc_buf = None if in_place else np.empty(t * width)
-    h_buf = np.empty((t + 1) * width)
-    cum_buf, g_buf, m_buf = np.empty((3, width))
+    w = params.w
+    width = min(params.d, t)
+    # step j reads rows 0 .. j - 1 only: each row is written before it is read
+    ring = np.empty((width, n))
+    ring[0] = 0.0
+    g, m, row = np.zeros((3, n))
+    # cum runs through the same additions as np.cumsum along the path
+    cum = inc[:, 0].copy()
     # a NaN or an infinity anywhere in the first t slots reaches cum + g
     with np.errstate(invalid="ignore"):
-        for b in range(0, n, _PATH_BLOCK):
-            k = min(_PATH_BLOCK, n - b)
-            h = h_buf[: (t + 1) * k].reshape(t + 1, k)
-            cum, g, m = cum_buf[:k], g_buf[:k], m_buf[:k]
-            slots = inc[b : b + k, :t].T
-            if not in_place:
-                copy = inc_buf[: t * k].reshape(t, k)
-                np.copyto(copy, slots)
-                slots = copy
-            # cum runs through the same additions as np.cumsum along the path
-            cum[:] = slots[0]
-            g[:] = 0.0
-            h[0] = 0.0
-            for j in range(1, t + 1):
-                if j > 1:
-                    cum += slots[j - 1]
-                row = h[j]
-                np.subtract(w, cum, out=row)
-                if d == 1 or j == 1:
-                    row += h[j - 1]
-                else:
-                    np.min(h[max(0, j - d) : j], axis=0, out=m)
-                    row += m
-                np.minimum(g, row, out=g)
-                np.add(g, cum, out=row)
-            np.add(cum, g, out=out[b : b + k])
+        for j in range(1, t + 1):
+            if j > 1:
+                cum += inc[:, j - 1]
+            np.subtract(w, cum, out=row)
+            np.min(ring[:j], axis=0, out=m)
+            row += m
+            np.minimum(g, row, out=g)
+            np.add(g, cum, out=ring[j % width])
+        out = cum + g
     if not np.isfinite(out).all():
         raise ValueError("increments must be finite")
     return out

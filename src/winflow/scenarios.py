@@ -50,6 +50,12 @@ KINDS = ("service-curve", "effective-capacity", "backlog", "simulate")
 # at or below 10**6.
 MAX_SLOTS = 10**7
 
+# Smallest theta_min times the slowest per-slot rate (the service mean and
+# every w/d).  Below it the On-Off and censored-exponential transforms lose
+# about ulp / (theta * rate) of relative accuracy; at it the worst relative
+# error is about 2e-7.
+MIN_THETA_RATE = 1e-9
+
 
 class ScenarioError(ValueError):
     """Configuration error carrying the section and key that caused it; either
@@ -261,8 +267,14 @@ def _feedback_lists(sec: _Section, slot_ms: float) -> tuple[List[int], List[floa
     return d_slots, w_mb
 
 
-def _theta_spec(sec: _Section) -> tuple[float, float, int]:
+def _theta_spec(sec: _Section, slowest_rate: float) -> tuple[float, float, int]:
     tmin = sec.real("theta_min_per_mb", default=THETA_MIN, positive=True)
+    if tmin * slowest_rate < MIN_THETA_RATE:
+        raise ScenarioError(
+            sec.name, "theta_min_per_mb",
+            f"times the smallest of the mean service rate and w/d, in Mb per slot, "
+            f"must be at least {MIN_THETA_RATE:g}",
+        )
     tmax = sec.real("theta_max_per_mb", default=THETA_MAX, positive=True)
     # a wider grid would overrun the memory bound of one service-curve block
     points = sec.integer("theta_points", default=THETA_POINTS, minimum=2, maximum=_CURVE_BLOCK_ENTRIES)
@@ -289,7 +301,8 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
     if kind in ("backlog", "simulate") and len(out.d_slots) != 1:
         raise ScenarioError(name, "d_ms", f"{kind} scenarios take one (w, d) pair")
     if kind != "simulate":
-        out.theta_min, out.theta_max, out.theta_points = _theta_spec(sec)
+        slowest = min([service.mean_rate] + [w / d for w, d in zip(out.w_mb, out.d_slots)])
+        out.theta_min, out.theta_max, out.theta_points = _theta_spec(sec, slowest)
     if kind == "service-curve":
         out.epsilon = sec.real("epsilon")
         _check_epsilons(sec, "epsilon", [out.epsilon])

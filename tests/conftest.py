@@ -32,6 +32,18 @@ def on_off_capacity_reference(model, theta, digits=50):
         return float(-plus.ln() / th)
 
 
+def censored_exponential_rate_reference(mean, cap, theta, digits=50):
+    """-log E[exp(-theta min(c, cap))] / theta for an exponential c of the
+    given mean, from the closed form (1 + C theta e^(-(theta + 1/C) cap)) /
+    (1 + C theta) with ``digits`` decimal digits from the exact float
+    arguments.  A scalar theta > 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c, k, th = decimal.Decimal(mean), decimal.Decimal(cap), decimal.Decimal(float(theta))
+        mgf = (1 + c * th * (-(th + 1 / c) * k).exp()) / (1 + c * th)
+        return float(-mgf.ln() / th)
+
+
 def sample_path(model, seed: int, T: int) -> np.ndarray:
     """One seeded path of T slots: the first row of a one-path batch."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -90,6 +90,17 @@ epsilons = 1e-3 1e-9
 theta_points = 48
 """
 
+ONOFF_SERVER = "service = mmoo\nmmoo_p00 = 0.2\nmmoo_p11 = 0.9\nmmoo_peak_mbps = 1125"
+LEFTOVER_SERVER = "service = leftover\nservice_rate_mbps = 1000\ncross_rate_mbps = 999"
+
+
+def theta_floor_ini(service, tmin):
+    """An effective-capacity section at w/d = 0.1 Mb per slot, with the
+    given server and theta_min_per_mb (the default when None)."""
+    theta = "" if tmin is None else f"theta_min_per_mb = {tmin}\n"
+    return f"[floor]\nkind = effective-capacity\nseed = 9\n{service}\nw_mb = 0.3\nd_ms = 3\n{theta}"
+
+
 SIM_INI = """
 [sat]
 kind = simulate
@@ -490,6 +501,44 @@ class TestScenarioParsing:
         text = EFFCAP_INI.replace("theta_points = 24", f"theta_points = {_CURVE_BLOCK_ENTRIES}")
         (sc,) = parse_scenario_text(text)
         assert sc.theta_points == _CURVE_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize(
+        "service, tmin",
+        [
+            # On-Off mean 1 Mb per slot, w/d = 0.1: the limit is theta_min = 1e-8
+            pytest.param(ONOFF_SERVER, "1e-300", id="onoff-1e-300"),
+            pytest.param(ONOFF_SERVER, "9e-9", id="onoff-9e-9"),
+            # leftover mean 1 - 0.999 Mb per slot sits below w/d
+            pytest.param(LEFTOVER_SERVER, "5e-7", id="leftover-5e-7"),
+            # the default theta_min of 1e-4 at a 1e-6 Mb per slot server
+            pytest.param("service = exponential\nservice_rate_mbps = 1e-3", None, id="slow-default"),
+        ],
+    )
+    def test_theta_min_below_the_transforms_reach_names_the_key(self, service, tmin, tmp_path, capsys):
+        # at theta_min = 1e-300 the On-Off section printed an
+        # apriori_upper_mbps of -0.0, against a true 100 Mbps
+        text = theta_floor_ini(service, tmin)
+        with pytest.raises(ScenarioError, match=r"\[floor\] theta_min_per_mb: .* at least 1e-09") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "theta_min_per_mb"
+        cfg = tmp_path / "floor.ini"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["effective-capacity", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "[floor] theta_min_per_mb" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "service, tmin",
+        [
+            pytest.param(ONOFF_SERVER, "1.1e-8", id="onoff-1.1e-8"),
+            pytest.param(LEFTOVER_SERVER, "2e-6", id="leftover-2e-6"),
+        ],
+    )
+    def test_theta_min_at_the_transforms_reach_parses(self, service, tmin):
+        (sc,) = parse_scenario_text(theta_floor_ini(service, tmin))
+        assert sc.theta_min == float(tmin)
 
     @pytest.mark.parametrize("value", ["1", "0", "1.5", "-1e-6", "nan"])
     def test_epsilon_outside_unit_interval_names_the_key(self, value):

@@ -13,7 +13,12 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from conftest import leftover_two_state, on_off_capacity_reference, sample_path
+from conftest import (
+    censored_exponential_rate_reference,
+    leftover_two_state,
+    on_off_capacity_reference,
+    sample_path,
+)
 from winflow.models import (
     DeterministicService,
     ExponentialArrivals,
@@ -25,6 +30,7 @@ from winflow.models import (
     erlang_quantile,
     regularized_lower_gamma,
 )
+from winflow.scenarios import MIN_THETA_RATE
 from winflow.verify import enumerate_grouped_mgf
 
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -402,6 +408,33 @@ class TestOneDominantRoot:
     @pytest.mark.parametrize("model", STICKY_CHAINS, ids=lambda m: f"p{m.p00}")
     def test_dominant_eigenvalue_of_sticky_chain_at_zero_is_one(self, model):
         assert abs(model.eigen_m_plus(0.0) - 1.0) <= 1e-15
+
+
+# theta times the slowest rate, from the smallest product a scenario may
+# name to 1
+THETA_RATE_PRODUCTS = np.geomspace(MIN_THETA_RATE, 1.0, 19)
+
+
+class TestSmallTheta:
+    """The rates read from the transforms keep 1e-6 relative accuracy down to
+    the smallest theta a scenario accepts; below it they lose about
+    ulp / (theta * rate)."""
+
+    @pytest.mark.parametrize("model", [MMOO, MmooService(0.99, 0.3, 7.0), MmooService(0.5, 0.6, 1e-3)])
+    def test_on_off_capacity(self, model):
+        for product in THETA_RATE_PRODUCTS:
+            theta = product / model.mean_rate
+            expected = on_off_capacity_reference(model, theta)
+            assert abs(model.effective_capacity(theta) - expected) <= 1e-6 * expected
+
+    @pytest.mark.parametrize("mean, cap", [(1.0, 0.3), (1.3, 0.35), (1.0, 2.0), (1e-3, 0.1), (250.0, 3.0)])
+    def test_capped_exponential_rate(self, mean, cap):
+        model = ExponentialVbrService(mean)
+        for product in THETA_RATE_PRODUCTS:
+            theta = product / min(mean, cap)
+            expected = censored_exponential_rate_reference(mean, cap, theta)
+            rate = -float(model.log_censored_mgf(-theta, cap)) / theta
+            assert abs(rate - expected) <= 1e-6 * expected
 
 
 class TestMarkovModulated2:

@@ -31,7 +31,6 @@ from winflow.models import (
     MmooService,
 )
 from winflow.oracle import (
-    _PATH_BLOCK,
     SamplePath,
     apriori_envelope,
     equivalent_service_batch,
@@ -331,12 +330,15 @@ class TestBitIdentityToPreviousSteps:
                         assert equivalent_service_dp(path, fb, s, t) == list_scalar_dp(path, fb, s, t)
 
 
-BLOCK_EDGES = (1, _PATH_BLOCK - 1, _PATH_BLOCK, _PATH_BLOCK + 1, 2 * _PATH_BLOCK + 3)
+# path counts around 4096, the block width of the evaluator before it took
+# all paths in one pass
+BLOCK_EDGES = (1, 4095, 4096, 4097, 8195)
 
 
 class TestPathBlocks:
-    """The batch evaluator walks the paths in blocks of _PATH_BLOCK with
-    buffers reused across blocks; the blocking never shows in the result."""
+    """The batch evaluator takes every path in one time-major pass over a
+    ring of min(d, t) rows; no path count and no memory layout shows in the
+    result."""
 
     def test_no_paths(self):
         fb = FeedbackParams(w=0.5, d=3)
@@ -369,8 +371,9 @@ class TestPathBlocks:
     @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
     @pytest.mark.parametrize("d", [1, 5])
     def test_any_layout_gives_the_same_bits(self, family, d):
-        # F-order input and F column slices are read in place, the others
-        # copied block by block; both must equal the C-order result
+        # each slot is read as a column view of the input: contiguous for
+        # F-order input and F column slices, strided for the others; every
+        # layout must equal the C-order result
         T = 64
         rng = np.random.default_rng([d, 23, len(family)])
         paths = np.ascontiguousarray(
@@ -403,17 +406,21 @@ class TestPathBlocks:
         assert paths.flags.f_contiguous and not paths.flags.c_contiguous
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_working_memory_does_not_grow_with_paths(self, order):
-        # the two (t + 1, n) tables of the unblocked program took 80 MiB here
-        paths = np.random.default_rng(3).exponential(1.0, size=(100_000, 50))
+    def test_working_memory_is_a_window_of_rows(self, order):
+        # the two (t + 1, n) tables of the unblocked program took 80 MiB here;
+        # the ring holds min(d, t) rows of paths, and a few more rows carry
+        # the running sums, the step's scratch and the result
+        n, d, t = 100_000, 5, 50
+        paths = np.random.default_rng(3).exponential(1.0, size=(n, t))
         paths = np.asarray(paths, order=order)
         tracemalloc.start()
         try:
-            equivalent_service_batch(paths, FeedbackParams(w=2.5, d=5), 50)
+            equivalent_service_batch(paths, FeedbackParams(w=2.5, d=d), t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert peak <= (min(d, t) + 6) * n * 8
 
 
 @settings(max_examples=40)
@@ -427,14 +434,14 @@ class TestPathBlocks:
     data=st.data(),
 )
 def test_batch_property(n, horizon, d, w_per_slot, family, seed, data):
-    """Around the block edges the batch equals the row-major program bit for
+    """Around the old block edges the batch equals the row-major program bit for
     bit and the scalar program within 1e-9, signed leftover paths included."""
     paths = PATH_FAMILIES[family].sample_increments(np.random.default_rng(seed), horizon, n)
     t = data.draw(st.integers(0, horizon), label="t")
     fb = FeedbackParams(w=w_per_slot * d, d=d)
     batch = equivalent_service_batch(paths, fb, t)
     assert np.array_equal(batch, row_major_batch(paths, fb, t))
-    edges = {0, n - 1, min(n - 1, _PATH_BLOCK - 1), min(n - 1, _PATH_BLOCK)}
+    edges = {0, n - 1, min(n - 1, 4095), min(n - 1, 4096)}
     for i in edges | {data.draw(st.integers(0, n - 1), label="path")}:
         scalar = equivalent_service_dp(SamplePath(paths[i]), fb, 0, t)
         assert batch[i] == pytest.approx(scalar, abs=1e-9)
