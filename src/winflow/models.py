@@ -11,8 +11,8 @@ Each model is an immutable dataclass exposing, where meaningful:
   shape (n, T), a deterministic function of the generator's state.  The
   exponential law draws it path by path and the two-state chain slot by
   slot, each in the order of its draws; both store it time-major (F order),
-  one contiguous row per slot, and so do the laws composed of them.  Only
-  the constant law's batch is in C order.
+  one contiguous row per slot, and so do the constant law and the laws
+  composed of them.
 
 An i.i.d. law states one transform, ``log_mgf_increment(theta)``.  The
 two-state model states one scaled spectral form of its slot operator,
@@ -260,7 +260,7 @@ class DeterministicService(_IidModel):
         return np.multiply(theta, min(self.rate, cap))
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        return np.full((n, T), float(self.rate))
+        return np.full((T, n), float(self.rate)).T
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ dynamic program over positions, and the dioid closure.  They serve as
 ground truth for every analytic bound and for the simulator.  A batch
 evaluator vectorizes the dynamic program across many paths.
 
-Costs: the scalar program is O(span * d) Python float operations; the
+Costs: the scalar program is one resumable pass per (path, params, s).  A
+path holds one entry: its last (w, d, s) and the values reached so far, so
+a sweep of t upward at fixed s costs O((T - s) * d) Python float operations
+in all, not per call, and retains 8 bytes a reached t.  The
 closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
 minima; the batch evaluator is one pass of t time-major row steps over all
@@ -36,6 +39,7 @@ contiguous.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -72,6 +76,7 @@ class SamplePath:
         cum = np.concatenate(([0.0], np.cumsum(inc)))
         cum.flags.writeable = False
         object.__setattr__(self, "_cumulative", cum)
+        object.__setattr__(self, "_dp", None)
 
     @property
     def horizon(self) -> int:
@@ -86,6 +91,24 @@ class SamplePath:
         return float(self._cumulative[t] - self._cumulative[s])
 
 
+class _DpPass:
+    """The dynamic program of one (w, d, s) on one path, as far as it went.
+
+    ``row[j]`` is the equivalent service over [s, s + j); ``g`` and ``H``
+    are the running cost and the window of the last step, dropped once the
+    row reaches the horizon.
+    """
+
+    __slots__ = ("key", "c0", "row", "g", "H")
+
+    def __init__(self, key: tuple, c0: float, d: int):
+        self.key = key
+        self.c0 = c0
+        self.row = array("d", [0.0])
+        self.g = 0.0
+        self.H = deque([c0], maxlen=d)  # the last d of H(j) = G(j) + cum(s + j)
+
+
 def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: int) -> float:
     """Exact equivalent service over [s, t) by dynamic programming.
 
@@ -93,22 +116,35 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
     leaves the next slot uncovered or ends a window of length <= d at it.
     The predecessor scan is the minimum of G(k) + cum(k) over the last d
     positions, kept in a deque of length d.
-    Runs on Python floats, one path and one interval at a time.
+    Runs on Python floats, one path at a time.  The pass is resumable: the
+    path keeps one entry, the values for its last (w, d, s), so a call at
+    a reached t is an index and a later t resumes from the last step,
+    reading only the new slots.  Another (w, d, s) replaces the entry.  The
+    entry keeps 8 bytes a reached t, plus the window until the horizon.
     """
     if not 0 <= s <= t <= path.horizon:
         raise ValueError(f"need 0 <= s <= t <= {path.horizon}, got ({s}, {t})")
     if t == s:
         return 0.0
     d, w = params.d, params.w
-    cum = path.cumulative[s : t + 1].tolist()
-    g = 0.0
-    H = deque([cum[0]], maxlen=d)  # the last d of H(j) = G(j) + cum(s + j)
-    for c in cum[1:]:
+    state = path._dp
+    if state is None or state.key != (w, d, s):
+        state = _DpPass((w, d, s), float(path.cumulative[s]), d)
+        object.__setattr__(path, "_dp", state)
+    row = state.row
+    if t - s < len(row):
+        return row[t - s]
+    c0, g, H = state.c0, state.g, state.H
+    for c in path.cumulative[s + len(row) : t + 1].tolist():
         v = w - c + min(H)
         if v < g:
             g = v
         H.append(g + c)
-    return cum[-1] - cum[0] + g
+        row.append(c - c0 + g)
+    if t == path.horizon:
+        g = state.H = None
+    state.g = g
+    return row[-1]
 
 
 def equivalent_service_batch(

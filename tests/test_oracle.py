@@ -330,6 +330,76 @@ class TestBitIdentityToPreviousSteps:
                         assert equivalent_service_dp(path, fb, s, t) == list_scalar_dp(path, fb, s, t)
 
 
+class TestResumableDp:
+    """A path keeps one pass of the scalar program, for its last (w, d, s):
+    no order of calls shows in a value, and the pass holds 8 bytes a
+    reached t."""
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 5, 60])
+    def test_any_call_order_gives_the_fresh_path_bits(self, family, d):
+        T = 40
+        rng = np.random.default_rng([d, 28, len(family)])
+        inc = PATH_FAMILIES[family].sample_increments(rng, T, 1)[0]
+        # two equal-valued objects, another w at the same d, another d
+        fbs = [
+            FeedbackParams(w=0.3 * d, d=d),
+            FeedbackParams(w=0.3 * d, d=d),
+            FeedbackParams(w=0.8 * d, d=d),
+            FeedbackParams(w=0.3 * d, d=d + 1),
+        ]
+        queries = []
+        for fb in fbs[:3]:
+            for s in (0, 7, 0):
+                queries += [(fb, s, t) for t in range(s, T + 1, 3)]
+                queries += [(fb, s, t) for t in range(T, s - 1, -4)]
+        # interleaved params at one s: each call replaces the other's pass
+        queries += [(fbs[t % 4], 5, t) for t in range(5, T + 1)]
+        picks = [
+            (fbs[int(rng.integers(4))], int(s), int(t))
+            for s, t in np.sort(rng.integers(0, T + 1, size=(300, 2)), axis=1)
+        ]
+        queries += picks + [(fb, s, s) for fb, s, _ in picks[:20]]
+        order = rng.permutation(len(queries))
+        shared = SamplePath(inc)
+        text = repr(shared)
+        for k in list(range(len(queries))) + list(order):
+            fb, s, t = queries[k]
+            assert equivalent_service_dp(shared, fb, s, t) == equivalent_service_dp(
+                SamplePath(inc), fb, s, t
+            ), (fb, s, t)
+        assert repr(shared) == text
+
+    def test_a_short_call_on_a_long_path_reads_its_span(self):
+        path = SamplePath(np.random.default_rng(5).exponential(1.0, 10**6))
+        fb = FeedbackParams(w=1.5, d=60)
+        for s in (0, 500_000, 10**6 - 3):
+            tracemalloc.start()
+            try:
+                equivalent_service_dp(path, fb, s, s + 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("T, d", [(20_000, 5), (3_000, 3_000)])
+    def test_a_sweep_retains_eight_bytes_a_slot(self, T, d):
+        # array('d') over-allocates by at most 1/16 as it grows; a list of
+        # floats would hold 32 bytes a slot, and a window kept past the
+        # horizon 32 bytes an entry of it
+        path = SamplePath(np.random.default_rng(6).exponential(1.0, T))
+        fb = FeedbackParams(w=0.6 * d, d=d)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in range(T + 1):
+                equivalent_service_dp(path, fb, 0, t)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 8.5 * (T + 1) + 16 * 2**10
+
+
 # path counts around 4096, the block width of the evaluator before it took
 # all paths in one pass
 BLOCK_EDGES = (1, 4095, 4096, 4097, 8195)
@@ -398,10 +468,11 @@ class TestPathBlocks:
                         t,
                     )
 
-    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES) + ["constant"])
     @pytest.mark.parametrize("T, n", [(7, 3), (50, 1000), (64, BLOCK_EDGES[-1])])
     def test_batch_samples_are_time_major(self, family, T, n):
-        paths = PATH_FAMILIES[family].sample_increments(np.random.default_rng(T), T, n)
+        model = PATH_FAMILIES.get(family, DeterministicService(1.0))
+        paths = model.sample_increments(np.random.default_rng(T), T, n)
         assert paths.shape == (n, T)
         assert paths.flags.f_contiguous and not paths.flags.c_contiguous
 
