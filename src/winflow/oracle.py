@@ -33,12 +33,11 @@ minima; the batch evaluator is one pass of t time-major row steps over all
 paths, in O(min(d, t) * n_paths) working memory.  It reads each slot's
 column of the input in place, whatever the layout; time-major (F-order)
 input, which the random batch samplers return, makes those columns
-contiguous.
+contiguous.  The a-priori envelope is O(T^2) array work on two prefix sums.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -227,19 +226,19 @@ def _feedback_operand(table: np.ndarray, params: FeedbackParams) -> np.ndarray:
     return operand
 
 
-def apriori_envelope(
-    path: SamplePath, params: FeedbackParams, s: int, t: int
-) -> tuple[float, float]:
-    """Path-wise sandwich around the equivalent service over [s, t).
+def apriori_envelope(path: SamplePath, params: FeedbackParams) -> tuple[np.ndarray, np.ndarray]:
+    """Path-wise sandwich (lower, upper) around the equivalent service, as
+    two (T+1, T+1) tables indexed [s, t], -inf and +inf below the diagonal.
 
     lower: the rate-capped path sum of min(c_k, w/d), which is itself the
     exact equivalent service of the (d=1, w/d) system.  upper: the smaller
-    of the raw service and ceil((t-s)/d) * w.
+    of the raw service and ceil((t-s)/d) * w.  Both are prefix-sum differences.
     """
-    if not 0 <= s <= t <= path.horizon:
-        raise ValueError(f"need 0 <= s <= t <= {path.horizon}, got ({s}, {t})")
-    cap = params.rate_cap
-    seg = path.increments[s:t]
-    lower = float(np.minimum(seg, cap).sum())
-    upper = min(path.interval(s, t), math.ceil((t - s) / params.d) * params.w)
-    return lower, float(upper)
+    capped = np.concatenate(([0.0], np.cumsum(np.minimum(path.increments, params.rate_cap))))
+    cum = path.cumulative
+    index = np.arange(path.horizon + 1)
+    span = index[None, :] - index[:, None]  # t - s
+    lower = np.where(span < 0, -np.inf, capped[None, :] - capped[:, None])
+    windows = -(-span // params.d) * params.w
+    upper = np.where(span < 0, np.inf, np.minimum(cum[None, :] - cum[:, None], windows))
+    return lower, upper

@@ -4,7 +4,7 @@ Each suite runs a batch of randomized or exhaustive checks and counts
 checks and failures; ``run_all`` runs every suite at one size and times it.
 A fresh checkout passes everything; the exit status of the report is
 nonzero as soon as a single check fails.  All randomness is seeded, so a
-report is reproducible.
+report is reproducible.  The tests run these suites rather than copy them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, TextIO
+from typing import List, TextIO
 
 import numpy as np
 
@@ -179,39 +179,31 @@ def random_feedback_instance(rng: np.random.Generator, max_horizon: int = 24):
     return SamplePath(inc), FeedbackParams(w=w, d=d)
 
 
-def suite_dual_oracle(
-    seed: int = 1,
-    instances: int = 60,
-    dp_fn: Callable = equivalent_service_dp,
-) -> SuiteResult:
-    """dp == closure on every entry, the d=1 closed form, and the envelope.
-
-    ``dp_fn`` is injectable so that a deliberately corrupted oracle can be
-    shown to trip the checks (mutation testing of the suite itself).
+def suite_dual_oracle(seed: int = 1, instances: int = 60) -> SuiteResult:
+    """dp == closure, the envelope around both and, at d = 1, the prefix-sum
+    closed form on both, each on the whole (s, t) table; batch == dp at (0, T).
+    The DP table takes one resumable pass per s, +inf below the diagonal.
     """
     out = SuiteResult("dual-oracle")
     rng = np.random.default_rng(seed)
     for _ in range(instances):
         path, fb = random_feedback_instance(rng)
         T = path.horizon
-        table = equivalent_service_closure(path, fb)
-        batch = equivalent_service_batch(path.increments[None, :], fb, T)[0]
-        ok_pair = True
-        ok_sandwich = True
+        closure = equivalent_service_closure(path, fb).table
+        dp = np.full((T + 1, T + 1), np.inf)
         for s in range(T + 1):
-            for t in range(s, T + 1):
-                v = dp_fn(path, fb, s, t)
-                if abs(v - table.value(s, t)) > 1e-9:
-                    ok_pair = False
-                lo, hi = apriori_envelope(path, fb, s, t)
-                if not (lo - 1e-9 <= v <= hi + 1e-9):
-                    ok_sandwich = False
-        out.record(ok_pair, "dp equals closure")
-        out.record(ok_sandwich, "a-priori envelope")
-        out.record(abs(batch - dp_fn(path, fb, 0, T)) <= 1e-9, "batch equals dp")
+            dp[s, s:] = [equivalent_service_dp(path, fb, s, t) for t in range(s, T + 1)]
+        lower, upper = apriori_envelope(path, fb)
+        batch = equivalent_service_batch(path.increments[None, :], fb, T)[0]
+        both = np.array([dp, closure])
+        out.record(np.allclose(dp, closure, rtol=0, atol=1e-9), "dp equals closure")
+        inside = (lower - 1e-9 <= both) & (both <= upper + 1e-9)
+        out.record(bool(inside.all()), "a-priori envelope")
+        out.record(abs(batch - dp[0, T]) <= 1e-9, "batch equals dp")
         if fb.d == 1:
-            direct = float(np.minimum(path.increments, fb.w).sum())
-            out.record(abs(dp_fn(path, fb, 0, T) - direct) <= 1e-9, "d=1 closed form")
+            capped = np.minimum(path.increments, fb.w)
+            direct = BivariateFunction.from_increments(capped, check=False).table
+            out.record(np.allclose(both, direct, rtol=0, atol=1e-9), "d=1 closed form")
     return out
 
 
@@ -321,6 +313,9 @@ def suite_constants() -> SuiteResult:
         abs(vbr.effective_capacity(1.0) - math.log(2.0)) <= 1e-12,
         "exponential effective capacity at theta=1",
     )
+    for theta in (0.25, 1.0, 4.0):
+        gap = abs(vbr.effective_capacity(theta) - math.log1p(theta) / theta)
+        out.record(gap <= 1e-12, f"exponential effective capacity log1p(theta)/theta at {theta}")
     out.record(
         abs(units.mb_per_slot_to_mbps(vbr.mean_rate) - 1000.0) == 0.0,
         "1 Mb per 1 ms slot is 1 Gbps",

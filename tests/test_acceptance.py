@@ -3,7 +3,12 @@
 Each test prints one PASS line with its runtime (run with ``pytest -s`` to
 see them live).  Stochastic criteria carry explicit standard-error budgets;
 identity criteria state their tolerances inline.  Sample batches are shared
-across criteria through module-scoped fixtures.
+across criteria through module-scoped fixtures.  A criterion that is a
+`winflow verify` suite runs that suite at its own seed and size, so each
+check has one implementation: criteria 01-03 (dual-oracle equivalence, the
+d = 1 closed form and the envelope sandwich) read one `suite_dual_oracle`
+run, and criteria 04, 10 and 11 run `suite_constants`,
+`suite_markov_structure` and `suite_dioid_laws`.
 """
 
 import math
@@ -28,16 +33,15 @@ from winflow.models import (
     ExponentialVbrService,
     MmooService,
 )
-from winflow.oracle import (
-    SamplePath,
-    apriori_envelope,
-    equivalent_service_batch,
-    equivalent_service_closure,
-    equivalent_service_dp,
-)
+from winflow.oracle import equivalent_service_batch
 from winflow.simulator import SimConfig, backlog_quantile, run_flow_control
 from winflow import units
-from winflow.verify import random_feedback_instance, suite_dioid_laws, suite_markov_structure
+from winflow.verify import (
+    suite_constants,
+    suite_dioid_laws,
+    suite_dual_oracle,
+    suite_markov_structure,
+)
 
 VBR = ExponentialVbrService(1.0)
 MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
@@ -67,18 +71,6 @@ def report(number, name, started, limit):
 
 
 @pytest.fixture(scope="module")
-def oracle_instances():
-    """500 randomized (path, params) instances with both oracle tables."""
-    rng = np.random.default_rng(20240801)
-    instances = []
-    for _ in range(500):
-        path, fb = random_feedback_instance(rng, max_horizon=24)
-        table = equivalent_service_closure(path, fb)
-        instances.append((path, fb, table))
-    return instances
-
-
-@pytest.fixture(scope="module")
 def mc_samples():
     """Equivalent-service samples for the 12 Monte Carlo configurations."""
     samples = {}
@@ -95,64 +87,51 @@ def mc_samples():
     return samples
 
 
-def test_01_dual_oracle_equivalence(oracle_instances):
+@pytest.fixture(scope="module")
+def dual_oracle():
+    """One `suite_dual_oracle` run on 500 instances, with its start time.
+
+    Criteria 01-03 read the checks of this one run: dp == closure, both inside
+    the a-priori envelope, and at d = 1 both equal to the prefix-sum closed
+    form, each at every (s, t); batch == dp at (0, T).  Three checks an
+    instance, plus one at d = 1.
+    """
     started = time.perf_counter()
-    for path, fb, table in oracle_instances:
-        T = path.horizon
-        for s in range(T + 1):
-            for t in range(s, T + 1):
-                dp = equivalent_service_dp(path, fb, s, t)
-                assert abs(dp - table.value(s, t)) <= 1e-9
-    report(1, "dual-oracle equivalence on 500 instances", started, 60.0)
+    result = suite_dual_oracle(seed=20240801, instances=500)
+    return result, started
 
 
-def test_02_delay_one_closed_form(oracle_instances):
+def test_01_dual_oracle_equivalence(dual_oracle):
+    result, started = dual_oracle
+    assert result.passed, result.notes
+    report(1, "dual-oracle suite on 500 instances", started, 60.0)
+
+
+def test_02_delay_one_closed_form(dual_oracle):
     started = time.perf_counter()
-    seen = 0
-    for path, fb, table in oracle_instances:
-        if fb.d != 1:
-            continue
-        seen += 1
-        T = path.horizon
-        for s in range(T + 1):
-            for t in range(s, T + 1):
-                direct = float(np.minimum(path.increments[s:t], fb.w).sum())
-                assert abs(equivalent_service_dp(path, fb, s, t) - direct) <= 1e-9
-                assert abs(table.value(s, t) - direct) <= 1e-9
+    result, _ = dual_oracle
+    assert "d=1 closed form" not in result.notes
+    seen = result.checks - 3 * 500
     assert seen >= 50  # the instance mix must actually cover d = 1
     report(2, f"delay-one closed form on {seen} instances", started, 60.0)
 
 
-def test_03_envelope_sandwich(oracle_instances):
+def test_03_envelope_sandwich(dual_oracle):
     started = time.perf_counter()
-    violations = 0
-    for path, fb, table in oracle_instances:
-        T = path.horizon
-        for s in range(T + 1):
-            for t in range(s, T + 1):
-                lo, hi = apriori_envelope(path, fb, s, t)
-                value = table.value(s, t)
-                if not (lo - 1e-9 <= value <= hi + 1e-9):
-                    violations += 1
-    assert violations == 0
+    result, _ = dual_oracle
+    assert "a-priori envelope" not in result.notes
     report(3, "a-priori envelope sandwich, zero violations", started, 60.0)
 
 
 def test_04_reference_constants():
     started = time.perf_counter()
-    # exponential server, 1 Mb mean per 1 ms slot
-    assert units.mb_per_slot_to_mbps(VBR.mean_rate, 1.0) == 1000.0
-    assert abs(VBR.effective_capacity(1.0) - math.log(2.0)) <= 1e-12
-    for theta in (0.25, 1.0, 4.0):
-        assert abs(VBR.effective_capacity(theta) - math.log1p(theta) / theta) <= 1e-12
-    # On-Off server with p00=0.2, p11=0.9, peak 1.125 Mb
-    assert abs(MMOO.mean_rate - 1.0) <= 1e-12
-    assert units.mb_per_slot_to_mbps(1.0, 1.0) == 1000.0
-    for theta in np.geomspace(1e-2, 1e2, 32):
-        u = math.exp(-theta * MMOO.peak)
-        tr = MMOO.p00 + MMOO.p11 * u
-        closed = -math.log(0.5 * (tr + math.sqrt(tr * tr - 4.0 * (MMOO.p00 + MMOO.p11 - 1.0) * u))) / theta
-        assert abs(MMOO.effective_capacity(theta) - closed) <= 1e-12
+    # exponential capacity log1p(theta)/theta at theta = 1/4, 1, 4 and log 2
+    # at 1; 1 Mb per 1 ms slot is 1 Gbps; the On-Off mean rate and its
+    # closed-form capacity on 32 thetas in [1e-2, 1e2]; two exponential
+    # quantiles; six unit round trips
+    result = suite_constants()
+    assert result.passed, result.notes
+    assert result.checks == 4 + 1 + 1 + 32 + 2 + 6
     report(4, "closed-form reference constants", started, 1.0)
 
 

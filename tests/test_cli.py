@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from winflow import cli, units
+from winflow import cli, units, verify
 from winflow.bounds import (
     _CURVE_BLOCK_ENTRIES,
     FeedbackParams,
@@ -25,6 +25,7 @@ from winflow.bounds import (
 )
 from winflow.cli import _fmt, main, write_csv
 from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
+from winflow.oracle import apriori_envelope, equivalent_service_dp
 from winflow.scenarios import (
     CANNED,
     MAX_SLOTS,
@@ -1282,16 +1283,40 @@ class TestVerifySuite:
         assert "dioid-laws" in out and "OK" in out
         assert "(" in out  # per-suite timing present
 
-    def test_injected_fault_is_detected(self):
+    def test_injected_fault_is_detected(self, monkeypatch):
         def corrupted(path, params, s, t):
             # sign-flip the window charge: breaks the envelope and the
             # closure agreement
-            from winflow.oracle import equivalent_service_dp
-
             return equivalent_service_dp(path, params, s, t) - 2.0 * params.w
 
-        result = suite_dual_oracle(seed=1, instances=12, dp_fn=corrupted)
-        assert result.failures > 0
+        monkeypatch.setattr(verify, "equivalent_service_dp", corrupted)
+        assert suite_dual_oracle(seed=1, instances=12).failures > 0
+
+    def test_dual_oracle_suite_runs_one_envelope_and_one_dp_pass_per_s(self, monkeypatch):
+        envelopes, dp_calls = [], []
+
+        def counting_envelope(path, *args):
+            envelopes.append(path)
+            return apriori_envelope(path, *args)
+
+        def recording_dp(path, params, s, t):
+            dp_calls.append((path, s, t))  # holds the path, so ids stay unique
+            return equivalent_service_dp(path, params, s, t)
+
+        monkeypatch.setattr(verify, "apriori_envelope", counting_envelope)
+        monkeypatch.setattr(verify, "equivalent_service_dp", recording_dp)
+        result = suite_dual_oracle(seed=1, instances=60)
+        assert result.passed and result.checks == 194
+        assert len(envelopes) == 60
+        queries = {}
+        for path, s, t in dp_calls:
+            queries.setdefault(id(path), []).append((s, t))
+        # (s, t) only ascends: t upward within one pass per s, and no s = 0
+        # pass again once s > 0; every interval is asked once
+        assert len(queries) == 60
+        for path in envelopes:
+            T = path.horizon
+            assert queries[id(path)] == [(s, t) for s in range(T + 1) for t in range(s, T + 1)]
 
     def test_fast_option_is_refused(self, capsys):
         # one configuration: every suite runs at its own size

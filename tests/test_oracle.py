@@ -585,24 +585,30 @@ class TestAprioriEnvelope:
     def test_envelope_brackets_dp_everywhere(self, rng):
         for _ in range(80):
             path, fb = random_feedback_instance(rng, max_horizon=12)
+            lower, upper = apriori_envelope(path, fb)
             T = path.horizon
+            assert lower.shape == upper.shape == (T + 1, T + 1)
             for s in range(T + 1):
+                assert np.all(lower[s, :s] == -math.inf) and np.all(upper[s, :s] == math.inf)
                 for t in range(s, T + 1):
-                    lo, hi = apriori_envelope(path, fb, s, t)
+                    capped = np.minimum(path.increments[s:t], fb.rate_cap).sum()
+                    assert lower[s, t] == pytest.approx(capped, abs=1e-12)
+                    windows = math.ceil((t - s) / fb.d) * fb.w
+                    assert upper[s, t] == min(path.interval(s, t), windows)
                     mid = equivalent_service_dp(path, fb, s, t)
-                    assert lo - 1e-9 <= mid <= hi + 1e-9
+                    assert lower[s, t] - 1e-9 <= mid <= upper[s, t] + 1e-9
 
     def test_delay_one_lower_bound_is_tight(self, rng):
         inc = rng.exponential(1.0, 10)
         path = SamplePath(inc)
         fb = FeedbackParams(w=0.7, d=1)
-        lo, _ = apriori_envelope(path, fb, 0, 10)
-        assert lo == pytest.approx(equivalent_service_dp(path, fb, 0, 10), abs=1e-12)
+        lower, _ = apriori_envelope(path, fb)
+        assert lower[0, 10] == pytest.approx(equivalent_service_dp(path, fb, 0, 10), abs=1e-12)
 
     def test_constant_rate_lower_bound(self):
         path = SamplePath(np.full(9, 2.0))
-        lo, _ = apriori_envelope(path, FeedbackParams(w=3.0, d=2), 0, 9)
-        assert lo == pytest.approx(min(2.0, 1.5) * 9, abs=1e-12)
+        lower, _ = apriori_envelope(path, FeedbackParams(w=3.0, d=2))
+        assert lower[0, 9] == pytest.approx(min(2.0, 1.5) * 9, abs=1e-12)
 
     def test_negative_increments_run_through_both_oracles(self, rng):
         inc = 1.0 - rng.exponential(1.0, 10)
@@ -610,10 +616,10 @@ class TestAprioriEnvelope:
         path = SamplePath(inc)
         fb = FeedbackParams(w=0.5, d=2)
         table = equivalent_service_closure(path, fb)
+        lower, upper = apriori_envelope(path, fb)
         for t in range(11):
-            lo, hi = apriori_envelope(path, fb, 0, t)
             value = equivalent_service_dp(path, fb, 0, t)
-            assert lo - 1e-9 <= value <= hi + 1e-9
+            assert lower[0, t] - 1e-9 <= value <= upper[0, t] + 1e-9
             assert value == pytest.approx(table.value(0, t), abs=1e-9)
 
 
