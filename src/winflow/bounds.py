@@ -537,16 +537,25 @@ def _log_steady_state_sum(log_ma, curve: LogMgfCurve, theta):
     Writing ell = k p + j with j < p, the sum is e^{log_offset} times the
     phase sum over j of M_A^j times a geometric series in k with ratio e^r,
     r = p log M_A + log_rate.  It converges exactly when r < 0 and is +inf
-    otherwise.  Scalar or array theta; log_ma broadcasts against it, so one
-    evaluation of the curve's coefficients serves several arrival models.
+    otherwise.  The phase sum is geometric too: with x = log M_A and a =
+    |x|, its log is (p - 1) max(x, 0) + log(1 - e^{-p a}) - log(1 - e^{-a}),
+    and log p at x = 0; at period one it is exactly 0.  Scalar or array
+    theta; log_ma broadcasts against it, so one evaluation of the curve's
+    coefficients serves several arrival models.
     """
+    p = curve.period
     log_rate, log_offset = curve.coefficients(theta)
     with np.errstate(invalid="ignore"):
-        r = curve.period * log_ma + log_rate
+        r = p * log_ma + log_rate
     converges = (r < 0.0) & np.isfinite(log_ma) & np.isfinite(log_offset)
-    phase = np.multiply.outer(np.where(converges, log_ma, 0.0), np.arange(curve.period))
+    phase = 0.0
+    if p > 1:
+        x = np.where(converges, log_ma, 0.0)
+        a = np.where(x != 0.0, np.abs(x), 1.0)
+        phase = (p - 1) * np.maximum(x, 0.0) + np.log(-np.expm1(-p * a)) - np.log(-np.expm1(-a))
+        phase = np.where(x != 0.0, phase, math.log(p))
     tail = np.log(-np.expm1(np.where(converges, r, -1.0)))
-    return np.where(converges, _log_sum_exp(phase) + log_offset - tail, INF)
+    return np.where(converges, phase + log_offset - tail, INF)
 
 
 def backlog_bound(

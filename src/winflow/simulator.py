@@ -162,8 +162,14 @@ def _departures(arrivals_cum: np.ndarray, drain: np.ndarray, w: float, d: int) -
     a fallback the next 1, 3, 7, ... blocks (doubling plus one while the
     fallbacks continue) go to the sweeps directly; a settled block resets
     the count.
+
+    A delay longer than the run is solved as max(T, 2): every feedback
+    reference n - d is then <= 0, so the result is the same, and the span
+    arrays stay O(T).  The 2 keeps the d >= 2 solver, which rounds
+    differently from the Lindley scan.
     """
     T = len(drain)
+    d = min(d, max(T, 2))
     departed = np.zeros(T + 1)
     size = d * max(1, round(_CHUNK_SLOTS / d))
     if d == 1:

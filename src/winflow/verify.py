@@ -4,7 +4,8 @@ Each suite runs a batch of randomized or exhaustive checks and counts
 checks and failures; ``run_all`` runs every suite at one size and times it.
 A fresh checkout passes everything; the exit status of the report is
 nonzero as soon as a single check fails.  All randomness is seeded, so a
-report is reproducible.  The tests run these suites rather than copy them.
+report is reproducible.  The tests run these suites rather than copy them:
+the acceptance criteria read one dual-oracle and one mgf-dominance run.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ class SuiteResult:
     checks: int = 0
     failures: int = 0
     seconds: float = 0.0  # set by run_all
-    notes: List[str] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)  # one per failed check; the report shows 8
     summary: str = ""
 
     def record(self, ok: bool, note: str = ""):
         self.checks += 1
         if not ok:
             self.failures += 1
-            if note and len(self.notes) < 8:
+            if note:
                 self.notes.append(note)
 
     @property
@@ -207,36 +208,67 @@ def suite_dual_oracle(seed: int = 1, instances: int = 60) -> SuiteResult:
     return out
 
 
+# The Monte Carlo table of (model, d, w/d), each sampled over T = 50 slots
+MC_CONFIGS = [
+    ("exp", 1, 0.1),
+    ("exp", 1, 0.5),
+    ("exp", 2, 0.1),
+    ("exp", 5, 0.5),
+    ("exp", 10, 0.1),
+    ("exp", 10, 0.5),
+    ("mmoo", 1, 0.5),
+    ("mmoo", 2, 0.1),
+    ("mmoo", 2, 0.5),
+    ("mmoo", 5, 0.1),
+    ("mmoo", 5, 0.5),
+    ("mmoo", 10, 0.1),
+]
+
+
 def suite_mgf_dominance(seed: int = 2, n_paths: int = 4000) -> SuiteResult:
+    """The MGF bounds and eps = 1e-2 curves against the batch oracle on
+    MC_CONFIGS (configuration i sampled from SeedSequence(seed, (i,))) at
+    t = 20, 50 and theta = 0.5, 1, 2.  The mean of exp(-theta S_eq) may pass
+    the block MGF, and at d >= 2 the per-slot MGF, by 3 standard errors at
+    most, and a bound that is not finite fails.  At d = 1 the per-slot
+    transform of i.i.d. service is exact, so at theta = 1 it is held to the
+    mean from both sides (a one-sided test of an equality fails at random).
+    The per-slot curve, and at d >= 2 the block curve, may be violated with
+    frequency eps + 3 sqrt(eps / n) at most.  A note starts with its check.
+    """
     out = SuiteResult("mgf-dominance")
-    rng = np.random.default_rng(seed)
-    vbr = ExponentialVbrService(1.0)
-    mmoo = MMOO_REFERENCE
-    t = 24
-    for model, name in ((vbr, "exp"), (mmoo, "mmoo")):
-        for d in (1, 5):
-            fb = FeedbackParams(w=0.3 * d, d=d)
-            paths = model.sample_increments(rng, t, n_paths)
+    models = {"exp": ExponentialVbrService(1.0), "mmoo": MMOO_REFERENCE}
+    eps, horizon, grid = 1e-2, 50, ThetaGrid.logspace()
+    budget = eps + 3.0 * math.sqrt(eps / n_paths)
+    for i, (name, d, ratio) in enumerate(MC_CONFIGS):
+        model, fb = models[name], FeedbackParams(w=ratio * d, d=d)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        paths = model.sample_increments(rng, horizon, n_paths)
+        per_slot = per_slot_curve(model, fb)
+        both = [("block", block_curve(model, fb)), ("per-slot", per_slot)]
+        envelopes = [
+            (kind, statistical_service_curve(curve, eps, grid, horizon).value)
+            for kind, curve in (both if d > 1 else both[1:])
+        ]
+        for t in (20, 50):
             values = equivalent_service_batch(paths, fb, t)
-            for theta in (0.5, 1.0):
+            where = f"{name} d={d} w/d={ratio} t={t}"
+            for theta in (0.5, 1.0, 2.0):
                 emp = np.exp(-theta * values)
-                mean = float(np.mean(emp))
-                se = float(np.std(emp, ddof=1) / math.sqrt(n_paths))
-                bound = block_curve(model, fb).mgf(theta, t)
-                out.record(
-                    mean <= bound + 3.0 * se,
-                    f"{name} d={d} theta={theta}: mean {mean:.4g} vs bound {bound:.4g}",
-                )
-            # quick envelope violation check at a desk epsilon
-            eps = 0.05
-            curve = statistical_service_curve(
-                per_slot_curve(model, fb), eps, ThetaGrid.logspace(), t
-            )
-            frac = float(np.mean(values <= curve.value[t]))
-            out.record(
-                frac <= eps + 3.0 * math.sqrt(eps / n_paths),
-                f"{name} d={d}: envelope violation {frac:.4f}",
-            )
+                mean = float(emp.mean())
+                se = float(emp.std(ddof=1) / math.sqrt(n_paths))
+                stats = f"mean {mean:.5g} se {se:.2g}"
+                for kind, curve in both if d > 1 else both[:1]:
+                    bound = curve.mgf(theta, t)
+                    ok = math.isfinite(bound) and mean <= bound + 3.0 * se
+                    out.record(ok, f"{kind} mgf {where} theta={theta}: {stats} bound {bound:.5g}")
+                if d == 1 and name == "exp" and theta == 1.0:  # i.i.d. service
+                    exact = per_slot.mgf(theta, t)
+                    ok = abs(mean - exact) <= 3.0 * se
+                    out.record(ok, f"exact per-slot mgf {where}: {stats} exact {exact:.5g}")
+            for kind, envelope in envelopes:
+                frac = float(np.mean(values <= envelope[t]))
+                out.record(frac <= budget, f"{kind} violation {where}: {frac:.4g} above {budget:.4g}")
     return out
 
 
@@ -430,7 +462,7 @@ def run_report(seed: int = 0, stream: TextIO = None) -> int:
         )
         if res.summary:
             stream.write(f"      {res.summary}\n")
-        for note in res.notes:
+        for note in res.notes[:8]:
             stream.write(f"      failed: {note}\n")
         failures += res.failures
     total_checks = sum(r.checks for r in results)

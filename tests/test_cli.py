@@ -14,6 +14,7 @@ from winflow import cli, units, verify
 from winflow.bounds import (
     _CURVE_BLOCK_ENTRIES,
     FeedbackParams,
+    LogMgfCurve,
     ThetaGrid,
     _is_markov,
     block_curve,
@@ -39,6 +40,7 @@ from winflow.verify import (
     run_report,
     suite_dual_oracle,
     suite_exact_backlog,
+    suite_mgf_dominance,
 )
 
 VBR_CURVE_INI = """
@@ -1291,6 +1293,22 @@ class TestVerifySuite:
 
         monkeypatch.setattr(verify, "equivalent_service_dp", corrupted)
         assert suite_dual_oracle(seed=1, instances=12).failures > 0
+
+    def test_block_bound_without_its_window_term_is_detected(self, monkeypatch):
+        # M^d in place of M^d + d e^{-theta w}: the rate is gamma alone
+        def no_window_term(model, params):
+            return LogMgfCurve("block", params.d, lambda theta: (model.effective_capacity(theta), 0.0), True)
+
+        monkeypatch.setattr(verify, "block_curve", no_window_term)
+        assert suite_mgf_dominance(seed=2, n_paths=4000).failures > 0
+
+    def test_per_slot_bound_without_the_cap_is_detected(self, monkeypatch):
+        # the MGF of the raw service in place of min(c, w/d)
+        def uncapped(model, params):
+            return LogMgfCurve("per-slot", 1, lambda theta: (model.effective_capacity(theta), 0.0), True)
+
+        monkeypatch.setattr(verify, "per_slot_curve", uncapped)
+        assert suite_mgf_dominance(seed=2, n_paths=4000).failures > 0
 
     def test_dual_oracle_suite_runs_one_envelope_and_one_dp_pass_per_s(self, monkeypatch):
         envelopes, dp_calls = [], []

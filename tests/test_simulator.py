@@ -7,6 +7,7 @@ departures dominate arrivals convolved with the exact equivalent service.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,24 @@ class TestDeterminism:
         runs = [run_flow_control(config, r) for r in range(3)]
         assert not np.array_equal(runs[0].backlog, runs[1].backlog)
         assert not np.array_equal(runs[1].backlog, runs[2].backlog)
+
+    def test_delay_longer_than_the_run_costs_memory_of_the_run(self):
+        # with d >= T every feedback reference is to slot 0 or earlier, so a
+        # 1,000-slot run is the same at d = 10^7 as at d = 1,000, and its
+        # memory is that of the run, not of the delay
+        def window_bound(d):
+            return small_config(total_slots=1000, feedback=FeedbackParams(w=5.0, d=d))
+
+        reference = run_flow_control(window_bound(1000))
+        tracemalloc.start()
+        try:
+            run = run_flow_control(window_bound(10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.backlog.tobytes() == reference.backlog.tobytes()
+        assert run.queue.tobytes() == reference.queue.tobytes()
+        assert peak < 2**20
 
     def test_replication_index_validated(self):
         with pytest.raises(ValueError):
