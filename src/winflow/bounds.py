@@ -33,6 +33,7 @@ time.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -69,16 +70,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeedbackParams:
-    """Window size w (megabits) and feedback delay d (slots, at least 1)."""
+    """Window size w (megabits, finite) and feedback delay d (slots, an
+    integer of at least 1; numpy integers pass)."""
 
     w: float
     d: int
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("window size w must be > 0")
-        if self.d < 1:
-            raise ValueError("feedback delay d must be >= 1")
+        if not (math.isfinite(self.w) and self.w > 0):
+            raise ValueError("window size w must be finite and > 0")
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            raise ValueError("feedback delay d must be an integer >= 1")
 
     @property
     def rate_cap(self) -> float:

@@ -80,7 +80,7 @@ def _safe_exp(x):
 
 def _positive_theta(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0):
+    if not np.all(theta > 0):  # NaN fails too
         raise ValueError("theta must be > 0")
     return theta
 

@@ -10,7 +10,10 @@ run; criteria 05, 06 and the Monte Carlo half of 08 (MGF dominance, curve
 violation frequencies and the exact d = 1 transform) read one
 `suite_mgf_dominance` run on 100 000 paths per configuration; and criteria
 04, 10 and 11 run `suite_constants`, `suite_markov_structure` and
-`suite_dioid_laws`.
+`suite_dioid_laws`.  Those three suites are the only copy of their checks:
+the reference constants and unit conversions, the chain's grouped-time,
+spectral and supermultiplicative bounds, and the dioid laws have no second
+loop in the unit tests.
 """
 
 import math
@@ -106,12 +109,12 @@ def test_03_envelope_sandwich(dual_oracle):
 def test_04_reference_constants():
     started = time.perf_counter()
     # exponential capacity log1p(theta)/theta at theta = 1/4, 1, 4 and log 2
-    # at 1; 1 Mb per 1 ms slot is 1 Gbps; the On-Off mean rate and its
-    # closed-form capacity on 32 thetas in [1e-2, 1e2]; two exponential
-    # quantiles; six unit round trips
+    # at 1; 1 Mb per 1 ms slot is 1 Gbps and back; the On-Off mean rate and
+    # its closed-form capacity on 32 thetas in [1e-2, 1e2]; three exponential
+    # quantiles; seven unit round trips, 50 to 1125 Mbps
     result = suite_constants()
     assert result.passed, result.notes
-    assert result.checks == 4 + 1 + 1 + 32 + 2 + 6
+    assert result.checks == 4 + 2 + 1 + 32 + 3 + 7
     report(4, "closed-form reference constants", started, 1.0)
 
 
@@ -207,17 +210,19 @@ def test_10_markov_structure():
     # increments of every index set of size <= 3 in [0, 6] against a
     # contiguous block, both theta signs, by exhaustive enumeration; the
     # spectral sandwich and dominant-term bound for t <= 16; and
-    # supermultiplicativity for every s, t in 0..12
+    # supermultiplicativity for every s, t in 0..12; the last three at eight
+    # theta, +-2, +-1, +-0.5 and +-0.1
     result = suite_markov_structure()
     assert result.passed, result.notes
-    assert result.checks == 168 + 2 * (7 + 21 + 35) + 6 * (2 * 16 + 13 * 13 + 1)
+    assert result.checks == 168 + 2 * (7 + 21 + 35) + 8 * (2 * 16 + 13 * 13 + 1)
     report(10, "chain correlation and spectral structure", started, 30.0)
 
 
 def test_11_dioid_law_suite():
     started = time.perf_counter()
     # neutrality, associativity, distributivity, offset commutation, closure
-    # subadditivity and family preservation on 1000 dyadic instances
+    # subadditivity and family preservation on 1000 dyadic instances of
+    # horizon 0 to 10, and the non-commutativity witness
     result = suite_dioid_laws(77, instances=1000)
     assert result.passed, result.notes
     assert result.checks == 1000 * 10 + 1

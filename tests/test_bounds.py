@@ -185,7 +185,13 @@ class TestParams:
             FeedbackParams(w=0.0, d=1)
         with pytest.raises(ValueError):
             FeedbackParams(w=1.0, d=0)
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                FeedbackParams(w=w, d=2)
+        with pytest.raises(ValueError, match="integer"):
+            FeedbackParams(w=1.0, d=2.5)
         assert FeedbackParams(w=1.0, d=4).rate_cap == 0.25
+        assert FeedbackParams(w=1.0, d=np.int64(4)).rate_cap == 0.25
 
     def test_theta_grid_validation(self):
         with pytest.raises(ValueError):

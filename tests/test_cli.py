@@ -36,8 +36,6 @@ from winflow.scenarios import (
 )
 from winflow.verify import (
     exact_backlog_tail,
-    run_all,
-    run_report,
     suite_dual_oracle,
     suite_exact_backlog,
     suite_mgf_dominance,
@@ -750,13 +748,6 @@ def test_parse_returns_bounded_scenarios_or_names_a_key(kind, server, values, dr
 
 
 class TestUnitConversions:
-    def test_rate_round_trip_is_exact_for_study_rates(self):
-        for mbps in (50.0, 70.0, 90.0, 100.0, 500.0, 1000.0, 1125.0):
-            assert units.mb_per_slot_to_mbps(units.mbps_to_mb_per_slot(mbps)) == mbps
-
-    def test_one_mb_per_ms_slot_is_one_gbps(self):
-        assert units.mbps_to_mb_per_slot(1000.0, 1.0) == 1.0
-
     def test_theta_per_bit(self):
         assert units.theta_per_mb_to_per_bit(1.0) == 1e-6
 
@@ -1279,11 +1270,17 @@ class TestExactBacklogTail:
 
 
 class TestVerifySuite:
-    def test_fresh_checkout_passes(self, capsys):
-        assert run_report(seed=0) == 0
+    def test_fresh_checkout_passes_every_suite(self, capsys):
+        # the CLI run at seed 0: each suite reports its checks and its time
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "dioid-laws" in out and "OK" in out
-        assert "(" in out  # per-suite timing present
+        report = re.findall(r"^PASS  (\S+) +(\d+)/(\d+) checks  \(\d+\.\d\d s\)$", out, re.M)
+        assert {name for name, _, _ in report} == {
+            "dioid-laws", "dual-oracle", "mgf-dominance",
+            "markov-structure", "constants-and-units", "exact-backlog",
+        }
+        assert all(int(passed) == int(checks) > 0 for _, passed, checks in report)
+        assert out.splitlines()[-1].startswith("OK: ")
 
     def test_injected_fault_is_detected(self, monkeypatch):
         def corrupted(path, params, s, t):
@@ -1342,16 +1339,3 @@ class TestVerifySuite:
             main(["verify", "--fast"])
         assert info.value.code == 2
         assert "--fast" in capsys.readouterr().err
-
-    def test_all_suites_report_counts(self):
-        results = run_all(seed=3)
-        assert {r.name for r in results} == {
-            "dioid-laws",
-            "dual-oracle",
-            "mgf-dominance",
-            "markov-structure",
-            "constants-and-units",
-            "exact-backlog",
-        }
-        assert all(r.checks > 0 and r.seconds > 0 for r in results)
-        assert all(r.passed for r in results)

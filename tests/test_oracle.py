@@ -216,17 +216,6 @@ class TestAgainstBruteForce:
 
 
 class TestDualOracle:
-    def test_dp_equals_closure_everywhere(self, rng):
-        for _ in range(60):
-            path, fb = random_feedback_instance(rng, max_horizon=14)
-            table = equivalent_service_closure(path, fb)
-            T = path.horizon
-            for s in range(T + 1):
-                for t in range(s, T + 1):
-                    assert equivalent_service_dp(path, fb, s, t) == pytest.approx(
-                        table.value(s, t), abs=1e-9
-                    )
-
     def test_batch_matches_scalar(self, rng):
         paths = rng.exponential(1.0, size=(50, 16))
         paths[25:] = 1.0 - rng.exponential(0.6, size=(25, 16))
