@@ -6,7 +6,8 @@ A fresh checkout passes everything; the exit status of the report is
 nonzero as soon as a single check fails.  All randomness is seeded, so a
 report is reproducible.  The tests run these suites rather than copy them:
 the acceptance criteria read one dual-oracle and one mgf-dominance run and
-run the dioid-law, Markov-structure and constants suites, and the tests
+run the dioid-law, Markov-structure and constants suites, counting each
+law's checks in ``SuiteResult.tally``, and the tests
 draw their random tables and feedback instances from the generators here.
 """
 
@@ -17,7 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, TextIO
+from typing import Dict, List, TextIO
 
 import numpy as np
 
@@ -69,10 +70,12 @@ class SuiteResult:
     failures: int = 0
     seconds: float = 0.0  # set by run_all
     notes: List[str] = field(default_factory=list)  # one per failed check; the report shows 8
+    tally: Dict[str, int] = field(default_factory=dict)  # checks per note, passed or failed
     summary: str = ""
 
     def record(self, ok: bool, note: str = ""):
         self.checks += 1
+        self.tally[note] = self.tally.get(note, 0) + 1
         if not ok:
             self.failures += 1
             if note:

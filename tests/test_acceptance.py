@@ -13,7 +13,9 @@ violation frequencies and the exact d = 1 transform) read one
 `suite_dioid_laws`.  Those three suites are the only copy of their checks:
 the reference constants and unit conversions, the chain's grouped-time,
 spectral and supermultiplicative bounds, and the dioid laws have no second
-loop in the unit tests.
+loop in the unit tests.  Each law of those three runs is also its own test
+case, which reads from the run's tally how many checks carry that law's
+note and that none failed, so a failure or a dropped law names itself.
 """
 
 import math
@@ -84,6 +86,73 @@ def failed(result, *checks):
     return [note for note in result.notes if note.startswith(checks)]
 
 
+def checked(result, law):
+    """How many checks of a suite run carry a note that starts with ``law``."""
+    return sum(n for note, n in result.tally.items() if note.startswith(law))
+
+
+# checks per law in one run of each structural suite; the laws partition the
+# run, so a law that is dropped, renamed or run too few times fails its case
+CONSTANTS_LAWS = {
+    "exponential effective capacity at theta=1": 1,
+    "exponential effective capacity log1p(theta)/theta": 3,
+    "1 Mb per 1 ms slot is 1 Gbps": 1,
+    "1 Gbps is 1 Mb per 1 ms slot": 1,
+    "On-Off mean rate": 1,
+    "closed-form effective capacity": 32,
+    "unit quantile of the exponential": 1,
+    "exponential median": 1,
+    "exponential 1e-6 quantile": 1,
+    "unit round trip": 7,
+}
+MARKOV_LAWS = {
+    "gap monotonicity": 168,
+    "grouped times": 2 * (7 + 21 + 35),
+    "spectral sandwich": 8 * 16,
+    "dominant-term lower bound": 8 * 16,
+    "supermultiplicative": 8 * 13 * 13,
+    "weight in (0,1)": 8,
+}
+DIOID_INSTANCES = 1000
+DIOID_LAWS = {
+    "left neutrality": DIOID_INSTANCES,
+    "right neutrality": DIOID_INSTANCES,
+    "associativity": DIOID_INSTANCES,
+    "distributivity over min": DIOID_INSTANCES,
+    "offset commutation": DIOID_INSTANCES,
+    "offset adds w": DIOID_INSTANCES,
+    "closure subadditivity": DIOID_INSTANCES,
+    "family preservation": 3 * DIOID_INSTANCES,
+    "non-commutativity witness": 1,
+}
+
+
+@pytest.fixture(scope="module")
+def constants():
+    """One `suite_constants` run, with its start time; criterion 04 reads it."""
+    started = time.perf_counter()
+    return suite_constants(), started
+
+
+@pytest.fixture(scope="module")
+def markov_structure():
+    """One `suite_markov_structure` run, with its start time; criterion 10 reads it."""
+    started = time.perf_counter()
+    return suite_markov_structure(), started
+
+
+@pytest.fixture(scope="module")
+def dioid_laws():
+    """One `suite_dioid_laws` run on 1000 instances, with its start time;
+    criterion 11 reads it."""
+    started = time.perf_counter()
+    return suite_dioid_laws(77, instances=DIOID_INSTANCES), started
+
+
+def law_cases(laws):
+    return pytest.mark.parametrize("law, count", laws.items(), ids=list(laws))
+
+
 def test_01_dual_oracle_equivalence(dual_oracle):
     result, started = dual_oracle
     assert result.passed, result.notes
@@ -106,16 +175,22 @@ def test_03_envelope_sandwich(dual_oracle):
     report(3, "a-priori envelope sandwich, zero violations", started, 60.0)
 
 
-def test_04_reference_constants():
-    started = time.perf_counter()
+def test_04_reference_constants(constants):
+    result, started = constants
     # exponential capacity log1p(theta)/theta at theta = 1/4, 1, 4 and log 2
     # at 1; 1 Mb per 1 ms slot is 1 Gbps and back; the On-Off mean rate and
     # its closed-form capacity on 32 thetas in [1e-2, 1e2]; three exponential
     # quantiles; seven unit round trips, 50 to 1125 Mbps
-    result = suite_constants()
     assert result.passed, result.notes
-    assert result.checks == 4 + 2 + 1 + 32 + 3 + 7
+    assert result.checks == sum(CONSTANTS_LAWS.values()) == 4 + 2 + 1 + 32 + 3 + 7
     report(4, "closed-form reference constants", started, 1.0)
+
+
+@law_cases(CONSTANTS_LAWS)
+def test_04_each_constant(constants, law, count):
+    result, _ = constants
+    assert checked(result, law) == count
+    assert not failed(result, law)
 
 
 def test_05_mgf_bound_dominance(mgf_dominance):
@@ -204,26 +279,39 @@ def test_09_backlog_dominance_and_saturation():
     report(9, "backlog bound dominates simulation; saturation detected", started, 600.0)
 
 
-def test_10_markov_structure():
-    started = time.perf_counter()
+def test_10_markov_structure(markov_structure):
+    result, started = markov_structure
     # correlation monotonicity of 3-point ON patterns in [0, 8]; grouped
     # increments of every index set of size <= 3 in [0, 6] against a
     # contiguous block, both theta signs, by exhaustive enumeration; the
     # spectral sandwich and dominant-term bound for t <= 16; and
     # supermultiplicativity for every s, t in 0..12; the last three at eight
     # theta, +-2, +-1, +-0.5 and +-0.1
-    result = suite_markov_structure()
     assert result.passed, result.notes
+    assert result.checks == sum(MARKOV_LAWS.values())
     assert result.checks == 168 + 2 * (7 + 21 + 35) + 8 * (2 * 16 + 13 * 13 + 1)
     report(10, "chain correlation and spectral structure", started, 30.0)
 
 
-def test_11_dioid_law_suite():
-    started = time.perf_counter()
+@law_cases(MARKOV_LAWS)
+def test_10_each_markov_law(markov_structure, law, count):
+    result, _ = markov_structure
+    assert checked(result, law) == count
+    assert not failed(result, law)
+
+
+def test_11_dioid_law_suite(dioid_laws):
+    result, started = dioid_laws
     # neutrality, associativity, distributivity, offset commutation, closure
     # subadditivity and family preservation on 1000 dyadic instances of
     # horizon 0 to 10, and the non-commutativity witness
-    result = suite_dioid_laws(77, instances=1000)
     assert result.passed, result.notes
-    assert result.checks == 1000 * 10 + 1
+    assert result.checks == sum(DIOID_LAWS.values()) == 1000 * 10 + 1
     report(11, "dioid law suite, 1000 randomized instances", started, 30.0)
+
+
+@law_cases(DIOID_LAWS)
+def test_11_each_dioid_law(dioid_laws, law, count):
+    result, _ = dioid_laws
+    assert checked(result, law) == count
+    assert not failed(result, law)
