@@ -42,6 +42,7 @@ from .oracle import (
     equivalent_service_batch,
     equivalent_service_closure,
     equivalent_service_dp,
+    equivalent_service_dp_row,
 )
 from .simulator import (
     SimConfig,

@@ -12,7 +12,8 @@ Each model is an immutable dataclass exposing, where meaningful:
   exponential law draws it path by path and the two-state chain slot by
   slot, each in the order of its draws; both store it time-major (F order),
   one contiguous row per slot, and so do the constant law and the laws
-  composed of them.
+  composed of them.  A batch is read-only, and so is the array that owns
+  its memory: it cannot change, so the batch oracle may resume a pass on it.
 
 An i.i.d. law states one transform, ``log_mgf_increment(theta)``.  The
 two-state model states one scaled spectral form of its slot operator,
@@ -70,6 +71,12 @@ __all__ = [
 ]
 
 _EXP_OVERFLOW = 709.0
+
+
+def _frozen(batch: np.ndarray) -> np.ndarray:
+    """``batch``, made read-only; freeze an owner before taking views of it."""
+    batch.flags.writeable = False
+    return batch
 
 
 def _safe_exp(x):
@@ -260,7 +267,7 @@ class DeterministicService(_IidModel):
         return np.multiply(theta, min(self.rate, cap))
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        return np.full((T, n), float(self.rate)).T
+        return _frozen(np.full((T, n), float(self.rate))).T
 
 
 @dataclass(frozen=True)
@@ -304,9 +311,10 @@ class ExponentialVbrService(_IidModel):
         """Inverse-CDF draws, exactly T per path, path by path as
         ``rng.random((n, T))`` draws them.  A batch (n > 1) is drawn a block
         of paths at a time into one reused buffer and stored one slot row at
-        a time: the result is the F-contiguous transpose of a (T, n) table."""
+        a time: the result is the F-contiguous transpose of a (T, n) table,
+        which is read-only, as the result is."""
         if n == 1:
-            return self._from_uniform(rng.random((1, T)))
+            return _frozen(self._from_uniform(rng.random((1, T))))
         table = np.empty((T, n))
         paths = max(1, _IID_BLOCK_FLOATS // max(T, 1))
         buf = np.empty(min(n, paths) * T)
@@ -315,7 +323,7 @@ class ExponentialVbrService(_IidModel):
             block = buf[: k * T]
             rng.random(out=block)
             table[:, b : b + k] = self._from_uniform(block).reshape(k, T).T
-        return table.T
+        return _frozen(table).T
 
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
         np.log1p(np.negative(u, out=u), out=u)
@@ -379,13 +387,18 @@ class LeftoverService(_IidModel):
         return np.where(converges, np.logaddexp(th * cap + log_below, log_tail), INF)[()]
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        # a constant base draws nothing from rng: subtract from its rate
+        # a constant base draws nothing from rng: subtract from its rate in
+        # place, in the fresh cross sample, thawed for it (owner first)
         if isinstance(self.base, DeterministicService):
             cross = self.cross.sample_increments(rng, T, n)
-            return np.subtract(float(self.base.rate), cross, out=cross)
+            owner = cross if cross.base is None else cross.base
+            owner.flags.writeable = cross.flags.writeable = True
+            np.subtract(float(self.base.rate), cross, out=cross)
+            owner.flags.writeable = cross.flags.writeable = False
+            return cross
         base = self.base.sample_increments(rng, T, n)
         cross = self.cross.sample_increments(rng, T, n)
-        return base - cross
+        return _frozen(base - cross)
 
 
 # ===========================================================================
@@ -649,7 +662,7 @@ class MarkovModulated2Service(_Model):
             for law in (self.law0, self.law1)
         )
         # with two constant laws the result keeps the chain's F order
-        return np.where(states == 1, inc1, inc0)
+        return _frozen(np.where(states == 1, inc1, inc0))
 
 
 class MmooService(MarkovModulated2Service):

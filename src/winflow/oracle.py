@@ -26,11 +26,14 @@ evaluator vectorizes the dynamic program across many paths.
 Costs: the scalar program is one resumable pass per (path, params, s).  A
 path holds one entry: its last (w, d, s) and the values reached so far, so
 a sweep of t upward at fixed s costs O((T - s) * d) Python float operations
-in all, not per call, and retains 8 bytes a reached t.  The
+in all, not per call, and retains 8 bytes a reached t; the row view hands
+out those values at once.  The
 closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
 minima; the batch evaluator is one pass of t time-major row steps over all
-paths, in O(min(d, t) * n_paths) working memory.  It reads each slot's
+paths, in O(min(d, t) * n_paths) working memory, and it is resumable too:
+on a read-only batch, such as every random batch sampler returns, calls at
+t upward cost one pass to the largest t in all.  It reads each slot's
 column of the input in place, whatever the layout; time-major (F-order)
 input, which the random batch samplers return, makes those columns
 contiguous.  The a-priori envelope is O(T^2) array work on two prefix sums.
@@ -38,6 +41,7 @@ contiguous.  The a-priori envelope is O(T^2) array work on two prefix sums.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -50,6 +54,7 @@ from .bounds import FeedbackParams
 __all__ = [
     "SamplePath",
     "equivalent_service_dp",
+    "equivalent_service_dp_row",
     "equivalent_service_batch",
     "equivalent_service_closure",
     "apriori_envelope",
@@ -146,6 +151,54 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
     return row[-1]
 
 
+def equivalent_service_dp_row(path: SamplePath, params: FeedbackParams, s: int, t: int) -> np.ndarray:
+    """Exact equivalent service over [s, s + j) for j = 0 .. t - s, as a new
+    array: the row of ``equivalent_service_dp``'s resumable pass, advanced
+    to t, so one call gives the values of t - s + 1 calls, bit for bit."""
+    equivalent_service_dp(path, params, s, t)
+    if t == s:
+        return np.zeros(1)
+    # a copy: the pass's array('d') cannot grow while it exports a buffer
+    return np.array(path._dp.row[: t - s + 1])
+
+
+class _BatchPass:
+    """The batch program on one batch for one (w, d), to step ``j``: the
+    running sums and costs after it, and the ring of the last rows of H."""
+
+    __slots__ = ("batch", "key", "j", "cum", "g", "ring")
+
+    def __init__(self, inc: np.ndarray, key: tuple, width: int):
+        self.batch, self.key, self.j = weakref.ref(inc, _forget_batch), key, 0
+        # step j reads rows 0 .. j - 1 only: each row is written before it is read
+        self.ring = np.empty((width, len(inc)))
+        self.ring[0] = 0.0
+        self.g = np.zeros(len(inc))
+        # cum runs through the same additions as np.cumsum along the path
+        self.cum = inc[:, 0].copy()
+
+
+# the batch evaluator's one entry: its last pass on a read-only batch
+_batch_pass: _BatchPass | None = None
+
+
+def _forget_batch(ref: weakref.ref) -> None:
+    """Drop the entry, rows and all, once its batch is collected."""
+    global _batch_pass
+    if _batch_pass is not None and _batch_pass.batch is ref:
+        _batch_pass = None
+
+
+def _read_only(a: np.ndarray) -> bool:
+    """Whether ``a`` and every ndarray it views, down to the owner of the
+    memory, are read-only: then no write through any array changes it."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 def equivalent_service_batch(
     increments: np.ndarray, params: FeedbackParams, t: int
 ) -> np.ndarray:
@@ -159,26 +212,39 @@ def equivalent_service_batch(
     memory is O(min(d, t) * n_paths) floats, no more than the t slots read
     plus a few rows.  Raises ValueError when a path carries a non-finite
     increment before t, which would otherwise come out as NaN.
+
+    The pass resumes on a batch that cannot change: an ndarray that is
+    read-only, as is every array it views, as the batch samplers return.
+    The module keeps one entry, the last pass on such a batch: a weak
+    reference to it, its (w, d), the step reached and the running rows.  A
+    call on that batch with that (w, d) and a t at or past the step reads
+    only the new slots, once the ring holds d rows (step >= d).  Any other
+    call makes a fresh pass, which becomes the entry on a read-only batch.
+    The entry goes when its batch is collected or a call raises; a frozen
+    batch must not be thawed and changed while it lives.
     """
+    global _batch_pass
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 2:
         raise ValueError("increments must have shape (n_paths, T)")
     if t < 0 or t > inc.shape[1]:
         raise ValueError(f"need 0 <= t <= {inc.shape[1]}")
-    n = inc.shape[0]
     if t == 0:
-        return np.zeros(n)
-    w = params.w
-    width = min(params.d, t)
-    # step j reads rows 0 .. j - 1 only: each row is written before it is read
-    ring = np.empty((width, n))
-    ring[0] = 0.0
-    g, m, row = np.zeros((3, n))
-    # cum runs through the same additions as np.cumsum along the path
-    cum = inc[:, 0].copy()
+        return np.zeros(inc.shape[0])
+    w, d = params.w, params.d
+    read_only = _read_only(inc)
+    # detached while it advances: a pass that raises leaves no entry
+    state, _batch_pass = _batch_pass, None
+    same = read_only and state is not None and state.batch() is inc
+    if not (same and state.key == (w, d) and d <= state.j <= t):
+        del state  # the old rows go before the new ones come
+        state = _BatchPass(inc, (w, d), min(d, t))
+    ring, g, cum = state.ring, state.g, state.cum
+    width = len(ring)
+    m, row = np.empty((2, len(g)))
     # a NaN or an infinity anywhere in the first t slots reaches cum + g
     with np.errstate(invalid="ignore"):
-        for j in range(1, t + 1):
+        for j in range(state.j + 1, t + 1):
             if j > 1:
                 cum += inc[:, j - 1]
             np.subtract(w, cum, out=row)
@@ -189,6 +255,9 @@ def equivalent_service_batch(
         out = cum + g
     if not np.isfinite(out).all():
         raise ValueError("increments must be finite")
+    if read_only:
+        state.j = t
+        _batch_pass = state
     return out
 
 

@@ -292,6 +292,10 @@ def _parse_section(name: str, raw: Dict[str, str]) -> Scenario:
     out = Scenario(name=name, kind=kind, seed=seed, slot_ms=slot_ms, service=service)
     # the analytic bounds of an On-Off chain are spectral; simulation is not
     markov = isinstance(service, MarkovModulated2Service)
+    if kind != "simulate" and markov and service.mean_rate == 0.0:
+        raise ScenarioError(
+            name, "mmoo_p00", "mmoo_p00 = 1 makes OFF absorbing, so the mean service rate is 0"
+        )
     if kind != "simulate" and markov and not service.is_slow_switching:
         raise ScenarioError(
             name, "mmoo_p11", "mmoo_p00 + mmoo_p11 must exceed 1 (p01 + p10 < 1)"

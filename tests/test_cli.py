@@ -26,7 +26,7 @@ from winflow.bounds import (
 )
 from winflow.cli import _fmt, main, write_csv
 from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
-from winflow.oracle import apriori_envelope, equivalent_service_dp
+from winflow.oracle import apriori_envelope, equivalent_service_dp_row
 from winflow.scenarios import (
     CANNED,
     MAX_SLOTS,
@@ -360,6 +360,28 @@ class TestScenarioParsing:
         ).replace("service_rate_mbps = 1000\n", "")
         (sc,) = parse_scenario_text(text)
         assert not sc.service.is_slow_switching
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(text.replace("total_slots = 5000", "total_slots = 500"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "ini", [MMOO_CURVE_INI, EFFCAP_INI, BACKLOG_INI], ids=["service-curve", "effcap", "backlog"]
+    )
+    def test_absorbing_off_state_names_its_key(self, ini):
+        # p00 = 1 with p11 < 1 settles the chain in OFF for good; the theta
+        # floor would refuse its zero mean rate under theta_min_per_mb, a key
+        # the section need not hold
+        text = ini.replace("service = exponential\nservice_rate_mbps = 1000", ONOFF_SERVER)
+        text = text.replace("mmoo_p00 = 0.2", "mmoo_p00 = 1")
+        with pytest.raises(ScenarioError, match=r"\] mmoo_p00: .*mean service rate is 0") as info:
+            parse_scenario_text(text)
+        assert info.value.key == "mmoo_p00"
+
+    def test_simulate_accepts_absorbing_off_state(self, tmp_path):
+        server = ONOFF_SERVER.replace("mmoo_p00 = 0.2", "mmoo_p00 = 1")
+        text = SIM_INI.replace("service = deterministic\nservice_rate_mbps = 1000", server)
+        (sc,) = parse_scenario_text(text)
+        assert sc.service.mean_rate == 0.0
         cfg = tmp_path / "sim.ini"
         cfg.write_text(text.replace("total_slots = 5000", "total_slots = 500"))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -1286,9 +1308,9 @@ class TestVerifySuite:
         def corrupted(path, params, s, t):
             # sign-flip the window charge: breaks the envelope and the
             # closure agreement
-            return equivalent_service_dp(path, params, s, t) - 2.0 * params.w
+            return equivalent_service_dp_row(path, params, s, t) - 2.0 * params.w
 
-        monkeypatch.setattr(verify, "equivalent_service_dp", corrupted)
+        monkeypatch.setattr(verify, "equivalent_service_dp_row", corrupted)
         assert suite_dual_oracle(seed=1, instances=12).failures > 0
 
     def test_block_bound_without_its_window_term_is_detected(self, monkeypatch):
@@ -1316,22 +1338,22 @@ class TestVerifySuite:
 
         def recording_dp(path, params, s, t):
             dp_calls.append((path, s, t))  # holds the path, so ids stay unique
-            return equivalent_service_dp(path, params, s, t)
+            return equivalent_service_dp_row(path, params, s, t)
 
         monkeypatch.setattr(verify, "apriori_envelope", counting_envelope)
-        monkeypatch.setattr(verify, "equivalent_service_dp", recording_dp)
+        monkeypatch.setattr(verify, "equivalent_service_dp_row", recording_dp)
         result = suite_dual_oracle(seed=1, instances=60)
         assert result.passed and result.checks == 194
         assert len(envelopes) == 60
         queries = {}
         for path, s, t in dp_calls:
             queries.setdefault(id(path), []).append((s, t))
-        # (s, t) only ascends: t upward within one pass per s, and no s = 0
-        # pass again once s > 0; every interval is asked once
+        # one row call per s, s ascending, each to the horizon: every
+        # interval is asked once
         assert len(queries) == 60
         for path in envelopes:
             T = path.horizon
-            assert queries[id(path)] == [(s, t) for s in range(T + 1) for t in range(s, T + 1)]
+            assert queries[id(path)] == [(s, T) for s in range(T + 1)]
 
     def test_fast_option_is_refused(self, capsys):
         # one configuration: every suite runs at its own size

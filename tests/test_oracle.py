@@ -7,8 +7,10 @@ and it is the semantic ground truth the dynamic program, the batch
 evaluator, and the dioid-closure route must all reproduce.
 """
 
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from winflow.models import (
     ExponentialArrivals,
     ExponentialVbrService,
     LeftoverService,
+    MarkovModulated2Service,
     MmooService,
 )
 from winflow.oracle import (
@@ -36,6 +39,7 @@ from winflow.oracle import (
     equivalent_service_batch,
     equivalent_service_closure,
     equivalent_service_dp,
+    equivalent_service_dp_row,
     _feedback_operand,
 )
 from winflow.verify import random_feedback_instance
@@ -388,10 +392,105 @@ class TestResumableDp:
             tracemalloc.stop()
         assert retained <= 8.5 * (T + 1) + 16 * 2**10
 
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 5, 60])
+    def test_row_equals_the_per_t_calls(self, family, d):
+        T = 40
+        rng = np.random.default_rng([d, 32, len(family)])
+        inc = PATH_FAMILIES[family].sample_increments(rng, T, 1)[0]
+        fbs = [FeedbackParams(w=0.3 * d, d=d), FeedbackParams(w=0.8 * d, d=d)]
+        spans = [(int(s), int(t)) for s, t in np.sort(rng.integers(0, T + 1, size=(150, 2)), axis=1)]
+        spans += [(0, T), (T, T), (0, 0), (7, 8)]
+        shared = SamplePath(inc)
+        for k in rng.permutation(2 * len(spans)):
+            fb, (s, t) = fbs[k % 2], spans[k // 2]
+            if k % 3 == 0:  # a scalar call on the shared path in between
+                equivalent_service_dp(shared, fb, s, int(rng.integers(s, T + 1)))
+            row = equivalent_service_dp_row(shared, fb, s, t)
+            expected = [equivalent_service_dp(SamplePath(inc), fb, s, u) for u in range(s, t + 1)]
+            assert row.dtype == np.float64 and np.array_equal(row, expected), (fb, s, t)
+
+
+class TestResumableBatch:
+    """The batch evaluator keeps one pass, on its last read-only batch and
+    (w, d): no order of calls shows in a value, a batch that can change is
+    read afresh, and the entry goes with its batch or with a raise."""
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 5, 60])
+    def test_every_call_order_gives_the_fresh_copy_bits(self, family, d):
+        T = 64
+        rng = np.random.default_rng([d, 32, len(family)])
+        paths = PATH_FAMILIES[family].sample_increments(rng, T, 8)
+        assert not paths.flags.writeable
+        copy = paths.copy()
+        fbs = [FeedbackParams(w=0.4 * d, d=d), FeedbackParams(w=0.9 * d, d=d)]
+        last, *rest = sorted({0, 1, 7, d, 25, 50})
+        fresh = {(fb.w, t): equivalent_service_batch(copy, fb, t) for fb in fbs for t in rest + [last]}
+        # the run p, last, p holds every rotation of (p, last): every order
+        # of the times, each as consecutive calls on the one batch
+        calls = [t for p in itertools.permutations(rest) for t in (*p, last, *p)]
+        for k, t in enumerate(calls):
+            # every fifth call at the other w, which replaces the entry
+            fb = fbs[k % 5 == 4]
+            got = equivalent_service_batch(paths, fb, t)
+            assert np.array_equal(got, fresh[fb.w, t]), (k, fb, t)
+
+    @pytest.mark.parametrize("view", [False, True], ids=["writeable", "read-only view"])
+    def test_a_batch_that_can_change_is_read_afresh(self, view):
+        fb = FeedbackParams(w=2.0, d=5)
+        base = ExponentialVbrService(1.0).sample_increments(np.random.default_rng(32), 50, 40).copy()
+        paths = base.view() if view else base
+        paths.flags.writeable = not view
+        for t, scale in ((10, 1.0), (25, 2.0), (50, 0.5), (7, 3.0), (50, 0.25)):
+            base *= scale
+            # the reference program, so that no other call comes in between
+            expected = time_major_batch(base, fb, t)
+            assert np.array_equal(equivalent_service_batch(paths, fb, t), expected), t
+
+    def test_a_collected_batch_leaves_no_entry(self):
+        # the entry holds (d + 2) rows of paths, 5.6 MB here
+        n, d, t = 100_000, 5, 50
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            paths = ExponentialVbrService(1.0).sample_increments(np.random.default_rng(4), t, n)
+            values = equivalent_service_batch(paths, FeedbackParams(w=2.5, d=d), t)
+            del paths, values
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
+
+    @pytest.mark.parametrize("trap", ["errstate", "warning"])
+    def test_a_call_that_raises_leaves_no_entry(self, trap):
+        # slots 30 and 31 overflow the running sum at step 32, mid-pass
+        fb = FeedbackParams(w=1.5, d=3)
+        paths = np.ones((4, 50))
+        paths[:, 30:32] = 1e308
+        expected = {t: time_major_batch(paths, fb, t) for t in (10, 20, 30)}
+        paths.flags.writeable = False
+        assert np.array_equal(equivalent_service_batch(paths, fb, 10), expected[10])
+        with warnings.catch_warnings(), np.errstate(over="raise" if trap == "errstate" else "warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises((FloatingPointError, RuntimeWarning)):
+                equivalent_service_batch(paths, fb, 50)
+        # a half-advanced pass would answer from slots past 30
+        for t in (20, 30, 10):
+            assert np.array_equal(equivalent_service_batch(paths, fb, t), expected[t]), t
+
 
 # path counts around 4096, the block width of the evaluator before it took
 # all paths in one pass
 BLOCK_EDGES = (1, 4095, 4096, 4097, 8195)
+
+# every batch sampler: the path families, the constant law and a two-state
+# chain of two random laws
+SAMPLERS = {
+    **PATH_FAMILIES,
+    "constant": DeterministicService(1.0),
+    "two-state": MarkovModulated2Service(0.2, 0.9, ExponentialVbrService(0.5), ExponentialVbrService(2.0)),
+}
 
 
 class TestPathBlocks:
@@ -457,12 +556,16 @@ class TestPathBlocks:
                         t,
                     )
 
-    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES) + ["constant"])
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
     @pytest.mark.parametrize("T, n", [(7, 3), (50, 1000), (64, BLOCK_EDGES[-1])])
     def test_batch_samples_are_time_major(self, family, T, n):
-        model = PATH_FAMILIES.get(family, DeterministicService(1.0))
-        paths = model.sample_increments(np.random.default_rng(T), T, n)
-        assert paths.shape == (n, T)
+        # and read-only, down to the array that owns them, at any n
+        for count in (1, n):
+            paths = SAMPLERS[family].sample_increments(np.random.default_rng(T), T, count)
+            assert paths.shape == (count, T)
+            owner = paths if paths.base is None else paths.base
+            assert owner.base is None
+            assert not paths.flags.writeable and not owner.flags.writeable
         assert paths.flags.f_contiguous and not paths.flags.c_contiguous
 
     @pytest.mark.parametrize("order", ["C", "F"])

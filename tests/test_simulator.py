@@ -272,7 +272,7 @@ class SparseThenExponential:
         self.switch = switch
 
     def sample_increments(self, rng, t, n):
-        paths = ExponentialVbrService(1.0).sample_increments(rng, t, n)
+        paths = ExponentialVbrService(1.0).sample_increments(rng, t, n).copy()
         paths[:, : self.switch] = SparseDrain().sample_increments(rng, self.switch, n)
         return paths
 
