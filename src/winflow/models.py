@@ -252,8 +252,8 @@ class DeterministicService(_IidModel):
     nonnegative = True
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be finite and >= 0")
 
     @property
     def mean_rate(self) -> float:
@@ -282,8 +282,8 @@ class ExponentialVbrService(_IidModel):
     nonnegative = True
 
     def __post_init__(self):
-        if self.mean_rate <= 0:
-            raise ValueError("mean rate must be > 0")
+        if not (math.isfinite(self.mean_rate) and self.mean_rate > 0):
+            raise ValueError("mean rate must be finite and > 0")
 
     def log_mgf_increment(self, theta):
         """-log(1 - C theta), +inf from theta = 1/C on."""
@@ -670,8 +670,8 @@ class MmooService(MarkovModulated2Service):
     state 0 serves nothing."""
 
     def __init__(self, p00: float, p11: float, peak: float):
-        if not peak > 0:
-            raise ValueError("peak rate must be > 0")
+        if not (math.isfinite(peak) and peak > 0):
+            raise ValueError("peak rate must be finite and > 0")
         super().__init__(p00, p11, DeterministicService(0.0), DeterministicService(peak))
 
     @property

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from winflow.algebra import INF, BivariateFunction
+from winflow.algebra import INF, BivariateFunction, convolve, make_delta_plus_w
 from winflow.models import DeterministicService, LeftoverService, MarkovModulated2Service
 
 # property tests draw the same examples on every run and keep no example file
@@ -54,8 +54,7 @@ def make_delta_shift(horizon: int, d: int) -> BivariateFunction:
     """Pure delay element: 0 where t - s <= d, +inf where t - s > d.
 
     Convolving f with it yields f(s, max(t - d, s)), which for causal f
-    realizes a time shift by d slots.  The reference for the closure
-    oracle's directly built feedback operand.
+    realizes a time shift by d slots.
     """
     if d < 0:
         raise ValueError("delay d must be >= 0")
@@ -63,6 +62,13 @@ def make_delta_shift(horizon: int, d: int) -> BivariateFunction:
     s, t = np.indices((n, n))
     table = np.where(t - s <= d, 0.0, INF)
     return BivariateFunction(table, check=False)
+
+
+def two_product_operand(service: BivariateFunction, params) -> BivariateFunction:
+    """The feedback operand S o delta_d o delta_plus_w by two general
+    min-plus products: the reference for the closure oracle's operand."""
+    T = service.horizon
+    return convolve(convolve(service, make_delta_shift(T, params.d)), make_delta_plus_w(T, params.w))
 
 
 def leftover_two_state(base_rate: float, cross: MarkovModulated2Service) -> MarkovModulated2Service:

@@ -35,11 +35,11 @@ from winflow.models import (
     DeterministicService,
     ExponentialArrivals,
     ExponentialVbrService,
-    MmooService,
 )
 from winflow.simulator import SimConfig, backlog_quantile, run_flow_control
 from winflow import units
 from winflow.verify import (
+    MMOO_REFERENCE as MMOO,
     suite_constants,
     suite_dioid_laws,
     suite_dual_oracle,
@@ -48,7 +48,6 @@ from winflow.verify import (
 )
 
 VBR = ExponentialVbrService(1.0)
-MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
 GRID = ThetaGrid.logspace()
 
 

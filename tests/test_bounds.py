@@ -43,9 +43,9 @@ from winflow.models import (
 )
 from winflow.oracle import SamplePath, equivalent_service_batch, equivalent_service_dp
 from winflow.scenarios import parse_scenario_text
+from winflow.verify import MMOO_REFERENCE as MMOO
 
 VBR = ExponentialVbrService(1.0)
-MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
 LEFTOVER = LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4))
 GRID = ThetaGrid.logspace()
 

@@ -37,7 +37,6 @@ from winflow.scenarios import (
 from winflow.verify import (
     exact_backlog_tail,
     suite_dual_oracle,
-    suite_exact_backlog,
     suite_mgf_dominance,
 )
 
@@ -1285,15 +1284,11 @@ class TestExactBacklogTail:
         with pytest.raises(ValueError, match="unstable"):
             exact_backlog_tail(ExponentialArrivals(lam), DeterministicService(1.0), 0.4)
 
-    def test_suite_reports_the_fig8_ratio_range(self):
-        result = suite_exact_backlog()
-        assert result.passed and result.checks == 66
-        assert result.summary == "bound / exact quantile from 1.253 to 3.221"
-
 
 class TestVerifySuite:
     def test_fresh_checkout_passes_every_suite(self, capsys):
-        # the CLI run at seed 0: each suite reports its checks and its time
+        # the CLI run at seed 0: each suite reports its checks and its time,
+        # and exact-backlog the range of its fig8 bound over the exact quantile
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         report = re.findall(r"^PASS  (\S+) +(\d+)/(\d+) checks  \(\d+\.\d\d s\)$", out, re.M)
@@ -1302,6 +1297,8 @@ class TestVerifySuite:
             "markov-structure", "constants-and-units", "exact-backlog",
         }
         assert all(int(passed) == int(checks) > 0 for _, passed, checks in report)
+        assert ("exact-backlog", "66", "66") in report
+        assert "      bound / exact quantile from 1.253 to 3.221" in out.splitlines()
         assert out.splitlines()[-1].startswith("OK: ")
 
     def test_injected_fault_is_detected(self, monkeypatch):

@@ -31,9 +31,7 @@ from winflow.models import (
     regularized_lower_gamma,
 )
 from winflow.scenarios import MIN_THETA_RATE
-from winflow.verify import enumerate_grouped_mgf
-
-MMOO = MmooService(p00=0.2, p11=0.9, peak=1.125)
+from winflow.verify import MMOO_REFERENCE as MMOO, enumerate_grouped_mgf
 
 
 def as_two_state(m):
@@ -120,6 +118,17 @@ class TestDeterministic:
         m = DeterministicService(0.0)
         assert m.mgf_increment(5.0) == 1.0
         assert np.all(sample_path(m, seed=1, T=10) == 0.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "model",
+    [DeterministicService, ExponentialVbrService, lambda peak: MmooService(0.2, 0.9, peak)],
+    ids=["constant", "exponential", "on-off"],
+)
+def test_rates_must_be_finite(model, rate):
+    with pytest.raises(ValueError, match="finite"):
+        model(rate)
 
 
 class TestExponentialArrivals:
@@ -448,7 +457,7 @@ class TestMarkovModulated2:
         assert np.array_equal(a, b)
 
     def test_on_off_is_the_two_state_model_with_constant_laws(self):
-        m = MmooService(0.2, 0.9, 1.125)
+        m = MMOO
         general = as_two_state(m)
         assert isinstance(m, MarkovModulated2Service)
         assert m.peak == 1.125

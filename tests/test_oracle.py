@@ -4,7 +4,9 @@ The independent reference here enumerates every admissible placement of
 disjoint windows of length at most d inside [s, t]; each window erases the
 service it covers and charges w.  This enumeration is exponential but exact,
 and it is the semantic ground truth the dynamic program, the batch
-evaluator, and the dioid-closure route must all reproduce.
+evaluator, and the dioid-closure route must all reproduce.  ``reference_dp``
+and ``reference_batch`` are the tests' one copy of each dynamic program,
+written plainly: the oracles must equal them bit for bit.
 """
 
 import itertools
@@ -17,13 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_delta_shift
-from winflow.algebra import (
-    BivariateFunction,
-    convolve,
-    make_delta_plus_w,
-    subadditive_closure,
-)
+from conftest import two_product_operand
+from winflow.algebra import BivariateFunction, convolve, subadditive_closure
 from winflow.bounds import FeedbackParams
 from winflow.models import (
     DeterministicService,
@@ -31,7 +28,6 @@ from winflow.models import (
     ExponentialVbrService,
     LeftoverService,
     MarkovModulated2Service,
-    MmooService,
 )
 from winflow.oracle import (
     SamplePath,
@@ -42,12 +38,13 @@ from winflow.oracle import (
     equivalent_service_dp_row,
     _feedback_operand,
 )
-from winflow.verify import random_feedback_instance
+from winflow.verify import MMOO_REFERENCE, random_feedback_instance
 
 
-def row_major_batch(increments, params, t):
-    """The batch dynamic program with one row per path, a literal copy of
-    the evaluator before it went time-major."""
+def reference_batch(increments, params, t):
+    """The batch dynamic program with one row per path and the whole
+    (n, t + 1) table of H, stored by column so that a step's window minimum
+    reads contiguous memory."""
     inc = np.asarray(increments, dtype=float)
     n = inc.shape[0]
     if t == 0:
@@ -55,7 +52,7 @@ def row_major_batch(increments, params, t):
     d, w = params.d, params.w
     cum = np.concatenate((np.zeros((n, 1)), np.cumsum(inc[:, :t], axis=1)), axis=1)
     g = np.zeros(n)
-    h = np.empty((n, t + 1))
+    h = np.empty((n, t + 1), order="F")
     h[:, 0] = 0.0
     for j in range(1, t + 1):
         lo = max(0, j - d)
@@ -65,47 +62,8 @@ def row_major_batch(increments, params, t):
     return cum[:, t] + g
 
 
-def numpy_scalar_dp(path, params, s, t):
-    """The scalar dynamic program on numpy arrays, a literal copy of the
-    oracle before it moved to Python floats."""
-    span = t - s
-    if span == 0:
-        return 0.0
-    d, w = params.d, params.w
-    cum = path.cumulative
-    G = np.empty(span + 1)
-    H = np.empty(span + 1)
-    G[0] = 0.0
-    H[0] = cum[s]
-    for j in range(1, span + 1):
-        lo = max(0, j - d)
-        g = min(G[j - 1], w - cum[s + j] + H[lo:j].min())
-        G[j] = g
-        H[j] = g + cum[s + j]
-    return float(cum[t] - cum[s] + G[span])
-
-
-def time_major_batch(increments, params, t):
-    """The time-major batch step before the window minimum went in place,
-    a literal copy: one (w - cum[j]) + min temporary per slot."""
-    inc = np.asarray(increments, dtype=float)
-    n = inc.shape[0]
-    if t == 0:
-        return np.zeros(n)
-    d, w = params.d, params.w
-    cum = np.zeros((t + 1, n))
-    np.cumsum(inc[:, :t].T, axis=0, out=cum[1:])
-    h = np.zeros((t + 1, n))
-    g = np.zeros(n)
-    for j in range(1, t + 1):
-        np.minimum(g, w - cum[j] + h[max(0, j - d) : j].min(axis=0), out=g)
-        np.add(g, cum[j], out=h[j])
-    return cum[t] + g
-
-
-def list_scalar_dp(path, params, s, t):
-    """The list-based scalar program before its step was trimmed, a literal
-    copy: min() of the running cost and a max()-clamped window slice."""
+def reference_dp(path, params, s, t):
+    """The scalar dynamic program on a list of H, one window slice a step."""
     if t == s:
         return 0.0
     d, w = params.d, params.w
@@ -118,22 +76,34 @@ def list_scalar_dp(path, params, s, t):
     return cum[-1] - cum[0] + g
 
 
-def closure_by_products(path, params):
-    """The closure route with its feedback operand built by two general
-    min-plus products, as before the operand was formed directly."""
-    T = path.horizon
-    service = BivariateFunction.from_increments(path.increments, check=False)
-    operand = convolve(
-        convolve(service, make_delta_shift(T, params.d)), make_delta_plus_w(T, params.w)
-    )
-    return convolve(subadditive_closure(operand), service)
-
-
 PATH_FAMILIES = {
     "exponential": ExponentialVbrService(1.0),
-    "on-off": MmooService(p00=0.2, p11=0.9, peak=1.125),
+    "on-off": MMOO_REFERENCE,
     "leftover": LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.6)),
 }
+
+# path counts from one to past 8,192, across the powers of two 4,096 and
+# 8,192: the one pass over all paths must give each count the same bits
+PATH_COUNTS = (1, 4095, 4096, 4097, 8195)
+
+# every batch sampler: the path families, the constant law and a two-state
+# chain of two random laws
+SAMPLERS = {
+    **PATH_FAMILIES,
+    "constant": DeterministicService(1.0),
+    "two-state": MarkovModulated2Service(0.2, 0.9, ExponentialVbrService(0.5), ExponentialVbrService(2.0)),
+}
+
+# the batch program against its reference: (d, seed tag, T, path counts,
+# windows per slot of delay, t values)
+BATCH_CASES = [
+    *((d, (), 64, (400,), (0.05, 0.9), (0, 1, d, 64)) for d in (1, 2, 3, 5, 7, 60)),
+    *((d, (7,), 50, (300,), (0.05, 0.9), (0, 1, 10, 50)) for d in (1, 2, 5, 60)),
+    *((d, (12,), 64, PATH_COUNTS, (0.4,), (1, d, 64)) for d in (1, 5, 60)),
+]
+
+# the scalar program against its reference: (seed tag, T, delays, s and t values)
+DP_CASES = [((), 20, (1, 2, 3, 5, 7, 60), range(21)), ((11,), 50, (1, 2, 5, 60), (0, 1, 10, 50))]
 
 
 def brute_force_equivalent_service(path, params, s, t):
@@ -232,41 +202,64 @@ class TestDualOracle:
                     assert batch[i] == pytest.approx(scalar, abs=1e-9)
 
     @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 60])
-    def test_batch_bit_identical_to_row_major_loop(self, family, d):
-        T = 64
-        rng = np.random.default_rng([d, len(family)])
-        paths = PATH_FAMILIES[family].sample_increments(rng, T, 400)
+    @pytest.mark.parametrize(
+        "d, tag, T, counts, rates, times",
+        BATCH_CASES,
+        ids=[f"d{c[0]}-T{c[2]}-n{c[3][-1]}" for c in BATCH_CASES],
+    )
+    def test_batch_bit_identical_to_reference(self, family, d, tag, T, counts, rates, times):
+        rng = np.random.default_rng([d, *tag, len(family)])
+        paths = PATH_FAMILIES[family].sample_increments(rng, T, counts[-1])
         if family == "leftover":
             assert paths.min() < 0.0
-        for w in (0.05 * d, 0.9 * d):
-            fb = FeedbackParams(w=w, d=d)
-            for t in (0, 1, d, T):
-                assert np.array_equal(
-                    equivalent_service_batch(paths, fb, t), row_major_batch(paths, fb, t)
-                )
+        batches = [paths[:n] for n in counts]
+        for rate in rates:
+            fb = FeedbackParams(w=rate * d, d=d)
+            for batch in batches:
+                for t in times:
+                    assert np.array_equal(
+                        equivalent_service_batch(batch, fb, t), reference_batch(batch, fb, t)
+                    ), (rate, len(batch), t)
 
     @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
-    def test_dp_bit_identical_to_numpy_loop(self, family):
-        rng = np.random.default_rng(len(family))
-        inc = PATH_FAMILIES[family].sample_increments(rng, 20, 1)[0]
-        path = SamplePath(inc)
-        for d in (1, 2, 3, 5, 7, 60):
+    @pytest.mark.parametrize("tag, T, delays, times", DP_CASES, ids=[f"T{c[1]}" for c in DP_CASES])
+    def test_dp_bit_identical_to_reference(self, family, tag, T, delays, times):
+        rng = np.random.default_rng([*tag, len(family)])
+        path = SamplePath(PATH_FAMILIES[family].sample_increments(rng, T, 1)[0])
+        for d in delays:
             fb = FeedbackParams(w=float(rng.uniform(0.05, 1.5)) * d, d=d)
-            for s in range(path.horizon + 1):
-                for t in range(s, path.horizon + 1):
-                    assert equivalent_service_dp(path, fb, s, t) == numpy_scalar_dp(path, fb, s, t)
+            for s in times:
+                for t in times:
+                    if s <= t:
+                        assert equivalent_service_dp(path, fb, s, t) == reference_dp(path, fb, s, t)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_batch_rejects_non_finite_increments(self, bad):
         fb = FeedbackParams(w=0.5, d=3)
-        for slot in (0, 4, 9):
-            paths = np.ones((3, 10))
-            paths[1, slot] = bad
+        # (paths, the path and the slot of the bad value): the last case puts
+        # it in the last slot of the last of many paths
+        for n, row, slot in ((3, 1, 0), (3, 1, 4), (3, 1, 9), (PATH_COUNTS[-1], -1, 9)):
+            paths = np.ones((n, 10))
+            paths[row, slot] = bad
             with pytest.raises(ValueError, match="finite"):
                 equivalent_service_batch(paths, fb, 10)
             # slots at or after t are never read
             assert np.all(np.isfinite(equivalent_service_batch(paths, fb, slot)))
+
+    # d = 64 exceeds every horizon drawn here
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    def test_direct_operand_equals_two_products(self, d):
+        rng = np.random.default_rng(2024)
+        signed = 0
+        for _ in range(40):
+            path, fb = random_feedback_instance(rng, max_horizon=40)
+            fb = FeedbackParams(w=fb.w, d=d)
+            signed += path.increments.min() < 0.0
+            S = BivariateFunction.from_increments(path.increments, check=False)
+            operand = two_product_operand(S, fb)
+            assert np.array_equal(_feedback_operand(S.table, fb), operand.table)
+            assert equivalent_service_closure(path, fb).equals(convolve(subadditive_closure(operand), S))
+        assert signed > 0
 
     def test_closure_horizon_guard(self):
         path = SamplePath(np.ones(80))
@@ -278,49 +271,6 @@ class TestDualOracle:
         table = equivalent_service_closure(SamplePath(path.increments[:10]), FeedbackParams(w=0.5, d=1))
         assert table.horizon == 10
         assert table.value(0, 10) == pytest.approx(5.0)  # min(1, 0.5) per slot
-
-
-class TestBitIdentityToPreviousSteps:
-    """The trimmed oracle steps reproduce the previous expressions bit for bit."""
-
-    # d = 64 exceeds every horizon drawn here
-    @pytest.mark.parametrize("d", [1, 2, 5, 64])
-    def test_direct_operand_equals_two_products(self, d):
-        rng = np.random.default_rng(2024)
-        signed = 0
-        for _ in range(40):
-            path, fb = random_feedback_instance(rng, max_horizon=40)
-            T = path.horizon
-            fb = FeedbackParams(w=fb.w, d=d)
-            signed += path.increments.min() < 0.0
-            S = BivariateFunction.from_increments(path.increments, check=False)
-            expected = convolve(convolve(S, make_delta_shift(T, fb.d)), make_delta_plus_w(T, fb.w))
-            assert np.array_equal(_feedback_operand(S.table, fb), expected.table)
-            assert equivalent_service_closure(path, fb).equals(closure_by_products(path, fb))
-        assert signed > 0
-
-    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
-    @pytest.mark.parametrize("d", [1, 2, 5, 60])
-    def test_batch_equals_previous_step(self, family, d):
-        rng = np.random.default_rng([d, 7, len(family)])
-        paths = PATH_FAMILIES[family].sample_increments(rng, 50, 300)
-        for w in (0.05 * d, 0.9 * d):
-            fb = FeedbackParams(w=w, d=d)
-            for t in (0, 1, 10, 50):
-                assert np.array_equal(
-                    equivalent_service_batch(paths, fb, t), time_major_batch(paths, fb, t)
-                )
-
-    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
-    def test_dp_equals_previous_step(self, family):
-        rng = np.random.default_rng([11, len(family)])
-        path = SamplePath(PATH_FAMILIES[family].sample_increments(rng, 50, 1)[0])
-        for d in (1, 2, 5, 60):
-            fb = FeedbackParams(w=float(rng.uniform(0.05, 1.5)) * d, d=d)
-            for s in (0, 1, 10, 50):
-                for t in (0, 1, 10, 50):
-                    if s <= t:
-                        assert equivalent_service_dp(path, fb, s, t) == list_scalar_dp(path, fb, s, t)
 
 
 class TestResumableDp:
@@ -445,7 +395,7 @@ class TestResumableBatch:
         for t, scale in ((10, 1.0), (25, 2.0), (50, 0.5), (7, 3.0), (50, 0.25)):
             base *= scale
             # the reference program, so that no other call comes in between
-            expected = time_major_batch(base, fb, t)
+            expected = reference_batch(base, fb, t)
             assert np.array_equal(equivalent_service_batch(paths, fb, t), expected), t
 
     def test_a_collected_batch_leaves_no_entry(self):
@@ -468,7 +418,7 @@ class TestResumableBatch:
         fb = FeedbackParams(w=1.5, d=3)
         paths = np.ones((4, 50))
         paths[:, 30:32] = 1e308
-        expected = {t: time_major_batch(paths, fb, t) for t in (10, 20, 30)}
+        expected = {t: reference_batch(paths, fb, t) for t in (10, 20, 30)}
         paths.flags.writeable = False
         assert np.array_equal(equivalent_service_batch(paths, fb, 10), expected[10])
         with warnings.catch_warnings(), np.errstate(over="raise" if trap == "errstate" else "warn"):
@@ -480,23 +430,11 @@ class TestResumableBatch:
             assert np.array_equal(equivalent_service_batch(paths, fb, t), expected[t]), t
 
 
-# path counts around 4096, the block width of the evaluator before it took
-# all paths in one pass
-BLOCK_EDGES = (1, 4095, 4096, 4097, 8195)
-
-# every batch sampler: the path families, the constant law and a two-state
-# chain of two random laws
-SAMPLERS = {
-    **PATH_FAMILIES,
-    "constant": DeterministicService(1.0),
-    "two-state": MarkovModulated2Service(0.2, 0.9, ExponentialVbrService(0.5), ExponentialVbrService(2.0)),
-}
-
-
-class TestPathBlocks:
+class TestBatchLayoutAndMemory:
     """The batch evaluator takes every path in one time-major pass over a
-    ring of min(d, t) rows; no path count and no memory layout shows in the
-    result."""
+    ring of min(d, t) rows: no memory layout shows in the result, the
+    working memory is that window of rows, every sampler hands it a
+    time-major read-only batch, and an empty batch gives an empty result."""
 
     def test_no_paths(self):
         fb = FeedbackParams(w=0.5, d=3)
@@ -504,27 +442,6 @@ class TestPathBlocks:
             out = equivalent_service_batch(np.zeros((0, 10)), fb, t)
             assert out.shape == (0,)
             assert out.dtype == np.float64
-
-    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
-    @pytest.mark.parametrize("d", [1, 5, 60])
-    def test_block_edges_equal_previous_step(self, family, d):
-        rng = np.random.default_rng([d, 12, len(family)])
-        paths = PATH_FAMILIES[family].sample_increments(rng, 64, BLOCK_EDGES[-1])
-        fb = FeedbackParams(w=0.4 * d, d=d)
-        for n in BLOCK_EDGES:
-            for t in (1, d, 64):
-                assert np.array_equal(
-                    equivalent_service_batch(paths[:n], fb, t), time_major_batch(paths[:n], fb, t)
-                )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_in_last_block_raises(self, bad):
-        fb = FeedbackParams(w=0.5, d=3)
-        paths = np.ones((BLOCK_EDGES[-1], 10))
-        paths[-1, 9] = bad
-        with pytest.raises(ValueError, match="finite"):
-            equivalent_service_batch(paths, fb, 10)
-        assert np.all(np.isfinite(equivalent_service_batch(paths, fb, 9)))
 
     @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
     @pytest.mark.parametrize("d", [1, 5])
@@ -535,12 +452,12 @@ class TestPathBlocks:
         T = 64
         rng = np.random.default_rng([d, 23, len(family)])
         paths = np.ascontiguousarray(
-            PATH_FAMILIES[family].sample_increments(rng, T, 2 * BLOCK_EDGES[-1])
+            PATH_FAMILIES[family].sample_increments(rng, T, 2 * PATH_COUNTS[-1])
         )
         wide = np.zeros((len(paths), T + 7), order="F")
         wide[:, 3 : 3 + T] = paths
         fb = FeedbackParams(w=0.4 * d, d=d)
-        for n in BLOCK_EDGES:
+        for n in PATH_COUNTS:
             layouts = {
                 "fortran": np.asfortranarray(paths[:n]),
                 "fortran column slice": wide[:n, 3 : 3 + T],
@@ -557,7 +474,7 @@ class TestPathBlocks:
                     )
 
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
-    @pytest.mark.parametrize("T, n", [(7, 3), (50, 1000), (64, BLOCK_EDGES[-1])])
+    @pytest.mark.parametrize("T, n", [(7, 3), (50, 1000), (64, PATH_COUNTS[-1])])
     def test_batch_samples_are_time_major(self, family, T, n):
         # and read-only, down to the array that owns them, at any n
         for count in (1, n):
@@ -570,7 +487,7 @@ class TestPathBlocks:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_working_memory_is_a_window_of_rows(self, order):
-        # the two (t + 1, n) tables of the unblocked program took 80 MiB here;
+        # the two (n, t + 1) tables of a whole-table program take 80 MiB here;
         # the ring holds min(d, t) rows of paths, and a few more rows carry
         # the running sums, the step's scratch and the result
         n, d, t = 100_000, 5, 50
@@ -588,7 +505,7 @@ class TestPathBlocks:
 
 @settings(max_examples=40)
 @given(
-    n=st.one_of(*(st.integers(max(1, e - 2), e + 2) for e in BLOCK_EDGES)),
+    n=st.one_of(*(st.integers(max(1, e - 2), e + 2) for e in PATH_COUNTS)),
     horizon=st.integers(1, 64),
     d=st.integers(1, 70),
     w_per_slot=st.floats(0.02, 2.0),
@@ -597,13 +514,14 @@ class TestPathBlocks:
     data=st.data(),
 )
 def test_batch_property(n, horizon, d, w_per_slot, family, seed, data):
-    """Around the old block edges the batch equals the row-major program bit for
-    bit and the scalar program within 1e-9, signed leftover paths included."""
+    """At path counts near PATH_COUNTS the batch equals the reference program
+    bit for bit and the scalar program within 1e-9, signed leftover paths
+    included."""
     paths = PATH_FAMILIES[family].sample_increments(np.random.default_rng(seed), horizon, n)
     t = data.draw(st.integers(0, horizon), label="t")
     fb = FeedbackParams(w=w_per_slot * d, d=d)
     batch = equivalent_service_batch(paths, fb, t)
-    assert np.array_equal(batch, row_major_batch(paths, fb, t))
+    assert np.array_equal(batch, reference_batch(paths, fb, t))
     edges = {0, n - 1, min(n - 1, 4095), min(n - 1, 4096)}
     for i in edges | {data.draw(st.integers(0, n - 1), label="path")}:
         scalar = equivalent_service_dp(SamplePath(paths[i]), fb, 0, t)

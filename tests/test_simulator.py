@@ -31,7 +31,7 @@ from winflow.simulator import (
     quantile_estimable,
     run_flow_control,
 )
-from winflow.verify import exact_backlog_tail
+from winflow.verify import MMOO_REFERENCE, exact_backlog_tail
 
 
 def small_config(**overrides):
@@ -179,7 +179,7 @@ class TestAgainstReferences:
         "service",
         [
             ExponentialVbrService(1.0),
-            MmooService(p00=0.2, p11=0.9, peak=1.125),
+            MMOO_REFERENCE,
             LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4)),
         ],
         ids=["exponential", "mmoo", "leftover"],
@@ -300,7 +300,7 @@ class TestReferenceLoop:
             (9000, 3, 1e6, ExponentialVbrService(1.0)),
             (9000, 1, 0.5, LEFTOVER),
             (9000, 5, 2.5, LEFTOVER),
-            (9000, 10, 5.0, MmooService(p00=0.2, p11=0.9, peak=1.125)),
+            (9000, 10, 5.0, MMOO_REFERENCE),
         ]
         # horizons across the column-pass block, and the regimes that fall
         # back from it to the sweeps
@@ -371,7 +371,7 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("d", [1, 2, 5, 10, 64])
     @pytest.mark.parametrize(
         "service",
-        [ExponentialVbrService(1.0), MmooService(p00=0.2, p11=0.9, peak=1.125)],
+        [ExponentialVbrService(1.0), MMOO_REFERENCE],
         ids=["exponential", "mmoo"],
     )
     def test_saturated_departures_are_the_equivalent_service(self, service, d):
@@ -445,7 +445,7 @@ class TestBacklogQuantile:
     def test_pooled_quantiles_equal_scalar_calls(self, monkeypatch):
         config = small_config(
             arrivals=ExponentialArrivals(0.3),
-            service=MmooService(p00=0.2, p11=0.9, peak=1.125),
+            service=MMOO_REFERENCE,
             feedback=FeedbackParams(w=0.5, d=3),
             total_slots=40_000,
             replications=3,
