@@ -610,20 +610,16 @@ def steady_state_backlog_bound(arrivals, curve: LogMgfCurve, eps, grid: ThetaGri
     flat = eps.ravel()
     if not np.all((flat > 0.0) & (flat < 1.0)):
         raise ValueError("eps must lie strictly between 0 and 1")
-    # problem i is model i // len(flat) at eps i % len(flat): model-major,
-    # so the problems of one model form one run of any sorted subset
+    # problem i is model i // len(flat) at eps i % len(flat)
     model_of = np.repeat(np.arange(len(models)), len(flat))
     log_eps = np.tile([math.log(e) for e in flat.tolist()], len(models))
     thetas = grid.values[:, None]
     log_ma = np.hstack([model.log_mgf_increment(thetas) for model in models])
     on_grid = (log_eps - _log_steady_state_sum(log_ma, curve, thetas)[:, model_of]) / thetas
 
-    def negated(theta, which):  # which is sorted, as the lockstep search keeps it
-        runs = np.searchsorted(model_of[which], np.arange(len(models) + 1)).tolist()
-        log_ma = np.empty(len(which))
-        for model, lo, hi in zip(models, runs, runs[1:]):
-            if hi > lo:
-                log_ma[lo:hi] = model.log_mgf_increment(theta[lo:hi])
+    def negated(theta, which):
+        every = np.array([model.log_mgf_increment(theta) for model in models])
+        log_ma = every[model_of[which], np.arange(len(which))]
         return (log_eps[which] - _log_steady_state_sum(log_ma, curve, theta)) / theta
 
     best = -_refine_grid_max(negated, grid.values, on_grid)[0]

@@ -407,7 +407,8 @@ class LeftoverService(_IidModel):
 
 
 def _sample_sojourns(rng: np.random.Generator, p00: float, p11: float, p_on: float, T: int) -> np.ndarray:
-    """One path of T states from geometric sojourn runs.
+    """One path of T states from geometric sojourn runs, started in state 1
+    with probability p_on, the chain's steady state.
 
     Runs are drawn in bulk with alternating leave probabilities.  A batch
     that overshoots T is redrawn from the saved generator state with exactly
@@ -415,20 +416,11 @@ def _sample_sojourns(rng: np.random.Generator, p00: float, p11: float, p_on: flo
     those of one scalar draw per sojourn.
     """
     state = 1 if rng.random() < p_on else 0
+    if p00 >= 1.0 or p11 >= 1.0:
+        # p_on is exactly 0 or 1 here: the chain starts in its absorbing state
+        return np.full(T, state, dtype=np.int8)
     out = np.empty(T, dtype=np.int8)
     pos = 0
-    if p00 >= 1.0 or p11 >= 1.0:
-        # an absorbing state ends the walk
-        while pos < T:
-            stay = p11 if state else p00
-            if stay >= 1.0:
-                out[pos:] = state
-                break
-            run = int(rng.geometric(1.0 - stay))
-            out[pos : pos + run] = state
-            pos += run
-            state = 1 - state
-        return out
     leave = np.array([1.0 - p00, 1.0 - p11])
     mean_cycle = 1.0 / leave[0] + 1.0 / leave[1]
     while pos < T:
@@ -449,9 +441,7 @@ def _sample_sojourns(rng: np.random.Generator, p00: float, p11: float, p_on: flo
     return out
 
 
-def _sample_two_state_chain(
-    rng: np.random.Generator, p00: float, p11: float, p_on: float, T: int, n: int
-) -> np.ndarray:
+def _sample_two_state_chain(rng: np.random.Generator, p00: float, p11: float, T: int, n: int) -> np.ndarray:
     """States in {0, 1}, shape (n, T), chain started in steady state.
 
     Batches iterate slot by slot across all paths, drawing ``rng.random(n)``
@@ -460,6 +450,7 @@ def _sample_two_state_chain(
     path is generated from geometric sojourn runs, which is equivalent in
     distribution because sojourn times are memoryless given the state.
     """
+    p_on = (1.0 - p00) / ((1.0 - p00) + (1.0 - p11))  # the steady state, as on_probability has it
     if n == 1 and T > 4096:
         return _sample_sojourns(rng, p00, p11, p_on, T)[None, :]
     states = np.empty((T, n), dtype=np.int8)
@@ -655,7 +646,7 @@ class MarkovModulated2Service(_Model):
         return prob
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        states = _sample_two_state_chain(rng, self.p00, self.p11, self.on_probability, T, n)
+        states = _sample_two_state_chain(rng, self.p00, self.p11, T, n)
         # a constant law draws nothing from rng: broadcast its rate, build no array
         inc0, inc1 = (
             float(law.rate) if isinstance(law, DeterministicService) else law.sample_increments(rng, T, n)

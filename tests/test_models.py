@@ -499,7 +499,7 @@ class TestSojournSampler:
     """The bulk sojourn draw equals the scalar walk, generator state included."""
 
     @pytest.mark.parametrize(
-        "p00, p11", [(0.2, 0.9), (0.5, 0.5), (0.0, 0.95), (0.999, 0.998)]
+        "p00, p11", [(0.2, 0.9), (0.5, 0.5), (0.0, 0.95), (0.999, 0.998), (1.0, 0.3), (0.4, 1.0)]
     )
     @pytest.mark.parametrize("T", [4097, 60_000])
     def test_on_off_matches_scalar_walk(self, p00, p11, T):
@@ -525,19 +525,6 @@ class TestSojournSampler:
             inc1 = model.law1.sample_increments(rng_ref, T, 1)[0]
             expected = (1 - states) * inc0 + states * inc1
             assert np.array_equal(model.sample_increments(rng, T, 1)[0], expected)
-            assert rng.random() == rng_ref.random()
-
-    @pytest.mark.parametrize("p00, p11", [(1.0, 0.3), (0.4, 1.0)])
-    def test_absorbing_state(self, p00, p11):
-        # started off the steady state, so the walk leaves the transient
-        # state before it is absorbed
-        from winflow.models import _sample_two_state_chain
-
-        for seed in range(5):
-            rng_ref = np.random.default_rng(seed)
-            rng = np.random.default_rng(seed)
-            states = geometric_run_walk(rng_ref, p00, p11, 0.5, 10_000)
-            assert np.array_equal(_sample_two_state_chain(rng, p00, p11, 0.5, 10_000, 1)[0], states)
             assert rng.random() == rng_ref.random()
 
 
@@ -599,8 +586,8 @@ class TestSamplersBitIdenticalToPreviousExpressions:
         from winflow.models import _sample_two_state_chain
 
         rng, rng_ref = np.random.default_rng([T, n]), np.random.default_rng([T, n])
-        expected = where_chain(rng_ref, p00, p11, 0.4, T, n)
-        states = _sample_two_state_chain(rng, p00, p11, 0.4, T, n)
+        expected = where_chain(rng_ref, p00, p11, MmooService(p00, p11, 1.0).on_probability, T, n)
+        states = _sample_two_state_chain(rng, p00, p11, T, n)
         assert states.dtype == expected.dtype
         assert np.array_equal(states, expected)
         assert np.array_equal(rng.random(5), rng_ref.random(5))

@@ -381,6 +381,7 @@ class TestReferenceLoop:
         fb = FeedbackParams(w=0.5 * d, d=d)
         for T, times in ((9000, (1, 17, 4096, 4097, 9000)), (20000, (16384, 16385, 20000))):
             drain = np.maximum(service.sample_increments(np.random.default_rng(d), T, 1), 0.0)
+            drain.flags.writeable = False  # read-only, so the oracle resumes along the times
             departed = _departures(1e9 * np.arange(T + 1.0), drain[0], fb.w, d)
             for t in times:
                 s_eq = equivalent_service_batch(drain, fb, t)[0]
