@@ -42,7 +42,6 @@ from .oracle import (
     equivalent_service_batch,
     equivalent_service_closure,
     equivalent_service_dp,
-    equivalent_service_dp_row,
 )
 from .simulator import (
     SimConfig,

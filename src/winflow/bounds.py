@@ -420,6 +420,8 @@ def statistical_service_curve(
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     log_eps = math.log(eps)
     thetas = grid.values
     ts = np.arange(horizon + 1)

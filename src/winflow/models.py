@@ -470,8 +470,9 @@ class MarkovModulated2Service(_Model):
 
     The chain selects the slot law: increments are drawn i.i.d. from ``law0``
     in state 0 and from ``law1`` in state 1, independently of the chain.
-    The chain starts in steady state.  The path MGF holds for any chain with
-    a steady state (with a zero diagonal, while the state log-MGFs differ by
+    The chain starts in steady state; the frozen chain p00 = p11 = 1 has no
+    unique one and is refused.  The path MGF holds for any chain with a
+    steady state (with a zero diagonal, while the state log-MGFs differ by
     at most 1400).  The spectral bound quantities (``eigen_m_plus``,
     ``k_theta``, ``effective_capacity``) require slow switching,
     p01 + p10 < 1, which keeps the correlation eigenvalue
@@ -487,6 +488,8 @@ class MarkovModulated2Service(_Model):
         for name in ("p00", "p11"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.p00 == self.p11 == 1.0:
+            raise ValueError("chain has no unique steady state (p00 = p11 = 1)")
 
     @property
     def p01(self) -> float:
@@ -505,18 +508,11 @@ class MarkovModulated2Service(_Model):
         return 1.0 - self.p01 - self.p10
 
     @property
-    def has_steady_state(self) -> bool:
-        """False only for the frozen chain p00 = p11 = 1."""
-        return self.p01 + self.p10 > 0.0
-
-    @property
     def is_slow_switching(self) -> bool:
         """p01 + p10 in (0, 1), the condition of the spectral bounds."""
         return 0.0 < self.p01 + self.p10 < 1.0
 
     def _require_slow_switching(self):
-        if not self.has_steady_state:
-            raise ValueError("chain has no unique steady state (p01 = p10 = 0)")
         if not self.is_slow_switching:
             raise ValueError(
                 f"spectral analysis requires p01 + p10 < 1, got {self.p01 + self.p10}"

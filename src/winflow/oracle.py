@@ -23,15 +23,14 @@ dynamic program over positions, and the dioid closure.  They serve as
 ground truth for every analytic bound and for the simulator.  A batch
 evaluator vectorizes the dynamic program across many paths.
 
-Costs: the scalar program is one resumable pass per (path, params, s).  A
-path holds one entry: its last (w, d, s) and the values reached so far, so
-a sweep of t upward at fixed s costs O((T - s) * d) Python float operations
-in all, not per call, and retains 8 bytes a reached t; the row view hands
-out those values at once.  The
-closure table is O(T^3) array work in one min-plus product and a
+Costs: the scalar program keeps one row per (path, params, s).  A path
+holds its last (w, d, s) and the values at every t from s to the horizon,
+built on the first call in O((T - s) * d) Python float operations, so any
+sweep of t at fixed s costs that once, and the row retains 8 bytes a slot.
+The closure table is O(T^3) array work in one min-plus product and a
 Floyd-Warshall closure, after an O(d T^2) operand built by shifted
 minima; the batch evaluator is one pass of t time-major row steps over all
-paths, in O(min(d, t) * n_paths) working memory, and it is resumable too:
+paths, in O(min(d, t) * n_paths) working memory, and it is resumable:
 on a read-only batch, such as every random batch sampler returns, calls at
 t upward cost one pass to the largest t in all.  It reads each slot's
 column of the input in place, whatever the layout; time-major (F-order)
@@ -54,7 +53,6 @@ from .bounds import FeedbackParams
 __all__ = [
     "SamplePath",
     "equivalent_service_dp",
-    "equivalent_service_dp_row",
     "equivalent_service_batch",
     "equivalent_service_closure",
     "apriori_envelope",
@@ -95,22 +93,20 @@ class SamplePath:
         return float(self._cumulative[t] - self._cumulative[s])
 
 
-class _DpPass:
-    """The dynamic program of one (w, d, s) on one path, as far as it went.
-
-    ``row[j]`` is the equivalent service over [s, s + j); ``g`` and ``H``
-    are the running cost and the window of the last step, dropped once the
-    row reaches the horizon.
-    """
-
-    __slots__ = ("key", "c0", "row", "g", "H")
-
-    def __init__(self, key: tuple, c0: float, d: int):
-        self.key = key
-        self.c0 = c0
-        self.row = array("d", [0.0])
-        self.g = 0.0
-        self.H = deque([c0], maxlen=d)  # the last d of H(j) = G(j) + cum(s + j)
+def _dp_row(path: SamplePath, params: FeedbackParams, s: int) -> array:
+    """The scalar program's row from s: entry j is the equivalent service
+    over [s, s + j), for j = 0 .. T - s."""
+    w, cum = params.w, path.cumulative
+    c0, g = float(cum[s]), 0.0
+    H = deque([c0], maxlen=params.d)  # the last d of H(j) = G(j) + cum(s + j)
+    row = array("d", [0.0])
+    for c in cum[s + 1 :].tolist():
+        v = w - c + min(H)
+        if v < g:
+            g = v
+        H.append(g + c)
+        row.append(c - c0 + g)
+    return row
 
 
 def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: int) -> float:
@@ -120,46 +116,17 @@ def equivalent_service_dp(path: SamplePath, params: FeedbackParams, s: int, t: i
     leaves the next slot uncovered or ends a window of length <= d at it.
     The predecessor scan is the minimum of G(k) + cum(k) over the last d
     positions, kept in a deque of length d.
-    Runs on Python floats, one path at a time.  The pass is resumable: the
-    path keeps one entry, the values for its last (w, d, s), so a call at
-    a reached t is an index and a later t resumes from the last step,
-    reading only the new slots.  Another (w, d, s) replaces the entry.  The
-    entry keeps 8 bytes a reached t, plus the window until the horizon.
+    Runs on Python floats, one path at a time.  The path keeps one row, for
+    its last (w, d, s): the first call for a (w, d, s) computes the values
+    at every t from s to the horizon, and each call reads its t from the
+    row.  Another (w, d, s) replaces the row, which holds 8 bytes a slot.
     """
     if not 0 <= s <= t <= path.horizon:
         raise ValueError(f"need 0 <= s <= t <= {path.horizon}, got ({s}, {t})")
-    if t == s:
-        return 0.0
-    d, w = params.d, params.w
-    state = path._dp
-    if state is None or state.key != (w, d, s):
-        state = _DpPass((w, d, s), float(path.cumulative[s]), d)
-        object.__setattr__(path, "_dp", state)
-    row = state.row
-    if t - s < len(row):
-        return row[t - s]
-    c0, g, H = state.c0, state.g, state.H
-    for c in path.cumulative[s + len(row) : t + 1].tolist():
-        v = w - c + min(H)
-        if v < g:
-            g = v
-        H.append(g + c)
-        row.append(c - c0 + g)
-    if t == path.horizon:
-        g = state.H = None
-    state.g = g
-    return row[-1]
-
-
-def equivalent_service_dp_row(path: SamplePath, params: FeedbackParams, s: int, t: int) -> np.ndarray:
-    """Exact equivalent service over [s, s + j) for j = 0 .. t - s, as a new
-    array: the row of ``equivalent_service_dp``'s resumable pass, advanced
-    to t, so one call gives the values of t - s + 1 calls, bit for bit."""
-    equivalent_service_dp(path, params, s, t)
-    if t == s:
-        return np.zeros(1)
-    # a copy: the pass's array('d') cannot grow while it exports a buffer
-    return np.array(path._dp.row[: t - s + 1])
+    key = (params.w, params.d, s)
+    if path._dp is None or path._dp[0] != key:
+        object.__setattr__(path, "_dp", (key, _dp_row(path, params, s)))
+    return path._dp[1][t - s]
 
 
 class _BatchPass:

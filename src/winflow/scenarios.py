@@ -210,12 +210,11 @@ def _build_service(sec: _Section, slot_ms: float):
         return ExponentialVbrService(sec.rate("service_rate_mbps", slot_ms))
     if kind == "mmoo":
         p00, p11 = sec.probability("mmoo_p00"), sec.probability("mmoo_p11")
-        service = MmooService(p00=p00, p11=p11, peak=sec.rate("mmoo_peak_mbps", slot_ms))
-        if not service.has_steady_state:
+        if p00 == p11 == 1.0:
             raise ScenarioError(
                 sec.name, "mmoo_p11", "mmoo_p00 = mmoo_p11 = 1 leaves no unique steady state"
             )
-        return service
+        return MmooService(p00=p00, p11=p11, peak=sec.rate("mmoo_peak_mbps", slot_ms))
     base = DeterministicService(sec.rate("service_rate_mbps", slot_ms))
     service = LeftoverService(base, ExponentialArrivals(sec.rate("cross_rate_mbps", slot_ms)))
     if not service.is_stable:

@@ -87,6 +87,8 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # at least two post-warmup slots, one for each half of backlog_drift
         if not 0 <= self.warmup_slots <= self.total_slots - 2:
             raise ValueError("warmup_slots must satisfy 0 <= warmup <= total - 2")

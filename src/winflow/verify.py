@@ -44,7 +44,7 @@ from .oracle import (
     apriori_envelope,
     equivalent_service_batch,
     equivalent_service_closure,
-    equivalent_service_dp_row,
+    equivalent_service_dp,
 )
 from .scenarios import canned_scenarios
 from . import units
@@ -198,7 +198,7 @@ def random_feedback_instance(rng: np.random.Generator, max_horizon: int = 24):
 def suite_dual_oracle(seed: int = 1, instances: int = 60) -> SuiteResult:
     """dp == closure, the envelope around both and, at d = 1, the prefix-sum
     closed form on both, each on the whole (s, t) table; batch == dp at (0, T).
-    The DP table takes one row call per s, +inf below the diagonal.
+    The DP table is one call per (s, t), t ascending, +inf below the diagonal.
     """
     out = SuiteResult("dual-oracle")
     rng = np.random.default_rng(seed)
@@ -208,7 +208,7 @@ def suite_dual_oracle(seed: int = 1, instances: int = 60) -> SuiteResult:
         closure = equivalent_service_closure(path, fb).table
         dp = np.full((T + 1, T + 1), np.inf)
         for s in range(T + 1):
-            dp[s, s:] = equivalent_service_dp_row(path, fb, s, T)
+            dp[s, s:] = [equivalent_service_dp(path, fb, s, t) for t in range(s, T + 1)]
         lower, upper = apriori_envelope(path, fb)
         batch = equivalent_service_batch(path.increments[None, :], fb, T)[0]
         both = np.array([dp, closure])

@@ -354,6 +354,14 @@ class TestStatisticalServiceCurve:
         assert np.all(res.value == 0.0)
         assert not np.any(res.feasible)
 
+    def test_refuses_bad_arguments(self):
+        curve = per_slot_curve(VBR, FeedbackParams(w=0.5, d=1))
+        for eps in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="eps must lie in"):
+                statistical_service_curve(curve, eps, GRID, 5)
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            statistical_service_curve(curve, 1e-3, GRID, -1)
+
     def test_epsilon_one_floors_at_zero(self):
         fb = FeedbackParams(w=0.5, d=1)
         res = statistical_service_curve(per_slot_curve(VBR, fb), 1.0, GRID, 5)

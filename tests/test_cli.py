@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from winflow import cli, units, verify
+from winflow import cli, oracle, units, verify
 from winflow.bounds import (
     _CURVE_BLOCK_ENTRIES,
     FeedbackParams,
@@ -26,7 +26,7 @@ from winflow.bounds import (
 )
 from winflow.cli import _fmt, main, write_csv
 from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
-from winflow.oracle import apriori_envelope, equivalent_service_dp_row
+from winflow.oracle import apriori_envelope, equivalent_service_dp
 from winflow.scenarios import (
     CANNED,
     MAX_SLOTS,
@@ -1163,9 +1163,9 @@ class TestVerifySuite:
         def corrupted(path, params, s, t):
             # sign-flip the window charge: breaks the envelope and the
             # closure agreement
-            return equivalent_service_dp_row(path, params, s, t) - 2.0 * params.w
+            return equivalent_service_dp(path, params, s, t) - 2.0 * params.w
 
-        monkeypatch.setattr(verify, "equivalent_service_dp_row", corrupted)
+        monkeypatch.setattr(verify, "equivalent_service_dp", corrupted)
         assert suite_dual_oracle(seed=1, instances=12).failures > 0
 
     def test_block_bound_without_its_window_term_is_detected(self, monkeypatch):
@@ -1185,30 +1185,29 @@ class TestVerifySuite:
         assert suite_mgf_dominance(seed=2, n_paths=4000).failures > 0
 
     def test_dual_oracle_suite_runs_one_envelope_and_one_dp_pass_per_s(self, monkeypatch):
-        envelopes, dp_calls = [], []
+        envelopes, builds = [], []
+        dp_row = oracle._dp_row
 
         def counting_envelope(path, *args):
             envelopes.append(path)
             return apriori_envelope(path, *args)
 
-        def recording_dp(path, params, s, t):
-            dp_calls.append((path, s, t))  # holds the path, so ids stay unique
-            return equivalent_service_dp_row(path, params, s, t)
+        def recording_row(path, params, s):
+            builds.append((path, s))  # holds the path, so ids stay unique
+            return dp_row(path, params, s)
 
         monkeypatch.setattr(verify, "apriori_envelope", counting_envelope)
-        monkeypatch.setattr(verify, "equivalent_service_dp_row", recording_dp)
+        monkeypatch.setattr(oracle, "_dp_row", recording_row)
         result = suite_dual_oracle(seed=1, instances=60)
         assert result.passed and result.checks == 194
         assert len(envelopes) == 60
-        queries = {}
-        for path, s, t in dp_calls:
-            queries.setdefault(id(path), []).append((s, t))
-        # one row call per s, s ascending, each to the horizon: every
-        # interval is asked once
-        assert len(queries) == 60
+        rows = {}
+        for path, s in builds:
+            rows.setdefault(id(path), []).append(s)
+        # one row per s, s ascending: the calls at every t of an s share it
+        assert len(rows) == 60
         for path in envelopes:
-            T = path.horizon
-            assert queries[id(path)] == [(s, T) for s in range(T + 1)]
+            assert rows[id(path)] == list(range(path.horizon + 1))
 
     def test_fast_option_is_refused(self, capsys):
         # one configuration: every suite runs at its own size

@@ -274,9 +274,8 @@ class TestMmoo:
         assert flat.k_theta(0.3) == 1.0
 
     def test_frozen_chain_is_rejected(self):
-        frozen = MmooService(p00=1.0, p11=1.0, peak=1.0)
-        with pytest.raises(ValueError, match="steady state"):
-            frozen.eigen_m_plus(-1.0)
+        with pytest.raises(ValueError, match="no unique steady state"):
+            MmooService(p00=1.0, p11=1.0, peak=1.0)
 
     def test_steady_state_on_fraction(self):
         path = sample_path(MMOO, seed=2024, T=1_000_000)

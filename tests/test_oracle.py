@@ -35,7 +35,6 @@ from winflow.oracle import (
     equivalent_service_batch,
     equivalent_service_closure,
     equivalent_service_dp,
-    equivalent_service_dp_row,
     _feedback_operand,
 )
 from winflow.verify import MMOO_REFERENCE, random_feedback_instance
@@ -274,9 +273,8 @@ class TestDualOracle:
 
 
 class TestResumableDp:
-    """A path keeps one pass of the scalar program, for its last (w, d, s):
-    no order of calls shows in a value, and the pass holds 8 bytes a
-    reached t."""
+    """A path keeps one row of the scalar program, for its last (w, d, s):
+    no order of calls shows in a value, and the row holds 8 bytes a slot."""
 
     @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
     @pytest.mark.parametrize("d", [1, 2, 5, 60])
@@ -313,23 +311,10 @@ class TestResumableDp:
             ), (fb, s, t)
         assert repr(shared) == text
 
-    def test_a_short_call_on_a_long_path_reads_its_span(self):
-        path = SamplePath(np.random.default_rng(5).exponential(1.0, 10**6))
-        fb = FeedbackParams(w=1.5, d=60)
-        for s in (0, 500_000, 10**6 - 3):
-            tracemalloc.start()
-            try:
-                equivalent_service_dp(path, fb, s, s + 3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 64 * 2**10
-
     @pytest.mark.parametrize("T, d", [(20_000, 5), (3_000, 3_000)])
     def test_a_sweep_retains_eight_bytes_a_slot(self, T, d):
         # array('d') over-allocates by at most 1/16 as it grows; a list of
-        # floats would hold 32 bytes a slot, and a window kept past the
-        # horizon 32 bytes an entry of it
+        # floats would hold 32 bytes a slot
         path = SamplePath(np.random.default_rng(6).exponential(1.0, T))
         fb = FeedbackParams(w=0.6 * d, d=d)
         tracemalloc.start()
@@ -341,24 +326,6 @@ class TestResumableDp:
         finally:
             tracemalloc.stop()
         assert retained <= 8.5 * (T + 1) + 16 * 2**10
-
-    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
-    @pytest.mark.parametrize("d", [1, 2, 5, 60])
-    def test_row_equals_the_per_t_calls(self, family, d):
-        T = 40
-        rng = np.random.default_rng([d, 32, len(family)])
-        inc = PATH_FAMILIES[family].sample_increments(rng, T, 1)[0]
-        fbs = [FeedbackParams(w=0.3 * d, d=d), FeedbackParams(w=0.8 * d, d=d)]
-        spans = [(int(s), int(t)) for s, t in np.sort(rng.integers(0, T + 1, size=(150, 2)), axis=1)]
-        spans += [(0, T), (T, T), (0, 0), (7, 8)]
-        shared = SamplePath(inc)
-        for k in rng.permutation(2 * len(spans)):
-            fb, (s, t) = fbs[k % 2], spans[k // 2]
-            if k % 3 == 0:  # a scalar call on the shared path in between
-                equivalent_service_dp(shared, fb, s, int(rng.integers(s, T + 1)))
-            row = equivalent_service_dp_row(shared, fb, s, t)
-            expected = [equivalent_service_dp(SamplePath(inc), fb, s, u) for u in range(s, t + 1)]
-            assert row.dtype == np.float64 and np.array_equal(row, expected), (fb, s, t)
 
 
 class TestResumableBatch:

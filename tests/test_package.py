@@ -1,5 +1,5 @@
-"""Package-level checks: every public name has a caller, and the README
-example runs as written."""
+"""Package-level checks: every public name has a caller, every private
+top-level definition is read, and the README example runs as written."""
 
 import ast
 import pathlib
@@ -44,27 +44,51 @@ def _read_names(node: ast.AST) -> set:
     return names
 
 
-def uncalled_public_names(src: pathlib.Path) -> set:
-    """Names in a module's ``__all__`` that no code of the package reads,
-    outside their own definition.  The package ``__init__`` only re-exports
-    and does not count as a caller."""
-    modules = [
+def _modules(src: pathlib.Path) -> list:
+    """The package's modules, parsed.  The package ``__init__`` only
+    re-exports and does not count as a caller."""
+    return [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(src.glob("*.py"))
         if path.stem != "__init__"
     ]
+
+
+def _unread(modules: list, names: list) -> set:
+    """The given names that no top-level statement of the modules reads,
+    outside their own definition."""
     # (name defined, names read) of every top-level statement
     reads = [(getattr(stmt, "name", None), _read_names(stmt)) for tree in modules for stmt in tree.body]
-    return {
-        name
-        for tree in modules
-        for name in _exported(tree)
-        if not any(name in names for defined, names in reads if defined != name)
-    }
+    return {name for name in names if not any(name in read for defined, read in reads if defined != name)}
+
+
+def uncalled_public_names(src: pathlib.Path) -> set:
+    """Names in a module's ``__all__`` that no code of the package reads."""
+    modules = _modules(src)
+    return _unread(modules, [name for tree in modules for name in _exported(tree)])
+
+
+def unread_private_definitions(src: pathlib.Path) -> set:
+    """Private top-level functions and classes that no other top-level
+    statement of the package reads."""
+    modules = _modules(src)
+    return _unread(
+        modules,
+        [
+            stmt.name
+            for tree in modules
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+        ],
+    )
 
 
 def test_every_public_name_has_a_caller_or_a_stated_reason():
     assert uncalled_public_names(SRC) == UNCALLED
+
+
+def test_every_private_definition_is_read():
+    assert unread_private_definitions(SRC) == set()
 
 
 def test_readme_python_example_runs(capsys):

@@ -550,6 +550,8 @@ class TestConfigValidation:
             small_config(replications=0)
         with pytest.raises(ValueError):
             small_config(total_slots=0, warmup_slots=0)
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=-1)
 
     def test_warmup_leaves_two_slots(self):
         # backlog_drift compares two halves of the post-warmup slots
