@@ -13,6 +13,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -326,6 +327,28 @@ class TestResumableDp:
         finally:
             tracemalloc.stop()
         assert retained <= 8.5 * (T + 1) + 16 * 2**10
+
+    @pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 5, 60])
+    def test_row_equals_the_per_t_calls(self, family, d):
+        # the one row a path keeps, read back whole, is the fresh-path value
+        # at every t from s to the horizon
+        T = 40
+        rng = np.random.default_rng([d, 32, len(family)])
+        inc = PATH_FAMILIES[family].sample_increments(rng, T, 1)[0]
+        fbs = [FeedbackParams(w=0.3 * d, d=d), FeedbackParams(w=0.8 * d, d=d)]
+        spans = [(int(s), int(t)) for s, t in np.sort(rng.integers(0, T + 1, size=(150, 2)), axis=1)]
+        spans += [(0, T), (T, T), (0, 0), (7, 8)]
+        shared = SamplePath(inc)
+        for k in rng.permutation(2 * len(spans)):
+            fb, (s, t) = fbs[k % 2], spans[k // 2]
+            if k % 3 == 0:  # a scalar call on the shared path in between
+                equivalent_service_dp(shared, fb, s, int(rng.integers(s, T + 1)))
+            got = [equivalent_service_dp(shared, fb, s, u) for u in range(s, t + 1)]
+            key, row = shared._dp
+            expected = [equivalent_service_dp(SamplePath(inc), fb, s, u) for u in range(s, T + 1)]
+            assert key == (fb.w, fb.d, s) and isinstance(row, array), (fb, s, t)
+            assert got == expected[: t - s + 1] and list(row) == expected, (fb, s, t)
 
 
 class TestResumableBatch:
