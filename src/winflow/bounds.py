@@ -418,8 +418,8 @@ def statistical_service_curve(
     stays bounded at any horizon and the result does not depend on the
     blocking.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie strictly between 0 and 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     log_eps = math.log(eps)

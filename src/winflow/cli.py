@@ -54,25 +54,12 @@ from .simulator import SimConfig, backlog_quantile, quantile_estimable, run_flow
 __all__ = ["main"]
 
 
-def _fmt(value) -> str:
-    """One CSV cell: strings as they are, integers in decimal, and floats
-    (nan and +-inf included) in shortest round-trip form."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _column_text(column) -> List[str]:
-    # a numeric array converts to Python ints or floats in one pass, and
-    # repr of those is exactly _fmt's text; a list of str is text already;
-    # booleans and objects go by value
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
-        return list(map(repr, column.tolist()))
+    # a list of str is text already; any other column converts to Python ints
+    # or floats in one pass, whose repr is the shortest round-trip text
     if isinstance(column, list) and set(map(type, column)) == {str}:
         return column
-    return list(map(_fmt, column))
+    return list(map(repr, np.asarray(column).tolist()))
 
 
 # rows are formatted and written this many at a time, so that the text of

@@ -92,6 +92,13 @@ def _positive_theta(theta) -> np.ndarray:
     return theta
 
 
+def _check_counts(T, n) -> None:
+    """Refuse a slot count T or path count n that is negative or not an integer."""
+    for name, value in (("T", T), ("n", n)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be an integer >= 0")
+
+
 # ===========================================================================
 # regularized lower incomplete gamma and the Erlang quantile
 # ===========================================================================
@@ -267,6 +274,7 @@ class DeterministicService(_IidModel):
         return np.multiply(theta, min(self.rate, cap))
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
+        _check_counts(T, n)
         return _frozen(np.full((T, n), float(self.rate))).T
 
 
@@ -313,6 +321,7 @@ class ExponentialVbrService(_IidModel):
         of paths at a time into one reused buffer and stored one slot row at
         a time: the result is the F-contiguous transpose of a (T, n) table,
         which is read-only, as the result is."""
+        _check_counts(T, n)
         if n == 1:
             return _frozen(self._from_uniform(rng.random((1, T))))
         table = np.empty((T, n))
@@ -642,6 +651,7 @@ class MarkovModulated2Service(_Model):
         return prob
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
+        _check_counts(T, n)
         states = _sample_two_state_chain(rng, self.p00, self.p11, T, n)
         # a constant law draws nothing from rng: broadcast its rate, build no array
         inc0, inc1 = (

@@ -28,6 +28,7 @@ from winflow.bounds import (
     ThetaGrid,
     best_effcap_lower,
     effcap_apriori,
+    effcap_lower_blocks,
     per_slot_curve,
     steady_state_backlog_bound,
 )
@@ -237,6 +238,9 @@ def test_08_effective_capacity_ordering(mgf_dominance):
     ]
     for model, fb in study:
         best = best_effcap_lower(model, fb, GRID)
+        # the best lower bound is at least each family's, on the whole grid
+        assert (best.value >= effcap_lower_blocks(model, fb, GRID.values)).all()
+        assert (best.value >= effcap_apriori(model, fb, GRID.values)[0]).all()
         for i, theta in enumerate(GRID.values):
             ceiling = min(model.effective_capacity(theta), fb.rate_cap)
             assert best.value[i] <= ceiling + 1e-12

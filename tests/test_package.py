@@ -1,5 +1,6 @@
 """Package-level checks: every public name has a caller, every private
-top-level definition is read, and the README example runs as written."""
+top-level definition of the package and every top-level definition of the
+tests is read, and the README example runs as written."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "winflow"
+TESTS = ROOT / "tests"
 
 # Public names that nothing in src calls, each kept for a stated reason.
 # perfbench/tracer.py looks the first five up in their module's __dict__ and
@@ -44,8 +46,15 @@ def _read_names(node: ast.AST) -> set:
     return names
 
 
+def _defined(stmt: ast.stmt) -> list:
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(stmt, ast.Assign):
+        return [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+    return [stmt.name] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else []
+
+
 def _modules(src: pathlib.Path) -> list:
-    """The package's modules, parsed.  The package ``__init__`` only
+    """The modules of a directory, parsed.  A package ``__init__`` only
     re-exports and does not count as a caller."""
     return [
         ast.parse(path.read_text(encoding="utf-8"))
@@ -54,12 +63,12 @@ def _modules(src: pathlib.Path) -> list:
     ]
 
 
-def _unread(modules: list, names: list) -> set:
+def _unread(modules: list, names: list, reader=_read_names) -> set:
     """The given names that no top-level statement of the modules reads,
     outside their own definition."""
-    # (name defined, names read) of every top-level statement
-    reads = [(getattr(stmt, "name", None), _read_names(stmt)) for tree in modules for stmt in tree.body]
-    return {name for name in names if not any(name in read for defined, read in reads if defined != name)}
+    # (names defined, names read) of every top-level statement
+    reads = [(_defined(stmt), reader(stmt)) for tree in modules for stmt in tree.body]
+    return {name for name in names if not any(name in read for defined, read in reads if name not in defined)}
 
 
 def uncalled_public_names(src: pathlib.Path) -> set:
@@ -72,14 +81,20 @@ def unread_private_definitions(src: pathlib.Path) -> set:
     """Private top-level functions and classes that no other top-level
     statement of the package reads."""
     modules = _modules(src)
+    defs = [stmt.name for tree in modules for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    return _unread(modules, [name for name in defs if name.startswith("_")])
+
+
+def unread_test_definitions(tests: pathlib.Path) -> set:
+    """Top-level functions, classes and module constants of the tests,
+    other than those pytest collects, that no other top-level statement of
+    the tests reads.  A test reads a fixture by naming it as a parameter."""
+    modules = _modules(tests)
+    names = {name for tree in modules for stmt in tree.body for name in _defined(stmt)}
     return _unread(
         modules,
-        [
-            stmt.name
-            for tree in modules
-            for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
-        ],
+        [name for name in names if not name.startswith(("test_", "Test"))],
+        lambda stmt: _read_names(stmt) | {sub.arg for sub in ast.walk(stmt) if isinstance(sub, ast.arg)},
     )
 
 
@@ -89,6 +104,10 @@ def test_every_public_name_has_a_caller_or_a_stated_reason():
 
 def test_every_private_definition_is_read():
     assert unread_private_definitions(SRC) == set()
+
+
+def test_every_test_helper_and_constant_is_read():
+    assert unread_test_definitions(TESTS) == set()
 
 
 def test_readme_python_example_runs(capsys):
