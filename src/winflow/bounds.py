@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .models import MarkovModulated2Service, MmooService, _positive_theta, _safe_exp
+from .models import MarkovModulated2Service, MmooService, _check_counts, _check_eps, _positive_theta, _safe_exp
 
 INF = float("inf")
 
@@ -418,10 +418,8 @@ def statistical_service_curve(
     stays bounded at any horizon and the result does not depend on the
     blocking.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_eps(eps)
+    _check_counts(horizon=horizon)
     log_eps = math.log(eps)
     thetas = grid.values
     ts = np.arange(horizon + 1)
@@ -573,10 +571,8 @@ def backlog_bound(
     unstable at this arrival rate for every usable theta).  The objective is
     evaluated one theta at a time, so memory stays O(t).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_eps(eps)
+    _check_counts(1, t=t)
     log_eps = math.log(eps)
 
     def negated(thetas, _):
@@ -608,10 +604,8 @@ def steady_state_backlog_bound(arrivals, curve: LogMgfCurve, eps, grid: ThetaGri
     models = [arrivals] if single else list(arrivals)
     if not models:
         raise ValueError("steady_state_backlog_bound needs at least one arrival model")
-    eps = np.asarray(eps, dtype=float)
+    eps = _check_eps(eps)
     flat = eps.ravel()
-    if not np.all((flat > 0.0) & (flat < 1.0)):
-        raise ValueError("eps must lie strictly between 0 and 1")
     # problem i is model i // len(flat) at eps i % len(flat)
     model_of = np.repeat(np.arange(len(models)), len(flat))
     log_eps = np.tile([math.log(e) for e in flat.tolist()], len(models))

@@ -92,11 +92,21 @@ def _positive_theta(theta) -> np.ndarray:
     return theta
 
 
-def _check_counts(T, n) -> None:
-    """Refuse a slot count T or path count n that is negative or not an integer."""
-    for name, value in (("T", T), ("n", n)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{name} must be an integer >= 0")
+def _check_eps(eps) -> np.ndarray:
+    """eps (a scalar or an array) as an array, refused unless every entry
+    lies strictly between 0 and 1."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((eps > 0.0) & (eps < 1.0)):  # NaN fails too
+        raise ValueError("eps must lie strictly between 0 and 1")
+    return eps
+
+
+def _check_counts(minimum: int = 0, **counts) -> None:
+    """Refuse, by its name, a count that is not an integer of at least
+    ``minimum``; numpy integers pass."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 # ===========================================================================
@@ -182,8 +192,7 @@ def erlang_quantile(eps: float, n, mean_per_slot: float):
     exact quantile (about 1e-14 relative) and bit-identical to the scalar
     call.  Raises on non-convergence instead of clamping.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly between 0 and 1")
+    _check_eps(eps)
     if not 0.0 < mean_per_slot < INF:
         raise ValueError("mean per slot must be finite and > 0")
     shape = np.asarray(n, dtype=float)
@@ -274,7 +283,7 @@ class DeterministicService(_IidModel):
         return np.multiply(theta, min(self.rate, cap))
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        _check_counts(T, n)
+        _check_counts(T=T, n=n)
         return _frozen(np.full((T, n), float(self.rate))).T
 
 
@@ -321,7 +330,7 @@ class ExponentialVbrService(_IidModel):
         of paths at a time into one reused buffer and stored one slot row at
         a time: the result is the F-contiguous transpose of a (T, n) table,
         which is read-only, as the result is."""
-        _check_counts(T, n)
+        _check_counts(T=T, n=n)
         if n == 1:
             return _frozen(self._from_uniform(rng.random((1, T))))
         table = np.empty((T, n))
@@ -651,7 +660,7 @@ class MarkovModulated2Service(_Model):
         return prob
 
     def sample_increments(self, rng: np.random.Generator, T: int, n: int = 1) -> np.ndarray:
-        _check_counts(T, n)
+        _check_counts(T=T, n=n)
         states = _sample_two_state_chain(rng, self.p00, self.p11, T, n)
         # a constant law draws nothing from rng: broadcast its rate, build no array
         inc0, inc1 = (

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import FeedbackParams
+from .models import _check_eps
 from .oracle import equivalent_service_batch  # noqa: F401 -- a name of this module that perfbench/tracer.py wraps
 
 __all__ = [
@@ -369,9 +370,7 @@ def backlog_quantile(config: SimConfig, eps):
     replication runs once and every quantile is read from one partition of
     the pool.  Every eps must pass ``quantile_estimable``.
     """
-    e = np.asarray(eps, dtype=float)
-    if not np.all((0.0 < e) & (e < 1.0)):
-        raise ValueError("eps must lie strictly between 0 and 1")
+    e = _check_eps(eps)
     if not np.all(quantile_estimable(config, e)):
         raise ValueError(
             "quantile not estimable: eps * post-warmup slots * replications < 100"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import settings
 
 from winflow.algebra import INF, BivariateFunction, convolve, make_delta_plus_w
-from winflow.models import DeterministicService, LeftoverService, MarkovModulated2Service
+from winflow.models import (
+    DeterministicService,
+    ExponentialArrivals,
+    ExponentialVbrService,
+    LeftoverService,
+    MarkovModulated2Service,
+)
+from winflow.verify import MMOO_REFERENCE
 
 # property tests draw the same examples on every run and keep no example file
 settings.register_profile("winflow", derandomize=True, database=None, deadline=None)
@@ -85,3 +92,18 @@ def leftover_two_state(base_rate: float, cross: MarkovModulated2Service) -> Mark
         law0=LeftoverService(base, cross.law0),
         law1=LeftoverService(base, cross.law1),
     )
+
+
+# every batch sampler: one model of each law and of each composition of them,
+# and two-state chains of two random laws on two transition matrices
+SAMPLERS = {
+    "deterministic": DeterministicService(0.7),
+    "exponential": ExponentialVbrService(1.0),
+    "leftover": LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.6)),
+    "on-off": MMOO_REFERENCE,
+    "two-state": MarkovModulated2Service(
+        p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
+    ),
+    "two-state-0.2-0.9": MarkovModulated2Service(0.2, 0.9, ExponentialVbrService(0.5), ExponentialVbrService(2.0)),
+    "leftover-two-state": leftover_two_state(1.5, MMOO_REFERENCE),
+}

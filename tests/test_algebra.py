@@ -60,25 +60,11 @@ def additive(increments):
 
 
 class TestBivariateFunction:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            BivariateFunction(np.array([[0.0, -1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_monotone_rows(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            BivariateFunction(np.array([[0.0, 5.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            BivariateFunction(np.array([[np.nan]]))
-
     def test_additive_table_and_accessors(self):
         f = additive([2.0, 5.0, 1.0])
         assert f.horizon == 3
         assert f.value(0, 3) == 8.0
         assert f.value(1, 2) == 5.0
-        with pytest.raises(IndexError):
-            f.value(2, 1)
 
     def test_tables_are_immutable(self):
         f = additive([1.0])
@@ -96,12 +82,6 @@ class TestDeltaElements:
         dw = make_delta_plus_w(4, 2.0)
         assert dw.value(2, 2) == 2.0
         assert dw.value(1, 3) == INF
-
-    def test_offset_element_rejects_nonpositive_w(self):
-        with pytest.raises(ValueError):
-            make_delta_plus_w(4, 0.0)
-        with pytest.raises(ValueError):
-            make_delta_plus_w(4, -1.0)
 
     def test_shift_zero_is_delta(self):
         assert make_delta_shift(5, 0).equals(make_delta(5))
@@ -133,10 +113,6 @@ class TestPointwiseMin:
     def test_min_of_delta_and_offset_is_delta(self):
         assert pointwise_min(make_delta(5), make_delta_plus_w(5, 0.5)).equals(make_delta(5))
 
-    def test_horizon_mismatch(self, rng):
-        with pytest.raises(ValueError, match="horizon"):
-            pointwise_min(random_monotone_table(rng, 3), random_monotone_table(rng, 4))
-
 
 class TestConvolve:
     def test_neutral_on_additive(self):
@@ -149,10 +125,6 @@ class TestConvolve:
         conv = convolve(f, f)
         assert conv.equals(f)
         assert conv.value(0, 6) == f.value(0, 6)
-
-    def test_horizon_mismatch(self, rng):
-        with pytest.raises(ValueError, match="horizon"):
-            convolve(random_monotone_table(rng, 3), random_monotone_table(rng, 4))
 
     def test_bit_identical_to_row_loop_product(self, rng):
         # horizons past 63 split the broadcast into several row blocks
@@ -203,20 +175,6 @@ class TestSubadditiveClosure:
         # closing it again must be a fixed point
         f = subadditive_closure(random_causal_table(rng, 7))
         assert subadditive_closure(f).equals(f)
-
-    def test_nonconvergence_is_reported(self):
-        # a negative diagonal drives the powers to minus infinity; the
-        # closure must refuse rather than return a truncated answer
-        table = np.array([[-0.5, 1.0], [INF, 0.0]])
-        f = BivariateFunction(table, check=False)
-        with pytest.raises(ClosureNonConvergence):
-            subadditive_closure(f)
-
-    def test_negative_diagonal_anywhere_is_refused(self, rng):
-        table = np.array(random_monotone_table(rng, 9).table)
-        table[6, 6] = -1e-9
-        with pytest.raises(ClosureNonConvergence, match=r"k = \[6\]"):
-            subadditive_closure(BivariateFunction(table, check=False))
 
     def test_bit_identical_to_power_iteration_on_feedback_operands(self):
         rng = np.random.default_rng(2024)

@@ -165,24 +165,11 @@ def effcap_scenarios():
 
 
 class TestParams:
-    def test_feedback_params_validation(self):
-        with pytest.raises(ValueError):
-            FeedbackParams(w=0.0, d=1)
-        with pytest.raises(ValueError):
-            FeedbackParams(w=1.0, d=0)
-        for w in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                FeedbackParams(w=w, d=2)
-        with pytest.raises(ValueError, match="integer"):
-            FeedbackParams(w=1.0, d=2.5)
+    def test_rate_cap_takes_a_numpy_integer_delay(self):
         assert FeedbackParams(w=1.0, d=4).rate_cap == 0.25
         assert FeedbackParams(w=1.0, d=np.int64(4)).rate_cap == 0.25
 
-    def test_theta_grid_validation(self):
-        with pytest.raises(ValueError):
-            ThetaGrid(np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            ThetaGrid(np.array([-1.0, 1.0]))
+    def test_theta_grid_logspace(self):
         grid = ThetaGrid.logspace(1e-3, 10.0, 16)
         assert len(grid.values) == 16
         assert grid.values[0] == pytest.approx(1e-3)
@@ -229,12 +216,6 @@ class TestSeriesMgfBound:
 class TestCurveMgf:
     # log bound(theta, ell) = floor(ell) * theta: the MGF is e^{theta t}
     GROWTH = LogMgfCurve("growth", 1, lambda theta: (-1.0, 0.0), True)
-
-    def test_negative_length_raises(self):
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            self.GROWTH.mgf(1.0, -1)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            block_curve(VBR, FeedbackParams(w=1.0, d=2)).mgf(1.0, -1)
 
     def test_infinite_from_log_709_on(self):
         assert self.GROWTH.mgf(1.0, 708) == pytest.approx(math.exp(708.0), rel=1e-15)
@@ -287,15 +268,6 @@ class TestBlockMgfBounds:
             bound = feedback_mgf_blocks_iid(VBR, fb, theta, t)
             assert bound >= exact
 
-    def test_markov_requires_slow_switching(self):
-        fast = MmooService(p00=0.1, p11=0.3, peak=1.0)
-        with pytest.raises(ValueError, match="p01 \\+ p10"):
-            feedback_mgf_blocks_markov(fast, FeedbackParams(w=1.0, d=2), 1.0, 10)
-
-    def test_markov_rejects_iid_model(self):
-        with pytest.raises(TypeError):
-            feedback_mgf_blocks_markov(VBR, FeedbackParams(w=1.0, d=2), 1.0, 10)
-
     def test_always_on_chain_reduces_to_deterministic(self):
         # an absorbing ON state served at peak rate behaves like a constant
         # server for small theta, where the ON eigenvalue dominates
@@ -338,14 +310,6 @@ class TestStatisticalServiceCurve:
         res = statistical_service_curve(series_curve(VBR, fb), 1e-6, GRID, 8)
         assert np.all(res.value == 0.0)
         assert not np.any(res.feasible)
-
-    def test_refuses_bad_arguments(self):
-        curve = per_slot_curve(VBR, FeedbackParams(w=0.5, d=1))
-        for eps in (0.0, 1.0, 1.5, math.nan):
-            with pytest.raises(ValueError, match="eps must lie strictly between 0 and 1"):
-                statistical_service_curve(curve, eps, GRID, 5)
-        with pytest.raises(ValueError, match="horizon must be >= 0"):
-            statistical_service_curve(curve, 1e-3, GRID, -1)
 
     @pytest.mark.parametrize(
         "curve",
@@ -826,15 +790,6 @@ class TestBacklogBound:
         # a tuple is a sequence too, and a scalar eps gives one bound per model
         by_model = steady_state_backlog_bound(tuple(arrivals), curve, 1e-3, GRID)
         assert by_model.tolist() == values[:, 0, 0].tolist()
-        with pytest.raises(ValueError, match="at least one arrival model"):
-            steady_state_backlog_bound([], curve, eps, GRID)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 1.5, math.nan])
-    def test_epsilon_array_with_one_entry_outside_unit_interval_raises(self, bad):
-        curve = per_slot_curve(VBR, FeedbackParams(w=0.1, d=1))
-        eps = np.array([1e-3, bad, 1e-6])
-        with pytest.raises(ValueError, match="eps must lie strictly between 0 and 1"):
-            steady_state_backlog_bound(ExponentialArrivals(0.05), curve, eps, GRID)
 
     def test_epsilon_sensitivity_is_mild(self):
         fb = FeedbackParams(w=0.1, d=1)

